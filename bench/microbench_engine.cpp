@@ -15,6 +15,8 @@
 #include "kernels/nas_cg.hh"
 #include "kernels/stream.hh"
 #include "machine/config.hh"
+#include "machine/machine.hh"
+#include "machine/registry.hh"
 #include "sim/calqueue.hh"
 #include "sim/fairshare.hh"
 #include "sim/task.hh"
@@ -340,6 +342,41 @@ BM_NasCgExperiment(benchmark::State &state)
     }
 }
 BENCHMARK(BM_NasCgExperiment)->Arg(16);
+
+void
+BM_EngineZooPoint(benchmark::State &state)
+{
+    // One cold zoo grid point: nas-cg-b, 16 ranks, default placement
+    // on T3-4 (machines/t34.json).  Hundreds of engine resources but
+    // at most 16 active flows, and iterations replay the same flow
+    // configurations, so this is where the dirty-closure solve and
+    // its memo show up -- unlike the synthetic event-throughput
+    // benches.  Machine construction is outside the timed region.
+    MachineRegistry &reg = MachineRegistry::instance();
+    if (reg.find("t3-4") == nullptr)
+        reg.loadDirectory(std::string(MCSCOPE_SOURCE_DIR) + "/machines");
+    const MachineConfig *t34 = reg.find("t3-4");
+    if (t34 == nullptr) {
+        state.SkipWithError("machines/t34.json not loadable");
+        return;
+    }
+    NasCgWorkload cg(nasCgClassB());
+    ExperimentConfig cfg;
+    cfg.machine = *t34;
+    cfg.option = table5Options()[0];
+    cfg.ranks = 16;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto machine = std::make_unique<Machine>(cfg.machine);
+        state.ResumeTiming();
+        RunResult r = runExperimentOn(*machine, cfg, cg);
+        benchmark::DoNotOptimize(r.seconds);
+        state.PauseTiming();
+        machine.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_EngineZooPoint)->Unit(benchmark::kMicrosecond);
 
 void
 BM_SweepThroughput(benchmark::State &state)

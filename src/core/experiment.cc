@@ -63,6 +63,7 @@ runExperimentOn(Machine &machine, const ExperimentConfig &config,
     const Engine::Stats stats = engine.stats();
     res.incrementalSolves = stats.incrementalSolves;
     res.fullSolves = stats.fullSolves;
+    res.memoHits = stats.memoHits;
     res.calqueueOps = stats.calqueueOps;
     res.calqueueResizes = stats.calqueueResizes;
     if (const Auditor *auditor = engine.auditor()) {

@@ -69,8 +69,15 @@ struct RunResult
     /** Allocator reruns solved incrementally (dirty-set closure). */
     uint64_t incrementalSolves = 0;
 
-    /** Allocator reruns that re-solved the whole flow set. */
+    /** Reference-allocator reruns (whole flow set). */
     uint64_t fullSolves = 0;
+
+    /**
+     * Incremental reruns served from the engine's closure memo.  Not
+     * serialized (runResultToJson), so results restored from the
+     * cache, a journal, or a shard worker's record read 0.
+     */
+    uint64_t memoHits = 0;
 
     /** Calendar-queue operations (inserts + removes). */
     uint64_t calqueueOps = 0;

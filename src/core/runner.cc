@@ -442,6 +442,7 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
             sample.events = r.events;
             sample.incrementalSolves = r.incrementalSolves;
             sample.fullSolves = r.fullSolves;
+            sample.memoHits = r.memoHits;
             sample.calqueueOps = r.calqueueOps;
             sample.calqueueResizes = r.calqueueResizes;
         }
@@ -1348,6 +1349,7 @@ struct ShardExecutor::Impl
             sample.events = r.events;
             sample.incrementalSolves = r.incrementalSolves;
             sample.fullSolves = r.fullSolves;
+            sample.memoHits = r.memoHits;
             sample.calqueueOps = r.calqueueOps;
             sample.calqueueResizes = r.calqueueResizes;
         }

@@ -127,6 +127,7 @@ SweepTelemetry::writeJson(std::ostream &os) const
            << ", \"events\": " << p.events
            << ", \"incremental_solves\": " << p.incrementalSolves
            << ", \"full_solves\": " << p.fullSolves
+           << ", \"memo_hits\": " << p.memoHits
            << ", \"calqueue_ops\": " << p.calqueueOps
            << ", \"calqueue_resizes\": " << p.calqueueResizes << "}"
            << (i + 1 < points.size() ? "," : "") << "\n";

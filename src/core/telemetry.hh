@@ -46,8 +46,14 @@ struct GridPointSample
     /** Allocator reruns solved incrementally (dirty-set closure). */
     uint64_t incrementalSolves = 0;
 
-    /** Allocator reruns that re-solved the whole flow set. */
+    /** Reference-allocator reruns (whole flow set). */
     uint64_t fullSolves = 0;
+
+    /**
+     * Incremental reruns served from the closure memo; 0 for points
+     * restored from a cache or journal record (RunResult::memoHits).
+     */
+    uint64_t memoHits = 0;
 
     /** Calendar-queue operations (inserts + removes). */
     uint64_t calqueueOps = 0;

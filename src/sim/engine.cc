@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "sim/alloc_guard.hh"
@@ -13,10 +14,38 @@
 namespace mcscope {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-} // namespace
 
-namespace {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+static_assert((Engine::kMemoSets & (Engine::kMemoSets - 1)) == 0,
+              "memo set count must be a power of two");
+
+/** One multiply-xorshift step of the intern and memo hashes. */
+uint64_t
+mixHash(uint64_t h, uint64_t v)
+{
+    h = (h ^ v) * 0xff51afd7ed558ccdULL;
+    return h ^ (h >> 33);
+}
+
+/** Hash of one flow's (path, rate cap) for the intern table. */
+uint64_t
+flowHash(const PathVec &path, double rateCap)
+{
+    uint64_t cap;
+    std::memcpy(&cap, &rateCap, sizeof cap);
+    uint64_t h = mixHash(path.size(), cap);
+    for (ResourceId r : path)
+        h = mixHash(h, static_cast<uint32_t>(r));
+    return h;
+}
+
+/** Bitwise equality, so interning never merges distinct caps. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
 
 /** True when MCSCOPE_REFERENCE_ALLOCATOR requests the oracle path. */
 bool
@@ -84,6 +113,10 @@ Engine::addResource(std::string name, double capacity)
     MCSCOPE_ASSERT(capacity > 0.0,
                    "resource '", name, "' needs positive capacity, got ",
                    capacity);
+    // Memoized closure rates assume the capacities they were solved
+    // against; those are fixed once the first solve has run.
+    MCSCOPE_ASSERT(counters_.allocatorReruns == 0,
+                   "resource '", name, "' added after the run started");
     resourceNames_.push_back(std::move(name));
     capacities_.push_back(capacity);
     stats_.emplace_back();
@@ -220,6 +253,7 @@ Engine::startFlow(const Work &w, OwnerVec owners, PhaseTag tag)
         flowPath_.emplace_back();
         flowOwners_.emplace_back();
         flowTag_.push_back(0);
+        flowKey_.push_back(0);
         flowAlive_.push_back(0);
         flowPosInRes_.emplace_back();
         flowInClosure_.push_back(0);
@@ -235,6 +269,7 @@ Engine::startFlow(const Work &w, OwnerVec owners, PhaseTag tag)
     flowPath_[slot] = w.path;
     flowOwners_[slot] = std::move(owners);
     flowTag_[slot] = tag;
+    flowKey_[slot] = internFlow(w.path, w.rateCap);
     flowAlive_[slot] = 1;
 
     // Wire up per-resource incidence and dirty the path.  The running
@@ -256,6 +291,39 @@ Engine::startFlow(const Work &w, OwnerVec owners, PhaseTag tag)
     if (activeFlows_ > counters_.peakActiveFlows)
         counters_.peakActiveFlows = activeFlows_;
     ratesDirty_ = true;
+}
+
+uint32_t
+Engine::internFlow(const PathVec &path, double rateCap)
+{
+    if (2 * (internFlows_.size() + 1) > internTable_.size()) {
+        // Keep the load factor at most one half: rehash at twice the
+        // size.
+        std::vector<uint32_t> table(
+            std::max<size_t>(64, 2 * internTable_.size()), 0);
+        const size_t mask = table.size() - 1;
+        for (size_t id = 0; id < internFlows_.size(); ++id) {
+            const FairShareFlow &f = internFlows_[id];
+            size_t i = flowHash(f.path, f.rateCap) & mask;
+            while (table[i] != 0)
+                i = (i + 1) & mask;
+            table[i] = static_cast<uint32_t>(id + 1);
+        }
+        internTable_ = std::move(table);
+    }
+    const size_t mask = internTable_.size() - 1;
+    for (size_t i = flowHash(path, rateCap) & mask;; i = (i + 1) & mask) {
+        const uint32_t entry = internTable_[i];
+        if (entry == 0) {
+            const auto id = static_cast<uint32_t>(internFlows_.size());
+            internTable_[i] = id + 1;
+            internFlows_.push_back({path, rateCap});
+            return id;
+        }
+        const FairShareFlow &f = internFlows_[entry - 1];
+        if (f.path == path && sameBits(f.rateCap, rateCap))
+            return entry - 1;
+    }
 }
 
 void
@@ -369,47 +437,84 @@ Engine::solveOptimized()
     for (FlowSlot s : closureFlows_)
         flowInClosure_[s] = 0;
 
-    // Incremental pays off while the closure is a minority of the
-    // population; past half, the subset bookkeeping costs more than
-    // the flows it skips, so solve globally.
-    const bool incremental =
-        2 * closureFlows_.size() <= static_cast<size_t>(activeFlows_);
-    if (incremental) {
-        // Slot order makes the subset's per-round residual-update
-        // sequence match a whole-set solve (see fairShareSolveSubset).
-        std::sort(closureFlows_.begin(), closureFlows_.end());
-        ++counters_.incrementalSolves;
-    } else {
-        closureRes_.clear();
-        closureFlows_.clear();
-        for (ResourceId r = 0; r < resourceCount(); ++r)
-            closureRes_.push_back(r);
-        for (size_t s = 0; s < slotCount(); ++s) {
-            if (flowAlive_[s])
-                closureFlows_.push_back(static_cast<FlowSlot>(s));
+    // Slot order makes the closure's per-round residual-update
+    // sequence match a whole-set solve (see fairShareSolveSubset).
+    std::sort(closureFlows_.begin(), closureFlows_.end());
+    ++counters_.incrementalSolves;
+    solveClosure();
+
+    // Empty-path capped arrivals touch no resource, so no closure
+    // reaches them; their max-min rate is simply their cap.
+    for (FlowSlot s : newFlows_) {
+        if (!flowAlive_[s] || !flowPath_[s].empty() ||
+            flowRate_[s] != 0.0) {
+            continue;
         }
-        ++counters_.fullSolves;
+        const double cap = flowRateCap_[s];
+        applyRates(&s, 1, &cap);
+    }
+}
+
+size_t
+Engine::closureMemoSet(const uint32_t *key, size_t count)
+{
+    uint64_t h = count;
+    for (size_t k = 0; k < count; ++k)
+        h = mixHash(h, key[k]);
+    return static_cast<size_t>(h) & (kMemoSets - 1);
+}
+
+void
+Engine::solveClosure()
+{
+    const size_t n = closureFlows_.size();
+    const FlowSlot *slots = closureFlows_.data();
+    if (n == 0)
+        return;
+
+    // The entry this solve fills; larger closures bypass the memo.
+    MemoEntry *fill = nullptr;
+    if (n <= kMemoMaxFlows) {
+        // The closure's rates are a function of its flows' (path, cap)
+        // sequence alone (capacities are fixed), so an equal key --
+        // all of it, not a hash -- means bit-identical rates.
+        uint32_t key[kMemoMaxFlows] = {};
+        for (size_t k = 0; k < n; ++k)
+            key[k] = flowKey_[slots[k]];
+        const size_t base = closureMemoSet(key, n) * kMemoWays;
+        MemoTag *tags = &memoTags_[base];
+        MemoEntry *entries = &memo_[base];
+        ++memoClock_;
+        for (size_t w = 0; w < kMemoWays; ++w) {
+            if (tags[w].count == n &&
+                std::memcmp(entries[w].key, key, n * sizeof key[0]) == 0) {
+                tags[w].stamp = memoClock_;
+                ++counters_.memoHits;
+                applyRates(slots, n, entries[w].rates);
+                return;
+            }
+        }
+        // Replace the least recently used way; empty ways carry
+        // stamp 0.
+        size_t victim = 0;
+        for (size_t w = 1; w < kMemoWays; ++w) {
+            if (tags[w].stamp < tags[victim].stamp)
+                victim = w;
+        }
+        tags[victim].count = static_cast<uint32_t>(n);
+        tags[victim].stamp = memoClock_;
+        fill = &entries[victim];
+        std::memcpy(fill->key, key, n * sizeof key[0]);
     }
 
-    fairShareSolveSubset(capacities_, flowPath_, flowRateCap_,
-                         closureFlows_.data(), closureFlows_.size(),
+    fairShareSolveSubset(capacities_, flowPath_, flowRateCap_, slots, n,
                          closureRes_.data(), closureRes_.size(),
                          fsScratch_);
-    applyRates(closureFlows_.data(), closureFlows_.size(),
-               fsScratch_.rates.data());
-
-    if (incremental) {
-        // Empty-path capped arrivals touch no resource, so no closure
-        // reaches them; their max-min rate is simply their cap.
-        for (FlowSlot s : newFlows_) {
-            if (!flowAlive_[s] || !flowPath_[s].empty() ||
-                flowRate_[s] != 0.0) {
-                continue;
-            }
-            const double cap = flowRateCap_[s];
-            applyRates(&s, 1, &cap);
-        }
+    if (fill != nullptr) {
+        std::memcpy(fill->rates, fsScratch_.rates.data(),
+                    n * sizeof(double));
     }
+    applyRates(slots, n, fsScratch_.rates.data());
 }
 
 void
@@ -583,11 +688,16 @@ Engine::allocGuardCapacitySum(const std::vector<int> &to_advance) const
     size_t incidence = resFlows_.capacity();
     for (const auto &list : resFlows_)
         incidence += list.capacity();
+    const size_t memo = memo_ ? kMemoSets * kMemoWays : 0;
     return specScratch_.capacity() + fsScratch_.rates.capacity() +
            fsScratch_.frozen.capacity() +
            fsScratch_.residual.capacity() +
            fsScratch_.users.capacity() +
            fsScratch_.saturated.capacity() +
+           fsScratch_.parent.capacity() +
+           fsScratch_.flowRoot.capacity() +
+           fsScratch_.compFlows.capacity() +
+           fsScratch_.compRes.capacity() + memo +
            auditScratch_.capacity() + timelineBusy_.capacity() +
            readyQueue_.capacity() + to_advance.capacity() +
            flowRemaining_.capacity() + flowPath_.capacity() +
@@ -609,6 +719,15 @@ Engine::run()
         // incremental allocator: every allocation is cross-checked
         // against a fresh whole-set reference solve, bit for bit.
         auditor_->setExactRateCheck(true);
+    }
+
+    // The closure memo's one allocation.  Entries are left
+    // uninitialized (an empty tag marks them unused), so a run touches
+    // only the pages it fills.
+    if (!memo_) {
+        memo_ = std::make_unique_for_overwrite<MemoEntry[]>(
+            kMemoSets * kMemoWays);
+        memoTags_ = std::make_unique<MemoTag[]>(kMemoSets * kMemoWays);
     }
 
     for (int i = 0; i < taskCount(); ++i) {

@@ -20,7 +20,9 @@
  * queue, and a flow arrival/departure re-solves only the connected
  * component of flows reachable from the resources it touched (the
  * dirty-set closure) -- so per-event cost is proportional to the
- * affected component, not the whole flow population.
+ * affected component, not the whole flow population.  A closure whose
+ * ordered input was solved before takes its rates from a per-engine
+ * memo instead of being solved again.
  */
 
 #ifndef MCSCOPE_SIM_ENGINE_HH
@@ -163,9 +165,8 @@ class Engine
     /**
      * Run-level engine counters, cheap enough to maintain
      * unconditionally.  They answer "what did the engine actually do"
-     * questions (was the allocator rerun per event? did the dirty-set
-     * solver stay incremental or keep falling back to global solves?)
-     * without a profiler.
+     * questions (was the allocator rerun per event? how many closure
+     * solves did the memo absorb?) without a profiler.
      */
     struct Stats
     {
@@ -185,18 +186,23 @@ class Engine
         uint64_t timeSteps = 0;
 
         /**
-         * Allocator reruns solved incrementally: only the dirty-set
-         * closure (the connected component of flows reachable from
-         * resources whose flow set changed) was re-solved.
+         * Optimized-allocator reruns: each re-solves only the
+         * dirty-set closure (the flows reachable from resources whose
+         * flow set changed), directly or from the closure memo.
          */
         uint64_t incrementalSolves = 0;
 
         /**
-         * Allocator reruns that solved the whole flow set -- the
-         * closure exceeded the incremental threshold, or the Reference
-         * oracle allocator was active (it always solves globally).
+         * Reference-allocator reruns (the oracle always solves the
+         * whole flow set).  Always 0 under the Optimized allocator.
          */
         uint64_t fullSolves = 0;
+
+        /**
+         * Optimized reruns whose closure rates came from the closure
+         * memo instead of a solve (a subset of incrementalSolves).
+         */
+        uint64_t memoHits = 0;
 
         /** Calendar-queue operations (inserts + removes). */
         uint64_t calqueueOps = 0;
@@ -310,6 +316,20 @@ class Engine
     /** True when run() asserts the zero-allocation contract. */
     bool allocGuardEnforced() const { return allocGuardEnforced_; }
 
+    /**
+     * Closure-memo geometry (DESIGN §13 "Closure memo").  Every flow's
+     * (path, rate cap) is interned to a dense id, in order of first
+     * appearance; a closure's key is its flows' ids in ascending-slot
+     * order.  Closures of more than kMemoMaxFlows flows bypass the
+     * memo and are solved directly.
+     */
+    static constexpr size_t kMemoMaxFlows = 16;
+    static constexpr size_t kMemoSets = 128;
+    static constexpr size_t kMemoWays = 8;
+
+    /** The memo set a closure key maps to (exposed for tests). */
+    static size_t closureMemoSet(const uint32_t *key, size_t count);
+
   private:
     enum class TaskState
     {
@@ -392,6 +412,16 @@ class Engine
     /** Dirty-set closure solve (Optimized allocator). */
     void solveOptimized();
 
+    /**
+     * Rates for the sorted closure in closureFlows_: from the memo
+     * when its key was solved before, else from a subset solve whose
+     * result is then memoized.
+     */
+    void solveClosure();
+
+    /** Dense id of a flow's (path, rate cap); interns new pairs. */
+    uint32_t internFlow(const PathVec &path, double rateCap);
+
     /** Whole-flow-set solve through the oracle (Reference allocator). */
     void solveReference();
 
@@ -460,6 +490,7 @@ class Engine
     std::vector<PathVec> flowPath_;     ///< resource path
     std::vector<OwnerVec> flowOwners_;  ///< owning task(s)
     std::vector<int> flowTag_;          ///< phase tag
+    std::vector<uint32_t> flowKey_;     ///< interned (path, cap) id
     std::vector<char> flowAlive_;       ///< slot holds a live flow
     std::vector<FlowSlot> freeSlots_;   ///< recycled slot ids (LIFO)
     int activeFlows_ = 0;               ///< live-flow count
@@ -485,6 +516,33 @@ class Engine
     std::vector<char> flowInClosure_;
     std::vector<ResourceId> closureRes_;
     std::vector<FlowSlot> closureFlows_;
+
+    // Flow interning: internFlows_[id] is the (path, cap) of id, and
+    // internTable_ is an open-addressing index over it holding id + 1
+    // (0 = empty).  Grows only in startFlow(), outside the
+    // zero-allocation contract.
+    std::vector<FairShareFlow> internFlows_;
+    std::vector<uint32_t> internTable_;
+
+    /** One memoized closure: its key and the rates solved for it. */
+    struct MemoEntry
+    {
+        uint32_t key[kMemoMaxFlows];
+        double rates[kMemoMaxFlows];
+    };
+
+    /** Occupancy of a memo entry: key length and LRU stamp. */
+    struct MemoTag
+    {
+        uint32_t count = 0; ///< key length; 0 = empty
+        uint32_t stamp = 0; ///< memoClock_ at last use
+    };
+
+    // The closure memo: kMemoSets sets of kMemoWays entries, allocated
+    // once by run() before the steady-state loop and never grown.
+    std::unique_ptr<MemoEntry[]> memo_;
+    std::unique_ptr<MemoTag[]> memoTags_;
+    uint32_t memoClock_ = 0;
 
     /** Calendar queue of absolute flow-finish times, keyed by slot. */
     CalendarQueue calq_;

@@ -22,6 +22,7 @@
 #include "core/registry.hh"
 #include "machine/config.hh"
 #include "machine/machine.hh"
+#include "machine/registry.hh"
 #include "sim/alloc_guard.hh"
 
 namespace mcscope {
@@ -35,6 +36,22 @@ defaultConfig()
     cfg.option = table5Options().front(); // Default
     cfg.ranks = 4;
     return cfg;
+}
+
+/**
+ * A shipped zoo machine, loaded from the source tree's machines/;
+ * nullptr when it is missing.
+ */
+const MachineConfig *
+zooMachine(const char *name)
+{
+    MachineRegistry &reg = MachineRegistry::instance();
+    if (reg.find(name) == nullptr) {
+        std::string problem = reg.loadDirectory(
+            std::string(MCSCOPE_SOURCE_DIR) + "/machines");
+        EXPECT_EQ(problem, "");
+    }
+    return reg.find(name);
 }
 
 TEST(AllocGuard, CompileTimeAndRuntimeViewsAgree)
@@ -138,10 +155,16 @@ TEST(AllocGuard, SteadyStateLoopIsAllocationFree)
 
     // Engine::run arms the guard itself and hard-asserts on any
     // steady-state allocation without scratch-capacity growth, so a
-    // valid result IS the proof.  Cover both reference machines and
-    // every registered workload -- the 8-socket Longs ladder is the
-    // one that produces the longest resource paths (and would catch a
-    // PathVec inline capacity regression).
+    // valid result IS the proof.  Cover both reference machines, the
+    // T3-4 and cluster12 zoo machines, and every registered workload.
+    // The 8-socket Longs ladder produces the longest resource paths
+    // (and would catch a PathVec inline capacity regression); the zoo
+    // machines carry hundreds of resources, so their later components
+    // outgrow the subset solver's first-sized scratch.
+    const MachineConfig *t34 = zooMachine("t3-4");
+    const MachineConfig *cluster12 = zooMachine("cluster12");
+    ASSERT_NE(t34, nullptr);
+    ASSERT_NE(cluster12, nullptr);
     for (const std::string &name : registeredWorkloads()) {
         auto workload = makeWorkload(name);
         ASSERT_NE(workload, nullptr);
@@ -155,6 +178,15 @@ TEST(AllocGuard, SteadyStateLoopIsAllocationFree)
         cfg.ranks = 8;
         RunResult longs = runExperiment(cfg, *workload);
         EXPECT_TRUE(longs.valid) << name;
+
+        cfg.option = {"spread", TaskScheme::Spread,
+                      MemPolicy::LocalAlloc};
+        cfg.ranks = 16;
+        for (const MachineConfig *zoo : {t34, cluster12}) {
+            cfg.machine = *zoo;
+            RunResult res = runExperiment(cfg, *workload);
+            EXPECT_TRUE(res.valid) << name << " on " << zoo->name;
+        }
     }
 }
 

@@ -12,6 +12,10 @@
  * drives ~1k randomized scenarios (random paths and caps, empty-path
  * capped flows, delays, barriers, rendezvous pairs) through both.
  *
+ * Targeted scenarios then drive the closure memo through eviction,
+ * bypass of oversized closures, and memo-set collisions between
+ * different closures, each bit-identical to the reference.
+ *
  * A second suite pins the subset solver itself: on a closed connected
  * component, fairShareSolveSubset must reproduce the rates of a full
  * fairShareRatesReference solve bit-for-bit, which is the algebraic
@@ -136,6 +140,7 @@ struct RunOutcome
     uint64_t events = 0;
     uint64_t makespanBits = 0;
     std::vector<uint64_t> finishBits;
+    Engine::Stats stats;
 };
 
 RunOutcome
@@ -162,7 +167,26 @@ runScenario(const Scenario &s, Engine::AllocatorKind kind)
     out.makespanBits = bits(e.makespan());
     for (int t = 0; t < e.taskCount(); ++t)
         out.finishBits.push_back(bits(e.taskFinishTime(t)));
+    out.stats = e.stats();
     return out;
+}
+
+/**
+ * Run `s` under both allocators, demand bit-identical outcomes, and
+ * return the Optimized run's engine counters.
+ */
+Engine::Stats
+expectMatchesReference(const Scenario &s)
+{
+    RunOutcome opt = runScenario(s, Engine::AllocatorKind::Optimized);
+    RunOutcome ref = runScenario(s, Engine::AllocatorKind::Reference);
+    EXPECT_EQ(opt.digest, ref.digest);
+    EXPECT_EQ(opt.events, ref.events);
+    EXPECT_EQ(opt.checks, ref.checks);
+    EXPECT_EQ(opt.makespanBits, ref.makespanBits);
+    EXPECT_EQ(opt.finishBits, ref.finishBits);
+    EXPECT_EQ(opt.stats.fullSolves, 0u);
+    return opt.stats;
 }
 
 TEST(EngineDiff, OptimizedIsBitIdenticalToReferenceOnRandomScenarios)
@@ -198,11 +222,10 @@ TEST(EngineDiff, OptimizedRunsAreDeterministicAcrossRepeats)
 
 TEST(EngineDiff, OptimizedEngineActuallySolvesIncrementally)
 {
-    // Many tasks on disjoint private resources: after warmup, every
-    // re-solve's dirty closure is a single flow, so the incremental
-    // counter must dominate.  Guards against the dispatch silently
-    // always taking the full-solve fallback (which would pass every
-    // bit-identity test while losing the entire speedup).
+    // Many tasks on disjoint private resources replaying one flow
+    // each: every re-solve's dirty closure is a single flow whose key
+    // repeats, so the memo must serve most of them and no solve may
+    // cover the whole flow set.
     Engine e;
     e.setAllocator(Engine::AllocatorKind::Optimized);
     for (int t = 0; t < 16; ++t) {
@@ -216,8 +239,129 @@ TEST(EngineDiff, OptimizedEngineActuallySolvesIncrementally)
     }
     e.run();
     const Engine::Stats st = e.stats();
-    EXPECT_GT(st.incrementalSolves, st.fullSolves);
+    EXPECT_EQ(st.fullSolves, 0u);
+    EXPECT_EQ(st.incrementalSolves, st.allocatorReruns);
+    EXPECT_GT(st.memoHits, 0u);
     EXPECT_GT(st.calqueueOps, 0u);
+}
+
+// --- The closure memo: eviction, bypass, and set collisions. --------
+
+/** A work item on 1-2 resources drawn from [lo, lo + 3), capped. */
+Work
+groupWork(Rng &rng, int lo)
+{
+    Work w;
+    w.amount = rng.uniform(0.5, 2000.0);
+    w.path = {static_cast<ResourceId>(lo + rng.below(3))};
+    const auto second = static_cast<ResourceId>(lo + rng.below(3));
+    if (second != w.path[0])
+        w.path.push_back(second);
+    w.rateCap = rng.uniform(0.1, 500.0);
+    return w;
+}
+
+TEST(EngineDiff, MemoEvictionStaysBitIdentical)
+{
+    // Task 0 (resources 0-2) plays 3000 distinct works twice over.
+    // Each of its closures holds exactly one of them, so there are
+    // more distinct keys than memo entries and the second pass finds
+    // every one evicted.  Task 1 (resources 3-5) replays three works,
+    // so its closures keep hitting amid the churn.
+    Rng rng(0xe71c7ULL);
+    Scenario s;
+    for (int r = 0; r < 6; ++r)
+        s.caps.push_back(rng.uniform(0.5, 2000.0));
+    s.scripts.resize(2);
+    std::vector<Work> distinct;
+    for (int i = 0; i < 3000; ++i)
+        distinct.push_back(groupWork(rng, 0));
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const Work &w : distinct)
+            s.scripts[0].push_back(w);
+    }
+    std::vector<Work> replayed;
+    for (int i = 0; i < 3; ++i)
+        replayed.push_back(groupWork(rng, 3));
+    for (int i = 0; i < 3000; ++i)
+        s.scripts[1].push_back(replayed[rng.below(3)]);
+
+    const Engine::Stats st = expectMatchesReference(s);
+    EXPECT_GT(st.incrementalSolves - st.memoHits,
+              2 * Engine::kMemoSets * Engine::kMemoWays);
+    EXPECT_GT(st.memoHits, 0u);
+}
+
+TEST(EngineDiff, MemoBypassesOversizedClosuresBitIdentically)
+{
+    // 24 tasks all cross resource 0, so every closure holds every
+    // active flow: more than kMemoMaxFlows while all of them run
+    // (solved directly), fewer as tasks finish (memoized).
+    Rng rng(0xb1a55ULL);
+    Scenario s;
+    for (int r = 0; r < 4; ++r)
+        s.caps.push_back(rng.uniform(0.5, 2000.0));
+    s.scripts.resize(24);
+    for (auto &script : s.scripts) {
+        std::vector<Work> own;
+        for (int i = 0; i < 3; ++i) {
+            Work w;
+            w.amount = rng.uniform(0.5, 2000.0);
+            w.path = {0, static_cast<ResourceId>(1 + rng.below(3))};
+            if (rng.below(2) == 0)
+                w.rateCap = rng.uniform(0.1, 500.0);
+            own.push_back(w);
+        }
+        const int n = 10 + static_cast<int>(rng.below(20));
+        for (int p = 0; p < n; ++p)
+            script.push_back(own[rng.below(3)]);
+    }
+
+    const Engine::Stats st = expectMatchesReference(s);
+    EXPECT_GT(st.peakActiveFlows,
+              static_cast<int>(Engine::kMemoMaxFlows));
+    EXPECT_GT(st.memoHits, 0u);
+}
+
+TEST(EngineDiff, MemoSetCollisionsCompareTheFullKey)
+{
+    // A lone task's closure is its current flow, keyed by that flow's
+    // interned id, and ids are dense in order of first appearance.
+    // Collect kMemoWays + 1 ids whose one-flow keys fall in the same
+    // memo set as id 0.  Each id's work has its own cap, and the cap
+    // is its rate, so a lookup that matched on the set (or a hash)
+    // rather than the whole key would hand out a wrong rate.
+    std::vector<uint32_t> same;
+    const uint32_t zero = 0;
+    const size_t target = Engine::closureMemoSet(&zero, 1);
+    for (uint32_t id = 0; same.size() < Engine::kMemoWays + 1; ++id) {
+        if (Engine::closureMemoSet(&id, 1) == target)
+            same.push_back(id);
+    }
+    auto work = [](uint32_t id) {
+        Work w;
+        w.amount = 10.0 + id;
+        w.path = {0};
+        w.rateCap = 1.0 + 0.5 * id;
+        return w;
+    };
+
+    Scenario s;
+    s.caps = {1e6};
+    s.scripts.resize(1);
+    for (uint32_t id = 0; id <= same.back(); ++id)
+        s.scripts[0].push_back(work(id)); // interns ids 0..back
+    // Alternate id 0 with each colliding id (same set, different
+    // key), then overflow the set's ways so LRU evicts inside it.
+    for (int round = 0; round < 4; ++round) {
+        for (uint32_t id : same) {
+            s.scripts[0].push_back(work(same[0]));
+            s.scripts[0].push_back(work(id));
+        }
+    }
+
+    const Engine::Stats st = expectMatchesReference(s);
+    EXPECT_GT(st.memoHits, 0u);
 }
 
 // --- Subset solver: the algebraic core of the incremental path. -----
