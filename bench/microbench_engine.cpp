@@ -1,17 +1,21 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation engine itself:
- * fair-share allocation, event throughput, and end-to-end experiment
- * cost.  These guard the harness's own performance (a full table
+ * fair-share allocation, event throughput, end-to-end experiment
+ * cost, and the plan layer (batch spec expansion, spec digests).  These guard the harness's own performance (a full table
  * sweep runs hundreds of simulations).
  */
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "core/experiment.hh"
 #include "core/parallel_for.hh"
+#include "core/plan.hh"
+#include "core/registry.hh"
 #include "kernels/nas_cg.hh"
 #include "kernels/stream.hh"
 #include "machine/config.hh"
@@ -20,6 +24,8 @@
 #include "sim/calqueue.hh"
 #include "sim/fairshare.hh"
 #include "sim/task.hh"
+#include "util/fdio.hh"
+#include "util/json.hh"
 #include "util/rng.hh"
 
 namespace mcscope {
@@ -343,6 +349,16 @@ BM_NasCgExperiment(benchmark::State &state)
 }
 BENCHMARK(BM_NasCgExperiment)->Arg(16);
 
+/** A shipped zoo machine from machines/; nullptr when unloadable. */
+const MachineConfig *
+zooMachine(const char *name)
+{
+    MachineRegistry &reg = MachineRegistry::instance();
+    if (reg.find(name) == nullptr)
+        reg.loadDirectory(std::string(MCSCOPE_SOURCE_DIR) + "/machines");
+    return reg.find(name);
+}
+
 void
 BM_EngineZooPoint(benchmark::State &state)
 {
@@ -352,10 +368,7 @@ BM_EngineZooPoint(benchmark::State &state)
     // configurations, so this is where the dirty-closure solve and
     // its memo show up -- unlike the synthetic event-throughput
     // benches.  Machine construction is outside the timed region.
-    MachineRegistry &reg = MachineRegistry::instance();
-    if (reg.find("t3-4") == nullptr)
-        reg.loadDirectory(std::string(MCSCOPE_SOURCE_DIR) + "/machines");
-    const MachineConfig *t34 = reg.find("t3-4");
+    const MachineConfig *t34 = zooMachine("t3-4");
     if (t34 == nullptr) {
         state.SkipWithError("machines/t34.json not loadable");
         return;
@@ -377,6 +390,71 @@ BM_EngineZooPoint(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EngineZooPoint)->Unit(benchmark::kMicrosecond);
+
+void
+BM_PlanExpand(benchmark::State &state)
+{
+    // Parse and expand examples/batch_zoo.json (144 specs on Longs,
+    // T3-4 and cluster12): JSON parse, machine-variant
+    // canonicalization, per-spec canonical text, dedup and text
+    // digest.  File read and machine loading are outside the loop.
+    if (zooMachine("t3-4") == nullptr) {
+        state.SkipWithError("machines/ not loadable");
+        return;
+    }
+    std::string text;
+    if (!readWholeFile(std::string(MCSCOPE_SOURCE_DIR) +
+                           "/examples/batch_zoo.json",
+                       text)) {
+        state.SkipWithError("examples/batch_zoo.json not readable");
+        return;
+    }
+    size_t specs = 0;
+    for (auto _ : state) {
+        std::optional<JsonValue> doc = parseJson(text);
+        std::optional<SweepPlan> plan =
+            doc ? SweepPlan::fromJson(*doc, nullptr) : std::nullopt;
+        if (!plan) {
+            state.SkipWithError("examples/batch_zoo.json did not expand");
+            return;
+        }
+        specs = plan->specs().size();
+        benchmark::DoNotOptimize(plan->specs().data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(specs));
+}
+BENCHMARK(BM_PlanExpand)->Unit(benchmark::kMicrosecond);
+
+void
+BM_SpecDigest(benchmark::State &state)
+{
+    // ScenarioSpec::digestWith on one spec: Arg 0 a Longs preset
+    // (cached machine text), Arg 1 T3-4 (an inline machine, one
+    // serialization per call).  The workload is built untimed.
+    const bool zoo = state.range(0) != 0;
+    ScenarioSpec spec;
+    spec.workload = "nas-cg-b";
+    spec.ranks = 16;
+    if (zoo) {
+        const MachineConfig *t34 = zooMachine("t3-4");
+        if (t34 == nullptr) {
+            state.SkipWithError("machines/t34.json not loadable");
+            return;
+        }
+        spec.machine = *t34;
+    } else {
+        spec.machinePreset = "longs";
+    }
+    spec.canonicalize();
+    state.SetLabel(zoo ? "t3-4" : "longs");
+    std::unique_ptr<Workload> workload = makeWorkload(spec.workload);
+    for (auto _ : state) {
+        std::optional<uint64_t> d = spec.digestWith(*workload);
+        benchmark::DoNotOptimize(d);
+    }
+}
+BENCHMARK(BM_SpecDigest)->Arg(0)->Arg(1);
 
 void
 BM_SweepThroughput(benchmark::State &state)

@@ -117,21 +117,47 @@ SweepPlan::pointIndex(size_t w, size_t i, size_t s, size_t r,
              r) * O + o);
 }
 
+std::optional<uint64_t>
+SweepPlan::digest(size_t i, const Workload &workload) const
+{
+    MCSCOPE_ASSERT(i < specs_.size(), "spec ", i, " out of range (",
+                   specs_.size(), " specs)");
+    return finishScenarioDigest(textDigests_[i], workload);
+}
+
+std::vector<std::optional<uint64_t>>
+SweepPlan::digests() const
+{
+    std::vector<std::optional<uint64_t>> out(specs_.size());
+    for (size_t i = 0; i < specs_.size(); ++i)
+        out[i] = digest(i, *makeWorkload(specs_[i].workload));
+    return out;
+}
+
+void
+SweepPlan::addPoint(ScenarioSpec spec, std::string text, Seen &seen)
+{
+    // Keyed by canonical text, not digest: exact, and independent of
+    // workload instantiation.  The text digest is taken here, once
+    // per unique spec; the text itself is dropped with the map.
+    auto [it, inserted] = seen.emplace(std::move(text), specs_.size());
+    if (inserted) {
+        textDigests_.push_back(canonicalTextDigest(it->first));
+        specs_.push_back(std::move(spec));
+    }
+    pointSpec_.push_back(it->second);
+}
+
 SweepPlan
 SweepPlan::fromSpecs(const std::vector<ScenarioSpec> &specs)
 {
     SweepPlan plan;
-    // Keyed by canonical text, not digest: exact, and independent of
-    // workload instantiation.
-    std::map<std::string, size_t> seen;
+    Seen seen;
     for (const ScenarioSpec &raw : specs) {
         ScenarioSpec spec = raw;
-        spec.canonicalize();
-        std::string key = spec.canonicalText();
-        auto [it, inserted] = seen.emplace(key, plan.specs_.size());
-        if (inserted)
-            plan.specs_.push_back(std::move(spec));
-        plan.pointSpec_.push_back(it->second);
+        const std::string machine_json = spec.canonicalize();
+        std::string text = spec.canonicalTextWith(machine_json);
+        plan.addPoint(std::move(spec), std::move(text), seen);
     }
     return plan;
 }
@@ -148,39 +174,45 @@ SweepPlan::expand(const SweepAxes &axes)
     // names.  Entry points that will instantiate from the registry
     // (fromJson, the CLI) validate before expanding.
 
-    std::vector<ScenarioSpec> specs;
-    specs.reserve(full.machineVariants() * full.workloads.size() *
-                  full.impls.size() * full.sublayers.size() *
-                  full.rankCounts.size() * full.options.size());
+    SweepPlan plan;
+    Seen seen;
+    const size_t points = full.machineVariants() * full.workloads.size() *
+                          full.impls.size() * full.sublayers.size() *
+                          full.rankCounts.size() * full.options.size();
+    plan.pointSpec_.reserve(points);
+    plan.specs_.reserve(points);
+    plan.textDigests_.reserve(points);
     for (size_t m = 0; m < full.machineVariants(); ++m) {
-        // Directory variants and zoo machines are inline machines
-        // (variantPreset "" -> canonicalize() keeps them distinct and
+        // Canonicalize each machine variant once: directory variants
+        // and zoo machines are inline machines (variantPreset "" ->
+        // one preset-collapse compare keeps them distinct and
         // distinctly digested); builtin machines keep their token.
-        const std::string preset = full.variantPreset(m);
-        const MachineConfig machine = full.variantMachine(m);
+        // Every spec on the variant reuses its machine text.
+        ScenarioSpec base;
+        base.machinePreset = full.variantPreset(m);
+        base.machine = full.variantMachine(m);
+        base.latencyNoise = full.latencyNoise;
+        const std::string machine_json = base.canonicalize();
         for (const std::string &workload : full.workloads) {
+            base.workload = canonicalWorkloadName(workload);
             for (MpiImpl impl : full.impls) {
+                base.impl = impl;
                 for (SubLayer sublayer : full.sublayers) {
+                    base.sublayer = sublayer;
                     for (int ranks : full.rankCounts) {
+                        base.ranks = ranks;
                         for (const NumactlOption &option :
                              full.options) {
-                            ScenarioSpec s;
-                            s.workload = workload;
-                            s.machinePreset = preset;
-                            s.machine = machine;
-                            s.option = option;
-                            s.ranks = ranks;
-                            s.impl = impl;
-                            s.sublayer = sublayer;
-                            s.latencyNoise = full.latencyNoise;
-                            specs.push_back(std::move(s));
+                            base.option = option;
+                            plan.addPoint(
+                                base, base.canonicalTextWith(machine_json),
+                                seen);
                         }
                     }
                 }
             }
         }
     }
-    SweepPlan plan = fromSpecs(specs);
     plan.axes_ = std::move(full);
     plan.hasAxes_ = true;
     return plan;

@@ -8,7 +8,10 @@
  * every grid point back to its spec.  Deduplication means a batch
  * that mentions the same point twice -- or a spec file regenerated
  * with overlapping axes -- costs one simulation, and the runner
- * (core/runner.hh) sees only unique work.
+ * (core/runner.hh) sees only unique work.  Each unique spec also
+ * keeps the digest of its canonical text, taken while deduplicating,
+ * so executors finish content digests (digest()) without
+ * re-canonicalizing a spec.
  *
  * Grid-point ordering is fixed and documented: workloads outermost,
  * then impls, sublayers, rank counts, and options innermost.  The
@@ -21,6 +24,8 @@
 #define MCSCOPE_CORE_PLAN_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -146,6 +151,21 @@ class SweepPlan
     /** Spec behind grid point `point`. */
     const ScenarioSpec &pointSpec(size_t point) const;
 
+    /**
+     * Content digest of spec `i` run as `workload`: equal to
+     * specs()[i].digestWith(workload), finished (finishScenarioDigest)
+     * from the text digest the plan computed once while deduplicating,
+     * so executing a plan never re-canonicalizes a spec.
+     */
+    std::optional<uint64_t> digest(size_t i,
+                                   const Workload &workload) const;
+
+    /**
+     * digest(i, *makeWorkload(specs()[i].workload)) for every spec: the
+     * journal and dedup keys of the registry workloads the plan names.
+     */
+    std::vector<std::optional<uint64_t>> digests() const;
+
     /** Axes (only meaningful for expand()/fromJson() plans). */
     const SweepAxes &axes() const { return axes_; }
     bool hasAxes() const { return hasAxes_; }
@@ -160,7 +180,14 @@ class SweepPlan
                       size_t o, size_t m = 0) const;
 
   private:
+    /** Canonical text -> spec index, while a plan is being built. */
+    using Seen = std::map<std::string, size_t>;
+
+    /** Append a grid point for canonical `spec` with canonical `text`. */
+    void addPoint(ScenarioSpec spec, std::string text, Seen &seen);
+
     std::vector<ScenarioSpec> specs_;
+    std::vector<uint64_t> textDigests_; // canonicalTextDigest per spec
     std::vector<size_t> pointSpec_; // grid point -> spec index
     SweepAxes axes_;
     bool hasAxes_ = false;

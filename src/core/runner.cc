@@ -366,7 +366,7 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
             owned = makeWorkload(spec.workload);
             workload = owned.get();
         }
-        std::optional<uint64_t> digest = spec.digestWith(*workload);
+        std::optional<uint64_t> digest = plan.digest(i, *workload);
         const bool cacheable = digest.has_value() && !opts.noCache;
 
         std::optional<ResultCache::Hit> hit;
@@ -839,12 +839,7 @@ struct ShardExecutor::Impl
         // Content digests drive both the journal and resume matching.
         // A spec without one (non-content-addressable workload) is
         // always executed and never journaled.
-        digests.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-            std::unique_ptr<Workload> w =
-                makeWorkload(plan.specs()[i].workload);
-            digests[i] = plan.specs()[i].digestWith(*w);
-        }
+        digests = plan.digests();
 
         // Points the journal already vouches for complete instantly:
         // either from the caller-shared known map (serve, where it

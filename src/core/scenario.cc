@@ -148,6 +148,51 @@ presetMachines()
     return machines;
 }
 
+/** Cached canonical JSON of preset `token` (lower-case). */
+const std::string &
+presetMachineJson(const std::string &token)
+{
+    for (const PresetMachine &preset : presetMachines()) {
+        if (preset.token == token)
+            return preset.canonicalJson;
+    }
+    fatal("unknown machine preset '", token, "' (have: tiger, dmz, longs)");
+}
+
+/**
+ * The canonical text: the spec's fields in sorted-key order around
+ * the machine's canonical JSON, written directly.  Byte for byte what
+ * dumping toJson() with sorted keys and the machine expanded inline
+ * gives -- the form every digest, cache entry and journal record was
+ * built from -- without building a JSON DOM per spec.
+ */
+std::string
+composeCanonicalText(const ScenarioSpec &s, const std::string &machine_json)
+{
+    std::string out;
+    out.reserve(machine_json.size() + 256);
+    out += "{\"impl\":\"";
+    out += mpiImplToken(s.impl);
+    out += "\",\"latency_noise\":";
+    out += JsonValue::number(s.latencyNoise).dump();
+    out += ",\"machine\":";
+    out += machine_json;
+    out += ",\"option\":{\"label\":\"";
+    out += jsonEscapeString(s.option.label);
+    out += "\",\"policy\":\"";
+    out += jsonEscapeString(memPolicyName(s.option.policy));
+    out += "\",\"scheme\":\"";
+    out += jsonEscapeString(taskSchemeName(s.option.scheme));
+    out += "\"},\"ranks\":";
+    out += JsonValue::number(s.ranks).dump();
+    out += ",\"sublayer\":\"";
+    out += subLayerToken(s.sublayer);
+    out += "\",\"workload\":\"";
+    out += jsonEscapeString(canonicalWorkloadName(s.workload));
+    out += "\"}";
+    return out;
+}
+
 /** Set `*err` (if non-null) and return nullopt-compatible false. */
 bool
 setError(std::string *err, const std::string &msg)
@@ -277,14 +322,14 @@ ScenarioSpec::toExperiment() const
     return cfg;
 }
 
-void
+std::string
 ScenarioSpec::canonicalize()
 {
     workload = canonicalWorkloadName(workload);
     if (!machinePreset.empty()) {
         machinePreset = toLower(machinePreset);
         machine = configByName(machinePreset);
-        return;
+        return presetMachineJson(machinePreset);
     }
     // An inline machine that matches a preset collapses back to it,
     // so spec files that spell out Table 1 by hand dedup against
@@ -294,9 +339,10 @@ ScenarioSpec::canonicalize()
         if (preset.canonicalJson == mine) {
             machinePreset = preset.token;
             machine = configByName(preset.token);
-            return;
+            break;
         }
     }
+    return mine;
 }
 
 JsonValue
@@ -319,13 +365,19 @@ ScenarioSpec::toJson() const
 std::string
 ScenarioSpec::canonicalText() const
 {
-    ScenarioSpec c = *this;
-    c.canonicalize();
-    JsonValue o = c.toJson();
     // The digest must move when a preset's *definition* changes, so
     // the canonical form always expands the machine inline.
-    o.set("machine", machineConfigToJson(c.machine));
-    return o.dump(-1, true);
+    if (!machinePreset.empty())
+        return composeCanonicalText(*this,
+                                    presetMachineJson(toLower(machinePreset)));
+    return composeCanonicalText(
+        *this, machineConfigToJson(machine).dump(-1, true));
+}
+
+std::string
+ScenarioSpec::canonicalTextWith(const std::string &machineJson) const
+{
+    return composeCanonicalText(*this, machineJson);
 }
 
 uint64_t
@@ -344,25 +396,34 @@ calibrationDigest()
 }
 
 uint64_t
+canonicalTextDigest(const std::string &canonicalText)
+{
+    return fnv1a(calibrationDigest(), canonicalText);
+}
+
+std::optional<uint64_t>
+finishScenarioDigest(uint64_t textDigest, const Workload &w)
+{
+    std::string signature = w.signature();
+    if (signature.empty())
+        return std::nullopt; // not content-addressable: never cache
+    return fnv1a(fnv1a(textDigest, "|sig|"), signature);
+}
+
+uint64_t
 ScenarioSpec::digest() const
 {
-    ScenarioSpec c = *this;
-    c.canonicalize();
-    std::string signature = makeWorkload(c.workload)->signature();
-    uint64_t h = fnv1a(calibrationDigest(), c.canonicalText());
-    h = fnv1a(h, "|sig|");
-    return fnv1a(h, signature);
+    std::optional<uint64_t> d =
+        digestWith(*makeWorkload(canonicalWorkloadName(workload)));
+    MCSCOPE_ASSERT(d, "registry workload '", workload,
+                   "' has no parameter signature");
+    return *d;
 }
 
 std::optional<uint64_t>
 ScenarioSpec::digestWith(const Workload &w) const
 {
-    std::string signature = w.signature();
-    if (signature.empty())
-        return std::nullopt; // not content-addressable: never cache
-    uint64_t h = fnv1a(calibrationDigest(), canonicalText());
-    h = fnv1a(h, "|sig|");
-    return fnv1a(h, signature);
+    return finishScenarioDigest(canonicalTextDigest(canonicalText()), w);
 }
 
 bool

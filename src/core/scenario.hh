@@ -88,8 +88,14 @@ struct ScenarioSpec
      * ("stream-triad" -> "stream"), the preset name lower-cases and
      * re-resolves `machine`, and a preset spelled inline collapses
      * back to its preset name.
+     *
+     * Returns the canonical JSON of the resolved machine -- the text
+     * canonicalText() embeds -- so callers composing the canonical
+     * text next (canonicalTextWith) serialize the machine once: a
+     * preset's text is cached, and an inline machine's is the dump
+     * the preset-collapse compare already made.
      */
-    void canonicalize();
+    std::string canonicalize();
 
     /** Serialize (preset kept symbolic when set). */
     JsonValue toJson() const;
@@ -97,9 +103,18 @@ struct ScenarioSpec
     /**
      * Canonical single-line serialization: canonicalized spec, sorted
      * keys, machine expanded inline.  Two specs are the same
-     * experiment iff their canonical texts are equal.
+     * experiment iff their canonical texts are equal.  Costs one
+     * machine serialization for an inline machine, none for a preset.
      */
     std::string canonicalText() const;
+
+    /**
+     * canonicalText() around a pre-serialized machine: `machineJson`
+     * must be what canonicalize() returned for this spec's machine
+     * (or for any spec on the same resolved machine).  Lets a plan
+     * serialize each machine once for all the specs it expands on it.
+     */
+    std::string canonicalTextWith(const std::string &machineJson) const;
 
     /**
      * Content digest of the simulation result this spec names; see
@@ -116,6 +131,22 @@ struct ScenarioSpec
      */
     std::optional<uint64_t> digestWith(const Workload &w) const;
 };
+
+/**
+ * The workload-independent half of a scenario digest: FNV-1a over the
+ * canonical text, seeded with calibrationDigest().  A SweepPlan keeps
+ * one per unique spec.
+ */
+uint64_t canonicalTextDigest(const std::string &canonicalText);
+
+/**
+ * The one step that finishes every scenario digest (digest(),
+ * digestWith(), SweepPlan::digest()): fold the workload's parameter
+ * signature into a canonicalTextDigest().  nullopt when the workload
+ * is not content-addressable (empty signature).
+ */
+std::optional<uint64_t> finishScenarioDigest(uint64_t textDigest,
+                                             const Workload &w);
 
 /** Equality = same canonical text (same experiment). */
 bool operator==(const ScenarioSpec &a, const ScenarioSpec &b);

@@ -79,19 +79,6 @@ drainInto(int fd, FrameBuffer &frames)
     }
 }
 
-/** Per-spec content digests, the same way ShardExecutor derives them. */
-std::vector<std::optional<uint64_t>>
-planDigests(const SweepPlan &plan)
-{
-    std::vector<std::optional<uint64_t>> digests(plan.specs().size());
-    for (size_t i = 0; i < plan.specs().size(); ++i) {
-        std::unique_ptr<Workload> w =
-            makeWorkload(plan.specs()[i].workload);
-        digests[i] = plan.specs()[i].digestWith(*w);
-    }
-    return digests;
-}
-
 JsonValue
 errorFrame(const std::string &message)
 {
@@ -470,8 +457,7 @@ runSubmit(const SubmitOptions &opts, std::ostream &out)
     // The client verifies every record against its own digest of the
     // spec -- a daemon serving a different model version contributes
     // nothing silently wrong, exactly like a stale journal.
-    const std::vector<std::optional<uint64_t>> digests =
-        planDigests(*plan);
+    const std::vector<std::optional<uint64_t>> digests = plan->digests();
 
     int fd = tcpConnect(opts.host, opts.port, &error);
     if (fd < 0) {

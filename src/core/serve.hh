@@ -73,7 +73,6 @@ struct SubmitOptions
     std::string specPath; ///< canonical batch spec document (JSON)
     bool csv = false;
     bool cacheStats = false;
-    std::string telemetryPath; ///< write sweep telemetry JSON here
 };
 
 /**

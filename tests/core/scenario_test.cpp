@@ -1,28 +1,34 @@
 /**
  * @file
  * Scenario pipeline tests: spec JSON round-trips, digest stability
- * and sensitivity, plan deduplication, and the result cache's
- * correctness guarantees (poisoned entries re-simulated, cached ==
- * fresh bit-for-bit).
+ * and sensitivity, pinned canonical texts and digests, plan
+ * deduplication and plan-digest parity across every executor, and the
+ * result cache's correctness guarantees (poisoned entries
+ * re-simulated, cached == fresh bit-for-bit).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "core/journal.hh"
 #include "core/plan.hh"
 #include "core/registry.hh"
 #include "core/runner.hh"
 #include "core/scenario.hh"
 #include "kernels/stream.hh"
+#include "machine/registry.hh"
 #include "sim/audit.hh"
+#include "util/fdio.hh"
 #include "util/rng.hh"
 
 using namespace mcscope;
@@ -574,4 +580,254 @@ TEST(Runner, AuditModeValidatesHits)
     EXPECT_EQ(second.stats.validatedHits, 1u);
     EXPECT_EQ(second.stats.simulations, 1u);
     EXPECT_EQ(second.bySpec[0].seconds, first.bySpec[0].seconds);
+}
+
+namespace {
+
+/** Load the shipped zoo machines (t3-4, cluster12) once per process. */
+void
+loadShippedMachines()
+{
+    MachineRegistry &reg = MachineRegistry::instance();
+    if (reg.find("t3-4") == nullptr) {
+        EXPECT_EQ(reg.loadDirectory(std::string(MCSCOPE_SOURCE_DIR) +
+                                    "/machines"),
+                  "");
+    }
+}
+
+std::string
+readSourceFile(const std::string &relative)
+{
+    std::string text;
+    EXPECT_TRUE(
+        readWholeFile(std::string(MCSCOPE_SOURCE_DIR) + "/" + relative, text))
+        << relative;
+    return text;
+}
+
+ScenarioSpec
+specFromText(const std::string &text)
+{
+    std::string error;
+    std::optional<JsonValue> doc = parseJson(text, &error);
+    EXPECT_TRUE(doc.has_value()) << error;
+    std::optional<ScenarioSpec> spec =
+        doc ? parseScenarioSpec(*doc, &error) : std::nullopt;
+    EXPECT_TRUE(spec.has_value()) << error;
+    return spec.value_or(ScenarioSpec{});
+}
+
+SweepPlan
+planFromText(const std::string &text, const std::string &what)
+{
+    std::string error;
+    std::optional<JsonValue> doc = parseJson(text, &error);
+    EXPECT_TRUE(doc.has_value()) << what << ": " << error;
+    std::optional<SweepPlan> plan =
+        doc ? SweepPlan::fromJson(*doc, &error) : std::nullopt;
+    EXPECT_TRUE(plan.has_value()) << what << ": " << error;
+    return plan ? std::move(*plan) : SweepPlan{};
+}
+
+/** A spec with its literal canonical text and digest. */
+struct PinnedSpec
+{
+    const char *name;
+    ScenarioSpec spec;
+    const char *digest;
+    const char *text;
+};
+
+std::vector<PinnedSpec>
+pinnedSpecs()
+{
+    loadShippedMachines();
+    // Table 1's Tiger, spelled out inline: collapses to the preset.
+    const std::string tiger =
+        R"({"coherence":{"directory_entries":65536,"directory_ways":4,"line_bytes":64,"mode":"legacy-alpha","probe_bytes":4},"coherence_alpha":0.165,"core_ghz":2.2,"cores_per_socket":1,"flops_per_cycle":2,"ht_hop_latency":6.9e-08,"ht_link_bandwidth":2000000000,"ht_links":[[0,1]],"l1_bytes":65536,"l2_bytes":1048576,"mem_bandwidth_per_socket":4100000000,"mem_latency":9.2e-08,"name":"Tiger","same_die_bandwidth_boost":1.12,"same_die_latency_factor":0.75,"sockets":2,"stream_concurrency_bytes":400})";
+    const SweepPlan dirsweep = planFromText(
+        readSourceFile("examples/batch_dirsweep.json"), "batch_dirsweep");
+    // mpi-randomaccess, 16 ranks, Interleave, 65536 directory entries.
+    const ScenarioSpec dir_variant =
+        dirsweep.pointSpec(dirsweep.pointIndex(1, 0, 0, 1, 1, 1));
+    return {
+        {"longs_preset", specFromText(R"({"workload": "nas-cg-b", "machine": "longs", "option": "localalloc", "ranks": 8})"),
+         "f36a7e6839e92205",
+         R"({"impl":"openmpi","latency_noise":1,"machine":{"coherence":{"directory_entries":65536,"directory_ways":4,"line_bytes":64,"mode":"legacy-alpha","probe_bytes":4},"coherence_alpha":0.165,"core_ghz":1.8,"cores_per_socket":2,"flops_per_cycle":2,"ht_hop_latency":6.9e-08,"ht_link_bandwidth":2000000000,"ht_links":[[0,1],[4,5],[1,2],[5,6],[2,3],[6,7],[0,4],[1,5],[2,6],[3,7]],"l1_bytes":65536,"l2_bytes":1048576,"mem_bandwidth_per_socket":4100000000,"mem_latency":9.2e-08,"name":"Longs","same_die_bandwidth_boost":1.12,"same_die_latency_factor":0.75,"sockets":8,"stream_concurrency_bytes":400},"option":{"label":"One MPI + Local Alloc","policy":"localalloc","scheme":"one-per-socket"},"ranks":8,"sublayer":"usysv","workload":"nas-cg-b"})"},
+        {"dmz_custom_option", specFromText(R"({"workload": "stream", "machine": "DMZ", "option": {"label": "Spread + Interleave", "scheme": "spread", "policy": "interleave"}, "ranks": 4, "impl": "lam", "sublayer": "sysv", "latency_noise": 1.25})"),
+         "0bab6daa7fb93842",
+         R"({"impl":"lam","latency_noise":1.25,"machine":{"coherence":{"directory_entries":65536,"directory_ways":4,"line_bytes":64,"mode":"legacy-alpha","probe_bytes":4},"coherence_alpha":0.165,"core_ghz":2.2,"cores_per_socket":2,"flops_per_cycle":2,"ht_hop_latency":6.9e-08,"ht_link_bandwidth":2000000000,"ht_links":[[0,1]],"l1_bytes":65536,"l2_bytes":1048576,"mem_bandwidth_per_socket":4100000000,"mem_latency":9.2e-08,"name":"DMZ","same_die_bandwidth_boost":1.12,"same_die_latency_factor":0.75,"sockets":2,"stream_concurrency_bytes":400},"option":{"label":"Spread + Interleave","policy":"interleave","scheme":"spread"},"ranks":4,"sublayer":"sysv","workload":"stream"})"},
+        {"t3_4", specFromText(R"({"workload": "hpcc-fft", "machine": "t3-4", "option": 5, "ranks": 16})"),
+         "78a8de8d8e2b18a8",
+         R"({"impl":"openmpi","latency_noise":1,"machine":{"coherence":{"directory_entries":65536,"directory_ways":4,"line_bytes":64,"mode":"snoopy","probe_bytes":4},"coherence_alpha":0.165,"core_ghz":1.65,"cores_per_socket":16,"flops_per_cycle":1,"ht_hop_latency":9e-08,"ht_link_bandwidth":9600000000,"ht_links":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]],"l1_bytes":8192,"l2_bytes":393216,"mem_bandwidth_per_socket":12800000000,"mem_latency":1.5e-07,"name":"T3-4","same_die_bandwidth_boost":1.12,"same_die_latency_factor":0.75,"smt_thread_throughput":0.25,"sockets":4,"stream_concurrency_bytes":256,"threads_per_core":8},"option":{"label":"Interleave","policy":"interleave","scheme":"os-default"},"ranks":16,"sublayer":"usysv","workload":"hpcc-fft"})"},
+        {"cluster12", specFromText(R"({"workload": "lammps-lj", "machine": "cluster12", "option": 0, "ranks": 16, "impl": "mpich2"})"),
+         "b4d7a71fb6871b5f",
+         R"({"impl":"mpich2","latency_noise":1,"machine":{"coherence":{"directory_entries":65536,"directory_ways":4,"line_bytes":64,"mode":"snoopy","probe_bytes":4},"coherence_alpha":0.165,"core_ghz":2.2,"cores_per_socket":2,"fabric_bandwidth":1250000000,"fabric_link_latency":2.5e-06,"flops_per_cycle":2,"ht_hop_latency":6.9e-08,"ht_link_bandwidth":4000000000,"ht_links":[[0,1]],"l1_bytes":65536,"l2_bytes":1048576,"mem_bandwidth_per_socket":5200000000,"mem_latency":9.5e-08,"name":"Cluster12","nodes":12,"same_die_bandwidth_boost":1.12,"same_die_latency_factor":0.75,"sockets":24,"stream_concurrency_bytes":400},"option":{"label":"Default","policy":"default","scheme":"os-default"},"ranks":16,"sublayer":"usysv","workload":"lammps-lj"})"},
+        {"table1_inline", specFromText(R"({"workload": "nas-ft-b", "ranks": 2, "machine": )" + tiger + "}"),
+         "190998c3f285b77a",
+         R"({"impl":"openmpi","latency_noise":1,"machine":{"coherence":{"directory_entries":65536,"directory_ways":4,"line_bytes":64,"mode":"legacy-alpha","probe_bytes":4},"coherence_alpha":0.165,"core_ghz":2.2,"cores_per_socket":1,"flops_per_cycle":2,"ht_hop_latency":6.9e-08,"ht_link_bandwidth":2000000000,"ht_links":[[0,1]],"l1_bytes":65536,"l2_bytes":1048576,"mem_bandwidth_per_socket":4100000000,"mem_latency":9.2e-08,"name":"Tiger","same_die_bandwidth_boost":1.12,"same_die_latency_factor":0.75,"sockets":2,"stream_concurrency_bytes":400},"option":{"label":"","policy":"default","scheme":"os-default"},"ranks":2,"sublayer":"usysv","workload":"nas-ft-b"})"},
+        {"dirsweep_variant", dir_variant,
+         "a4f6255ee281cf1f",
+         R"({"impl":"openmpi","latency_noise":1,"machine":{"coherence":{"directory_entries":65536,"directory_ways":4,"line_bytes":64,"mode":"directory","probe_bytes":4},"coherence_alpha":0.165,"core_ghz":1.8,"cores_per_socket":2,"flops_per_cycle":2,"ht_hop_latency":6.9e-08,"ht_link_bandwidth":2000000000,"ht_links":[[0,1],[4,5],[1,2],[5,6],[2,3],[6,7],[0,4],[1,5],[2,6],[3,7]],"l1_bytes":65536,"l2_bytes":1048576,"mem_bandwidth_per_socket":4100000000,"mem_latency":9.2e-08,"name":"Longs","same_die_bandwidth_boost":1.12,"same_die_latency_factor":0.75,"sockets":8,"stream_concurrency_bytes":400},"option":{"label":"Interleave","policy":"interleave","scheme":"os-default"},"ranks":16,"sublayer":"usysv","workload":"mpi-randomaccess"})"},
+    };
+}
+
+} // namespace
+
+TEST(ScenarioSpec, CanonicalTextAndDigestArePinned)
+{
+    // Every result cache file and journal record is keyed by these
+    // bytes: a one-byte drift silently orphans all of them.
+    for (const PinnedSpec &p : pinnedSpecs()) {
+        EXPECT_EQ(p.spec.canonicalText(), p.text) << p.name;
+        EXPECT_EQ(digestHex(p.spec.digest()), p.digest) << p.name;
+        std::optional<uint64_t> with =
+            p.spec.digestWith(*makeWorkload(p.spec.workload));
+        ASSERT_TRUE(with.has_value()) << p.name;
+        EXPECT_EQ(digestHex(*with), p.digest) << p.name;
+        SweepPlan plan = SweepPlan::fromSpecs({p.spec});
+        ASSERT_TRUE(plan.digests()[0].has_value()) << p.name;
+        EXPECT_EQ(digestHex(*plan.digests()[0]), p.digest) << p.name;
+    }
+}
+
+TEST(SweepPlan, PlanDigestsMatchSpecDigestsOnEveryExample)
+{
+    loadShippedMachines();
+    std::vector<std::string> files;
+    for (const auto &e : std::filesystem::directory_iterator(
+             std::string(MCSCOPE_SOURCE_DIR) + "/examples")) {
+        if (e.path().extension() == ".json")
+            files.push_back(e.path().filename().string());
+    }
+    std::sort(files.begin(), files.end());
+    ASSERT_FALSE(files.empty());
+
+    Rng rng(13);
+    for (const std::string &file : files) {
+        const SweepPlan plan =
+            planFromText(readSourceFile("examples/" + file), file);
+        const size_t n = plan.specs().size();
+        ASSERT_GT(n, 0u) << file;
+        std::vector<uint64_t> want(n);
+        for (size_t i = 0; i < n; ++i)
+            want[i] = plan.specs()[i].digest();
+
+        // fromJson's expansion composes texts per machine variant;
+        // its digests are the specs' own.
+        const std::vector<std::optional<uint64_t>> have = plan.digests();
+        for (size_t i = 0; i < n; ++i) {
+            ASSERT_TRUE(have[i].has_value()) << file << " spec " << i;
+            EXPECT_EQ(*have[i], want[i]) << file << " spec " << i;
+        }
+
+        // ... and every grid point's digest is that of the spec its
+        // coordinates name, built and digested one by one.
+        const SweepAxes &ax = plan.axes();
+        const size_t dims[] = {ax.options.size(), ax.rankCounts.size(),
+                               ax.sublayers.size(), ax.impls.size(),
+                               ax.workloads.size()};
+        for (size_t p = 0; p < plan.pointCount(); ++p) {
+            size_t c[5]; // option, rank, sublayer, impl, workload
+            size_t m = p;
+            for (size_t d = 0; d < 5; ++d) {
+                c[d] = m % dims[d];
+                m /= dims[d];
+            }
+            ASSERT_EQ(plan.pointIndex(c[4], c[3], c[2], c[1], c[0], m), p);
+            ScenarioSpec point;
+            point.workload = ax.workloads[c[4]];
+            point.machinePreset = ax.variantPreset(m);
+            point.machine = ax.variantMachine(m);
+            point.option = ax.options[c[0]];
+            point.ranks = ax.rankCounts[c[1]];
+            point.impl = ax.impls[c[3]];
+            point.sublayer = ax.sublayers[c[2]];
+            point.latencyNoise = ax.latencyNoise;
+            EXPECT_EQ(*have[plan.specIndex(p)], point.digest())
+                << file << " point " << p;
+        }
+
+        // fromSpecs over the same specs, shuffled: the same digests,
+        // following their specs.
+        std::vector<size_t> order(n);
+        for (size_t i = 0; i < n; ++i)
+            order[i] = i;
+        for (size_t i = n; i > 1; --i)
+            std::swap(order[i - 1], order[rng.below(i)]);
+        std::vector<ScenarioSpec> shuffled_specs;
+        for (size_t k : order)
+            shuffled_specs.push_back(plan.specs()[k]);
+        const SweepPlan shuffled = SweepPlan::fromSpecs(shuffled_specs);
+        ASSERT_EQ(shuffled.specs().size(), n) << file;
+        const std::vector<std::optional<uint64_t>> shuffled_have =
+            shuffled.digests();
+        for (size_t k = 0; k < n; ++k) {
+            ASSERT_TRUE(shuffled_have[k].has_value()) << file;
+            EXPECT_EQ(*shuffled_have[k], want[order[k]])
+                << file << " shuffled spec " << k;
+        }
+
+        // Every executor keys results by the plan's digests.  Distinct
+        // stand-in results (seconds = spec index + 1) stored under the
+        // specs' own digests must come back for exactly their specs.
+        std::unordered_map<uint64_t, RunResult> known;
+        TempDir dir("plan_digests");
+        const std::string journal_path = dir.path() + "/sweep.journal";
+        {
+            SweepJournal journal(journal_path);
+            for (size_t i = 0; i < n; ++i) {
+                RunResult r;
+                r.valid = true;
+                r.seconds = static_cast<double>(i + 1);
+                known[want[i]] = r;
+                journal.append(want[i], r);
+            }
+        }
+        auto expectStandIns = [&](const PlanResults &got,
+                                  const char *path) {
+            ASSERT_EQ(got.bySpec.size(), n) << file << " " << path;
+            for (size_t k = 0; k < n; ++k)
+                EXPECT_EQ(got.bySpec[k].seconds,
+                          static_cast<double>(order[k] + 1))
+                    << file << " " << path << " spec " << k;
+        };
+
+        // runPlan (under MCSCOPE_AUDIT every hit is re-simulated and
+        // must equal the cache, which stand-ins cannot).
+        if (!auditRequestedByEnv()) {
+            ResultCache cache;
+            for (const auto &[digest, r] : known)
+                cache.store(digest, r);
+            RunnerOptions opts;
+            opts.cache = &cache;
+            PlanResults got = runPlan(shuffled, opts);
+            EXPECT_EQ(got.stats.misses, 0u) << file;
+            EXPECT_EQ(got.stats.simulations, 0u) << file;
+            expectStandIns(got, "runPlan");
+        }
+
+        // A ShardExecutor resuming from a journal: every point is a
+        // journal hit, no worker runs.
+        {
+            ShardOptions opts;
+            opts.resumeFrom = journal_path;
+            ShardExecutor ex(shuffled, opts);
+            EXPECT_EQ(ex.digests(), shuffled_have) << file;
+            EXPECT_TRUE(ex.finished()) << file;
+            PlanResults got = ex.take();
+            EXPECT_EQ(got.shard.journaled, n) << file;
+            expectStandIns(got, "journal resume");
+        }
+
+        // serve's dedup map: the daemon hands its digest -> result map
+        // to a fresh executor per batch.
+        {
+            SweepJournal shared(dir.path() + "/serve.journal");
+            ShardExecutor ex(shuffled, ShardOptions{}, &shared, &known);
+            EXPECT_TRUE(ex.finished()) << file;
+            expectStandIns(ex.take(), "serve dedup");
+        }
+    }
 }
