@@ -47,39 +47,10 @@ syntheticFlows(int nf)
 }
 
 void
-BM_FairShare(benchmark::State &state)
-{
-    const int nf = static_cast<int>(state.range(0));
-    std::vector<double> caps(16, 1.0e9);
-    std::vector<FairShareFlow> flows = syntheticFlows(nf);
-    for (auto _ : state) {
-        auto rates = fairShareRates(caps, flows);
-        benchmark::DoNotOptimize(rates);
-    }
-}
-BENCHMARK(BM_FairShare)->Arg(4)->Arg(16)->Arg(64);
-
-void
-BM_FairShareScratch(benchmark::State &state)
-{
-    // The engine's actual hot path: one workspace reused across every
-    // allocator rerun, so steady-state calls are allocation-free.
-    const int nf = static_cast<int>(state.range(0));
-    std::vector<double> caps(16, 1.0e9);
-    std::vector<FairShareFlow> flows = syntheticFlows(nf);
-    FairShareScratch scratch;
-    for (auto _ : state) {
-        fairShareRatesInto(caps, flows, scratch);
-        benchmark::DoNotOptimize(scratch.rates.data());
-    }
-}
-BENCHMARK(BM_FairShareScratch)->Arg(4)->Arg(16)->Arg(64);
-
-void
 BM_FairShareReference(benchmark::State &state)
 {
-    // The retained allocation-per-call oracle, benchmarked so the
-    // scratch win stays visible in BENCH_engine.json.
+    // The retained allocation-per-call oracle: the audit's exact-rate
+    // check pays one whole-set solve like this per allocation.
     const int nf = static_cast<int>(state.range(0));
     std::vector<double> caps(16, 1.0e9);
     std::vector<FairShareFlow> flows = syntheticFlows(nf);

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <ios>
-#include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -50,9 +49,8 @@ const char *kUsage =
     "  serve [flags]                sweep service daemon (TCP)\n"
     "  submit <spec.json> --connect HOST:PORT [--csv] [--cache-stats]\n"
     "                               run a spec on a serve daemon\n"
-    "  worker [--manifest FILE]     shard worker (internal; manifest\n"
-    "                               read from stdin by default)\n"
-    "  worker --framed              framed worker loop on stdin/stdout\n"
+    "  worker --framed              shard worker on stdin/stdout\n"
+    "                               (internal; spawned by batch/serve)\n"
     "  worker --connect HOST:PORT   join a serve daemon's worker pool\n"
     "flags: --machine M --ranks N[,N..] --option I|label\n"
     "       --machine-dir D  load machine definitions from D/*.json\n"
@@ -887,17 +885,14 @@ cmdBatch(const std::vector<std::string> &args, std::ostream &out)
 }
 
 /**
- * Shard worker: consume a manifest (stdin, or --manifest FILE) and
- * stream one record per completed point.  Spawned by the batch
- * supervisor (--framed), attachable to a serve daemon (--connect);
- * the bare line-protocol form stays usable by hand for debugging a
- * single shard.
+ * Shard worker speaking the framed manifest/record protocol: on
+ * stdin/stdout when spawned by the batch or serve supervisor
+ * (--framed), or over TCP after attaching to a serve daemon
+ * (--connect).
  */
 int
 cmdWorker(const std::vector<std::string> &args, std::ostream &out)
 {
-    if (args.size() == 1)
-        return runShardWorker(std::cin, out);
     if (args.size() == 2 && args[1] == "--framed")
         return runFramedShardWorker(STDIN_FILENO, STDOUT_FILENO);
     if (args.size() == 3 && args[1] == "--connect") {
@@ -910,16 +905,7 @@ cmdWorker(const std::vector<std::string> &args, std::ostream &out)
         }
         return runConnectedWorker(host, port);
     }
-    if (args.size() == 3 && args[1] == "--manifest") {
-        std::ifstream in(args[2]);
-        if (!in) {
-            out << "worker: cannot read '" << args[2] << "'\n";
-            return 2;
-        }
-        return runShardWorker(in, out);
-    }
-    out << "worker: expected no arguments, --framed, "
-           "--connect HOST:PORT, or --manifest FILE\n"
+    out << "worker: expected --framed or --connect HOST:PORT\n"
         << kUsage;
     return 2;
 }

@@ -12,7 +12,8 @@
  *   batch <spec.json> [flags]     execute a sweep-plan spec file;
  *                                 --shards/--journal/--resume add
  *                                 multi-process fault tolerance
- *   worker [--manifest FILE]      shard worker (internal protocol)
+ *   worker --framed               shard worker (internal protocol)
+ *   worker --connect HOST:PORT    join a serve daemon's worker pool
  *
  * Flags:
  *   --machine tiger|dmz|longs     (default longs)

@@ -69,7 +69,7 @@ struct RunResult
     /** Allocator reruns solved incrementally (dirty-set closure). */
     uint64_t incrementalSolves = 0;
 
-    /** Reference-allocator reruns (whole flow set). */
+    /** Whole-flow-set solves; always 0 (Engine::Stats::fullSolves). */
     uint64_t fullSolves = 0;
 
     /**

@@ -12,8 +12,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <istream>
-#include <iterator>
 #include <limits>
 #include <memory>
 
@@ -692,35 +690,6 @@ doneRecord(uint64_t cache_hits)
 }
 
 } // namespace
-
-int
-runShardWorker(std::istream &in, std::ostream &out)
-{
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    std::string error;
-    std::optional<JsonValue> doc = parseJson(text, &error);
-    std::optional<ShardManifest> manifest;
-    if (doc)
-        manifest = parseShardManifest(*doc, &error);
-    if (!manifest) {
-        warn("worker: malformed shard manifest: ", error);
-        return 2;
-    }
-    ShardWorkerContext ctx;
-    if (!ctx.loadFaults(&error)) {
-        warn("worker: bad MCSCOPE_FAULT_INJECT: ", error);
-        return 2;
-    }
-    ctx.setCacheDir(manifest->cacheDir);
-    for (const ManifestPoint &pt : manifest->points) {
-        out << ctx.executePoint(pt, manifest->audit).dump() << "\n";
-        out.flush();
-    }
-    out << doneRecord(ctx.takeCacheHits()).dump() << "\n";
-    out.flush();
-    return 0;
-}
 
 int
 runFramedShardWorker(int in_fd, int out_fd)

@@ -40,7 +40,6 @@
 #define MCSCOPE_CORE_RUNNER_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -321,20 +320,12 @@ PlanResults runPlanSharded(const SweepPlan &plan,
                            SweepTelemetry *telemetry = nullptr);
 
 /**
- * Worker side of the sharded executor: read a shard manifest (JSON,
- * written by the supervisor) from `in`, execute its points in order,
- * and emit one JSON record line per completed point on `out`.
- * Honors MCSCOPE_FAULT_INJECT.  Returns a process exit code.
- */
-int runShardWorker(std::istream &in, std::ostream &out);
-
-/**
- * Framed worker loop (`mcscope worker --framed`, and the body of
- * `worker --connect` once the socket is up): read length-prefixed
- * manifest frames (util/transport.hh) from `in_fd`, execute each
- * manifest's points in order, and answer with one record frame per
- * point plus a done frame per manifest.  Unlike the line-oriented
- * runShardWorker(), the loop serves many manifests per connection and
+ * Worker side of the sharded executor and the only worker protocol
+ * (`mcscope worker --framed`, and the body of `worker --connect` once
+ * the socket is up): read length-prefixed manifest frames
+ * (util/transport.hh) from `in_fd`, execute each manifest's points in
+ * order, and answer with one record frame per point plus a done frame
+ * per manifest.  The loop serves many manifests per connection and
  * exits 0 only on a clean EOF at a frame boundary.  Honors
  * MCSCOPE_FAULT_INJECT.  Returns a process exit code.
  */

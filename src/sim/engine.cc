@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -47,28 +46,12 @@ sameBits(double a, double b)
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-/** True when MCSCOPE_REFERENCE_ALLOCATOR requests the oracle path. */
-bool
-referenceAllocatorRequestedByEnv()
-{
-    const char *v = std::getenv("MCSCOPE_REFERENCE_ALLOCATOR");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 } // namespace
 
 Engine::Engine()
 {
     if (auditRequestedByEnv())
         auditor_ = std::make_unique<Auditor>();
-    if (referenceAllocatorRequestedByEnv()) {
-        allocator_ = AllocatorKind::Reference;
-        // The oracle reallocates per rerun by design; an env-forced
-        // A/B session must not trip the Debug zero-allocation guard.
-        // Explicit setAllocator(Reference) keeps enforcement on so
-        // tests can prove the guard fires.
-        allocGuardEnforced_ = false;
-    }
 }
 
 Engine::~Engine() = default;
@@ -518,36 +501,13 @@ Engine::solveClosure()
 }
 
 void
-Engine::solveReference()
-{
-    specScratch_.clear();
-    closureFlows_.clear();
-    for (size_t s = 0; s < slotCount(); ++s) {
-        if (!flowAlive_[s])
-            continue;
-        closureFlows_.push_back(static_cast<FlowSlot>(s));
-        FairShareFlow spec;
-        spec.path = flowPath_[s];
-        spec.rateCap = flowRateCap_[s];
-        specScratch_.push_back(std::move(spec));
-    }
-    fsScratch_.rates = fairShareRatesReference(capacities_, specScratch_);
-    applyRates(closureFlows_.data(), closureFlows_.size(),
-               fsScratch_.rates.data());
-    ++counters_.fullSolves;
-}
-
-void
 Engine::recomputeRates()
 {
     ++counters_.allocatorReruns;
     // All scratch containers below persist across calls; clear() and
     // push_back() reuse their capacity, so the steady-state hot path
     // is allocation-free.
-    if (allocator_ == AllocatorKind::Reference)
-        solveReference();
-    else
-        solveOptimized();
+    solveOptimized();
 
     for (ResourceId r : dirtyRes_)
         resDirty_[r] = 0;
@@ -689,7 +649,7 @@ Engine::allocGuardCapacitySum(const std::vector<int> &to_advance) const
     for (const auto &list : resFlows_)
         incidence += list.capacity();
     const size_t memo = memo_ ? kMemoSets * kMemoWays : 0;
-    return specScratch_.capacity() + fsScratch_.rates.capacity() +
+    return fsScratch_.rates.capacity() +
            fsScratch_.frozen.capacity() +
            fsScratch_.residual.capacity() +
            fsScratch_.users.capacity() +
@@ -751,11 +711,11 @@ Engine::run()
     // same iteration (capacities are monotone, so the sum grows iff
     // some buffer grew -- that is the legitimate warm-up path).
     // Compiled out entirely in non-Debug builds.
-    const bool guard_on = alloc_guard::kEnabled && allocGuardEnforced_;
-    const bool guard_outermost = guard_on && !alloc_guard::armed();
+    const bool guard_outermost =
+        alloc_guard::kEnabled && !alloc_guard::armed();
     uint64_t guard_allocs = 0;
     size_t guard_capacity = 0;
-    if (guard_on) {
+    if (alloc_guard::kEnabled) {
         if (guard_outermost)
             alloc_guard::arm();
         guard_allocs = alloc_guard::allocationCount();
@@ -896,7 +856,7 @@ Engine::run()
             }
         }
 
-        if (guard_on) {
+        if (alloc_guard::kEnabled) {
             const uint64_t allocs = alloc_guard::allocationCount();
             const size_t capacity = allocGuardCapacitySum(to_advance);
             MCSCOPE_ASSERT(
@@ -905,8 +865,7 @@ Engine::run()
                 "made ", allocs - guard_allocs, " heap allocation(s) "
                 "on time step ", counters_.timeSteps, " without "
                 "scratch-capacity growth (DESIGN 'Enforced "
-                "invariants'; call setAllocGuardEnforced(false) for "
-                "intentionally allocating configurations)");
+                "invariants')");
             guard_allocs = allocs;
             guard_capacity = capacity;
         }

@@ -186,21 +186,23 @@ class Engine
         uint64_t timeSteps = 0;
 
         /**
-         * Optimized-allocator reruns: each re-solves only the
-         * dirty-set closure (the flows reachable from resources whose
-         * flow set changed), directly or from the closure memo.
+         * Allocator reruns that re-solved only the dirty-set closure
+         * (the flows reachable from resources whose flow set
+         * changed), directly or from the closure memo.  Every rerun
+         * is one, so this equals allocatorReruns.
          */
         uint64_t incrementalSolves = 0;
 
         /**
-         * Reference-allocator reruns (the oracle always solves the
-         * whole flow set).  Always 0 under the Optimized allocator.
+         * Whole-flow-set solves.  Always 0: the engine has one,
+         * incremental, solver path.  Kept because result records and
+         * telemetry carry it as `full_solves`.
          */
         uint64_t fullSolves = 0;
 
         /**
-         * Optimized reruns whose closure rates came from the closure
-         * memo instead of a solve (a subset of incrementalSolves).
+         * Reruns whose closure rates came from the closure memo
+         * instead of a solve (a subset of incrementalSolves).
          */
         uint64_t memoHits = 0;
 
@@ -278,43 +280,6 @@ class Engine
 
     /** The installed auditor, or nullptr. */
     Auditor *auditor() const { return auditor_.get(); }
-
-    /**
-     * Which max-min allocator implementation the engine runs.
-     * Optimized is the dirty-set incremental solver over the
-     * structure-of-arrays flow state; Reference re-solves the whole
-     * flow set through the retained original allocator, kept as a
-     * differential-testing oracle (identical rates, identical audit
-     * digests).  The MCSCOPE_REFERENCE_ALLOCATOR environment variable
-     * selects Reference for every engine, for whole-binary A/B runs.
-     */
-    enum class AllocatorKind
-    {
-        Optimized,
-        Reference,
-    };
-
-    /** Select the allocator implementation (default Optimized). */
-    void setAllocator(AllocatorKind kind) { allocator_ = kind; }
-
-    /** The active allocator implementation. */
-    AllocatorKind allocator() const { return allocator_; }
-
-    /**
-     * Enable or disable the debug-build zero-allocation assert for
-     * this engine's run() (see sim/alloc_guard.hh).  Enforcement is
-     * on by default; tests that deliberately exercise an allocating
-     * configuration -- the Reference allocator oracle, chiefly --
-     * turn it off.  No effect when the guard is compiled out
-     * (non-Debug builds).
-     */
-    void setAllocGuardEnforced(bool enforced)
-    {
-        allocGuardEnforced_ = enforced;
-    }
-
-    /** True when run() asserts the zero-allocation contract. */
-    bool allocGuardEnforced() const { return allocGuardEnforced_; }
 
     /**
      * Closure-memo geometry (DESIGN §13 "Closure memo").  Every flow's
@@ -409,7 +374,7 @@ class Engine
     /** Recompute max-min fair rates for the dirty flow set. */
     void recomputeRates();
 
-    /** Dirty-set closure solve (Optimized allocator). */
+    /** Dirty-set closure solve. */
     void solveOptimized();
 
     /**
@@ -422,15 +387,12 @@ class Engine
     /** Dense id of a flow's (path, rate cap); interns new pairs. */
     uint32_t internFlow(const PathVec &path, double rateCap);
 
-    /** Whole-flow-set solve through the oracle (Reference allocator). */
-    void solveReference();
-
     /**
      * Adopt freshly solved rates for `slots[0..count)`; rates[k]
      * belongs to slots[k].  A flow's absolute finish time (and its
      * calendar-queue entry) is updated only when its assigned rate
-     * actually changes -- the policy that keeps Optimized and
-     * Reference time sequences bit-identical (DESIGN §13).
+     * actually changes, so the time sequence does not depend on how
+     * much of the flow set a rerun solved (DESIGN §13).
      */
     void applyRates(const FlowSlot *slots, size_t count,
                     const double *rates);
@@ -565,15 +527,12 @@ class Engine
     // Reusable hot-path workspaces: sized on first use, then every
     // recomputeRates() call is allocation-free in steady state.
     FairShareScratch fsScratch_;
-    std::vector<FairShareFlow> specScratch_;
     std::vector<AuditedFlow> auditScratch_;
 
     SimTime now_ = 0.0;
     bool ratesDirty_ = false;
     uint64_t events_ = 0;
     int unfinished_ = 0;
-    AllocatorKind allocator_ = AllocatorKind::Optimized;
-    bool allocGuardEnforced_ = true;
 
     Stats counters_;
 

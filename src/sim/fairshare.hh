@@ -46,7 +46,7 @@ struct FairShareFlow
  */
 struct FairShareScratch
 {
-    /** Output: one rate per flow, valid after fairShareRatesInto. */
+    /** Output: one rate per selected flow, valid after a solve. */
     std::vector<double> rates;
 
     // Internal working arrays (exposed so the workspace is a plain
@@ -63,46 +63,14 @@ struct FairShareScratch
     std::vector<int> flowRoot;
     std::vector<int> compFlows;
     std::vector<ResourceId> compRes;
-
-    // Adapter arrays used by fairShareRatesInto to present a
-    // struct-of-flows input to the slot-indexed subset solver.
-    std::vector<PathVec> specPaths;
-    std::vector<double> specCaps;
-    std::vector<int> specSlots;
-    std::vector<ResourceId> allRes;
 };
 
 /**
- * Compute max-min fair rates into a reusable workspace.
- *
- * Identical results to fairShareRatesReference(); this variant only
- * avoids the per-call allocations.  The rates land in scratch.rates.
- *
- * @param capacities  capacity of each resource, units/s (> 0).
- * @param flows       flow descriptions; paths may be empty (such flows
- *                    receive their cap, or +inf when uncapped -- the
- *                    caller treats that as "instantaneous").
- */
-void fairShareRatesInto(const std::vector<double> &capacities,
-                        const std::vector<FairShareFlow> &flows,
-                        FairShareScratch &scratch);
-
-/**
- * Compute max-min fair rates (convenience wrapper over a local
- * workspace).
- *
- * @return one rate per flow, in units/s.
- */
-std::vector<double>
-fairShareRates(const std::vector<double> &capacities,
-               const std::vector<FairShareFlow> &flows);
-
-/**
  * The allocation-per-call implementation, retained as the
- * differential-testing oracle: the optimized workspace variant must
- * match it bit for bit on every input (see
- * tests/sim/fairshare_diff_test.cpp and Engine::setAllocator).  Like
- * the optimized solver it fills each connected component of the
+ * differential-testing oracle: fairShareSolveSubset() must match it
+ * bit for bit on every input, and the auditor's exact-rate check
+ * (sim/audit.hh) compares every audited allocation against it (see
+ * also tests/sim/fairshare_diff_test.cpp).  Like the optimized solver it fills each connected component of the
  * flow/resource graph independently -- a component's rates are a
  * function of that component alone, which is what lets the dirty-set
  * incremental engine carry rates of untouched components across
@@ -116,8 +84,7 @@ fairShareRatesReference(const std::vector<double> &capacities,
 
 /**
  * Progressive filling restricted to a subset of flows and resources --
- * the dirty-set incremental solver behind Engine's Optimized
- * allocator.
+ * the engine's one solver, run on each dirty-set closure.
  *
  * Flows live in slot-indexed parallel arrays (the engine's
  * structure-of-arrays state): `paths[s]` and `rateCaps[s]` describe

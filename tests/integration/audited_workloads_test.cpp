@@ -1,11 +1,12 @@
 /**
  * @file
  * Property test: every registered workload runs cleanly under the
- * simulation invariant auditor, and audited replays are
- * digest-identical (determinism).  This is the machine-checked
- * backstop behind every paper figure: if an allocator or event-loop
- * bug breaks fairness, conservation, or pairing anywhere in the
- * workload space, one of these runs panics.
+ * simulation invariant auditor, audited replays are digest-identical
+ * (determinism), and auditing leaves results bit-identical.  This is
+ * the machine-checked backstop behind every paper figure: if an
+ * allocator or event-loop bug breaks fairness, conservation, pairing,
+ * or bit-agreement with the reference solver anywhere in the workload
+ * space, one of these runs panics.
  */
 
 #include <gtest/gtest.h>
@@ -66,10 +67,10 @@ TEST_P(AuditedWorkloads, PassesAuditUnderLocalAllocOnLongs)
 
 TEST_P(AuditedWorkloads, OptimizedHotPathKeepsDigestBitForBit)
 {
-    // The zero-allocation allocator + incremental min-tracking must
-    // be invisible to results: an audited run with the optimized hot
-    // path and one with the retained reference allocator produce the
-    // same event stream, hence the same order-sensitive digest.
+    // An audited run checks every allocation against the whole-set
+    // reference solve, bit for bit.  That vouches for the results the
+    // tools cache and report only if the unaudited hot path -- no
+    // auditor, no trace events -- reproduces the audited run exactly.
     auto workload = makeWorkload(GetParam());
     ASSERT_NE(workload, nullptr);
 
@@ -78,26 +79,21 @@ TEST_P(AuditedWorkloads, OptimizedHotPathKeepsDigestBitForBit)
     cfg.option = table5Options().front(); // Default
     cfg.ranks = 4;
     cfg.audit = true;
+    RunResult audited = runExperiment(cfg, *workload);
+    ASSERT_TRUE(audited.valid);
+    ASSERT_TRUE(audited.audited);
+    EXPECT_EQ(audited.auditChecks, audited.incrementalSolves);
 
-    Machine optimized(cfg.machine);
-    RunResult opt = runExperimentOn(optimized, cfg, *workload);
-    ASSERT_TRUE(opt.valid);
-    ASSERT_TRUE(opt.audited);
+    cfg.audit = false;
+    RunResult plain = runExperiment(cfg, *workload);
+    ASSERT_TRUE(plain.valid);
 
-    Machine reference(cfg.machine);
-    reference.engine().setAllocator(Engine::AllocatorKind::Reference);
-    // The Reference oracle allocates per rerun by design; don't let
-    // the Debug alloc guard abort this intentional A/B run.
-    reference.engine().setAllocGuardEnforced(false);
-    RunResult ref = runExperimentOn(reference, cfg, *workload);
-    ASSERT_TRUE(ref.valid);
-    ASSERT_TRUE(ref.audited);
-
-    EXPECT_EQ(opt.auditDigest, ref.auditDigest)
-        << "optimized hot path changed the audited event stream for "
-        << GetParam();
-    EXPECT_EQ(opt.seconds, ref.seconds);
-    EXPECT_EQ(opt.events, ref.events);
+    EXPECT_EQ(plain.seconds, audited.seconds)
+        << "auditing changed the simulated time of " << GetParam();
+    EXPECT_EQ(plain.taggedSeconds, audited.taggedSeconds);
+    EXPECT_EQ(plain.events, audited.events);
+    EXPECT_EQ(plain.incrementalSolves, audited.incrementalSolves);
+    EXPECT_EQ(plain.memoHits, audited.memoHits);
 }
 
 INSTANTIATE_TEST_SUITE_P(

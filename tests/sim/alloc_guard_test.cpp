@@ -5,25 +5,25 @@
  * §12).
  *
  * The positive direction -- representative workloads complete without
- * tripping the in-engine assert -- and the negative direction -- the
- * retained Reference allocator, which reallocates per rerun by
- * design, aborts the run when enforcement is left on -- are both
- * covered, so the guard is proven live, not just compiled in.  The
- * whole suite skips on builds without MCSCOPE_ALLOC_GUARD
- * (RelWithDebInfo tier-1 runs it as a no-op smoke test).
+ * tripping the in-engine assert -- and the negative direction -- a
+ * traced run whose flow paths spill PathVec's inline storage aborts
+ * -- are both covered, so the guard is proven live, not just compiled
+ * in.  The guard-specific tests skip on builds without
+ * MCSCOPE_ALLOC_GUARD (RelWithDebInfo tier-1 runs them as no-op smoke
+ * tests).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <new>
 
 #include "core/experiment.hh"
 #include "core/registry.hh"
 #include "machine/config.hh"
-#include "machine/machine.hh"
 #include "machine/registry.hh"
 #include "sim/alloc_guard.hh"
+#include "sim/engine.hh"
+#include "sim/task.hh"
 
 namespace mcscope {
 namespace {
@@ -190,45 +190,44 @@ TEST(AllocGuard, SteadyStateLoopIsAllocationFree)
     }
 }
 
-TEST(AllocGuard, EnvForcedReferenceAllocatorDisablesEnforcement)
+/**
+ * Two tasks replaying one Work across `hops` resources, traced.  The
+ * run loop copies each finished flow's path into its FlowEnd trace
+ * event outside any Pause, so a path longer than PathVec's inline
+ * capacity allocates on every flow completion.
+ */
+void
+runTracedLoop(int hops)
 {
-    // MCSCOPE_REFERENCE_ALLOCATOR=1 is the user-facing A/B switch;
-    // it must not turn every Debug run into an abort.
-    ::setenv("MCSCOPE_REFERENCE_ALLOCATOR", "1", 1);
-    Machine machine(dmzConfig());
-    ::unsetenv("MCSCOPE_REFERENCE_ALLOCATOR");
-
-    EXPECT_EQ(machine.engine().allocator(),
-              Engine::AllocatorKind::Reference);
-    EXPECT_FALSE(machine.engine().allocGuardEnforced());
-
-    auto workload = makeWorkload(registeredWorkloads().front());
-    ASSERT_NE(workload, nullptr);
-    RunResult res =
-        runExperimentOn(machine, defaultConfig(), *workload);
-    EXPECT_TRUE(res.valid);
+    Engine e;
+    Work w;
+    w.amount = 100.0;
+    for (int h = 0; h < hops; ++h)
+        w.path.push_back(e.addResource("r" + std::to_string(h), 10.0));
+    for (int t = 0; t < 2; ++t) {
+        e.addTask(std::make_unique<LoopTask>(
+            "t" + std::to_string(t), std::vector<Prim>{},
+            std::vector<Prim>{w}, 50));
+    }
+    e.setTraceSink([](const TraceEvent &) {});
+    e.run();
 }
 
-TEST(AllocGuardDeathTest, ReferenceAllocatorTripsContract)
+TEST(AllocGuard, InlinePathTracedRunStaysAllocationFree)
+{
+    runTracedLoop(8); // PathVec's inline capacity: no spill
+}
+
+TEST(AllocGuardDeathTest, SpilledPathCopyTripsContract)
 {
     if (!alloc_guard::compiledIn())
         GTEST_SKIP() << "MCSCOPE_ALLOC_GUARD not compiled in";
 
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    // Explicitly selecting the Reference oracle keeps enforcement on
-    // (unlike the env switch above): its per-rerun reallocation must
-    // trip the contract once scratch capacities stop growing.  This
-    // is the proof the guard can actually fire.
-    EXPECT_DEATH(
-        {
-            auto workload =
-                makeWorkload(registeredWorkloads().front());
-            Machine machine(dmzConfig());
-            machine.engine().setAllocator(
-                Engine::AllocatorKind::Reference);
-            runExperimentOn(machine, defaultConfig(), *workload);
-        },
-        "zero-allocation contract violated");
+    // One hop past the inline capacity: each FlowEnd copy allocates
+    // once scratch capacities stop growing.  This is the proof the
+    // guard can actually fire.
+    EXPECT_DEATH(runTracedLoop(9), "zero-allocation contract violated");
 }
 
 } // namespace

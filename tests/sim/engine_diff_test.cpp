@@ -1,20 +1,19 @@
 /**
  * @file
- * Differential tests of the engine's optimized event core against the
- * retained reference path.
+ * Differential tests of the engine's event core against the retained
+ * reference solver.
  *
- * The dirty-set incremental allocator + calendar queue + SoA flow
- * state (AllocatorKind::Optimized) must be *bit-identical* to the
- * reference allocator path (AllocatorKind::Reference, which re-solves
- * every flow through fairShareRatesReference) -- not merely close:
- * identical audit digests, identical makespans to the last mantissa
- * bit, identical per-task finish times, identical event counts.  This
- * drives ~1k randomized scenarios (random paths and caps, empty-path
- * capped flows, delays, barriers, rendezvous pairs) through both.
+ * Every audited run turns on the auditor's exact-rate check, which
+ * re-solves the whole active flow set through fairShareRatesReference
+ * at every allocation and panics unless the rates the dirty-set
+ * incremental allocator (closure memo included) assigned match it
+ * *bit for bit* -- not merely close.  This drives ~1k randomized
+ * scenarios (random paths and caps, empty-path capped flows, delays,
+ * barriers, rendezvous pairs) through audited runs.
  *
  * Targeted scenarios then drive the closure memo through eviction,
  * bypass of oversized closures, and memo-set collisions between
- * different closures, each bit-identical to the reference.
+ * different closures, each audited the same way.
  *
  * A second suite pins the subset solver itself: on a closed connected
  * component, fairShareSolveSubset must reproduce the rates of a full
@@ -143,16 +142,14 @@ struct RunOutcome
     Engine::Stats stats;
 };
 
+/**
+ * Run `s` under an auditor, which the engine puts in exact-rate mode:
+ * every allocation must equal the whole-set oracle's bit for bit.
+ */
 RunOutcome
-runScenario(const Scenario &s, Engine::AllocatorKind kind)
+runScenario(const Scenario &s)
 {
     Engine e;
-    e.setAllocator(kind);
-    // The Reference oracle allocates by design (fresh vectors per
-    // solve); only the Optimized path carries the zero-allocation
-    // contract, and these runs keep it enforced.
-    if (kind == Engine::AllocatorKind::Reference)
-        e.setAllocGuardEnforced(false);
     e.setAuditor(std::make_unique<Auditor>());
     for (size_t r = 0; r < s.caps.size(); ++r)
         e.addResource("r" + std::to_string(r), s.caps[r]);
@@ -160,6 +157,7 @@ runScenario(const Scenario &s, Engine::AllocatorKind kind)
         e.addTask(std::make_unique<SequenceTask>(
             "t" + std::to_string(t), s.scripts[t]));
     e.run();
+    EXPECT_TRUE(e.auditor()->exactRateCheck());
     RunOutcome out;
     out.digest = e.auditor()->digest();
     out.checks = e.auditor()->allocationsChecked();
@@ -172,48 +170,39 @@ runScenario(const Scenario &s, Engine::AllocatorKind kind)
 }
 
 /**
- * Run `s` under both allocators, demand bit-identical outcomes, and
- * return the Optimized run's engine counters.
+ * Run `s` audited, demand that the exact-rate check compared every
+ * allocation, and return the run's engine counters.
  */
 Engine::Stats
 expectMatchesReference(const Scenario &s)
 {
-    RunOutcome opt = runScenario(s, Engine::AllocatorKind::Optimized);
-    RunOutcome ref = runScenario(s, Engine::AllocatorKind::Reference);
-    EXPECT_EQ(opt.digest, ref.digest);
-    EXPECT_EQ(opt.events, ref.events);
-    EXPECT_EQ(opt.checks, ref.checks);
-    EXPECT_EQ(opt.makespanBits, ref.makespanBits);
-    EXPECT_EQ(opt.finishBits, ref.finishBits);
-    EXPECT_EQ(opt.stats.fullSolves, 0u);
-    return opt.stats;
+    RunOutcome out = runScenario(s);
+    EXPECT_GT(out.checks, 0u);
+    EXPECT_EQ(out.checks, out.stats.allocatorReruns);
+    return out.stats;
 }
 
 TEST(EngineDiff, OptimizedIsBitIdenticalToReferenceOnRandomScenarios)
 {
     Rng rng(0x071f00dbeefULL);
+    uint64_t checked = 0;
     for (int iter = 0; iter < 1000; ++iter) {
         Scenario s = randomScenario(rng);
-        RunOutcome opt =
-            runScenario(s, Engine::AllocatorKind::Optimized);
-        RunOutcome ref =
-            runScenario(s, Engine::AllocatorKind::Reference);
-        ASSERT_EQ(opt.digest, ref.digest) << "iteration " << iter;
-        ASSERT_EQ(opt.events, ref.events) << "iteration " << iter;
-        ASSERT_EQ(opt.checks, ref.checks) << "iteration " << iter;
-        ASSERT_EQ(opt.makespanBits, ref.makespanBits)
+        RunOutcome out = runScenario(s);
+        ASSERT_EQ(out.checks, out.stats.allocatorReruns)
             << "iteration " << iter;
-        ASSERT_EQ(opt.finishBits, ref.finishBits)
-            << "iteration " << iter;
+        checked += out.checks;
     }
+    // Some scenarios start no flow at all; the set as a whole must.
+    EXPECT_GT(checked, 1000u);
 }
 
 TEST(EngineDiff, OptimizedRunsAreDeterministicAcrossRepeats)
 {
     Rng rng(0x1234ULL);
     Scenario s = randomScenario(rng);
-    RunOutcome a = runScenario(s, Engine::AllocatorKind::Optimized);
-    RunOutcome b = runScenario(s, Engine::AllocatorKind::Optimized);
+    RunOutcome a = runScenario(s);
+    RunOutcome b = runScenario(s);
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.makespanBits, b.makespanBits);
     EXPECT_EQ(a.finishBits, b.finishBits);
@@ -227,7 +216,6 @@ TEST(EngineDiff, OptimizedEngineActuallySolvesIncrementally)
     // repeats, so the memo must serve most of them and no solve may
     // cover the whole flow set.
     Engine e;
-    e.setAllocator(Engine::AllocatorKind::Optimized);
     for (int t = 0; t < 16; ++t) {
         ResourceId r = e.addResource("r" + std::to_string(t), 100.0);
         Work w;

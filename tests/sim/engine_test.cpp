@@ -295,8 +295,11 @@ TEST(Engine, ZeroMakespanUtilizationIsZero)
     EXPECT_DOUBLE_EQ(u, 0.0);
 }
 
-TEST(Engine, ReferenceAllocatorProducesIdenticalTimes)
+TEST(Engine, AuditedRunProducesIdenticalTimes)
 {
+    // An audited run cross-checks every allocation against the
+    // whole-set reference solve, bit for bit; the unaudited hot path
+    // must then reproduce its times exactly.
     auto build = [](Engine &e) {
         ResourceId r0 = e.addResource("r0", 10.0);
         ResourceId r1 = e.addResource("r1", 7.0);
@@ -308,19 +311,20 @@ TEST(Engine, ReferenceAllocatorProducesIdenticalTimes)
                     work(3.0, {r0, r1}, t % 2 == 0 ? 2.0 : 0.0)}));
         }
     };
-    Engine opt;
-    build(opt);
-    opt.run();
-    Engine ref;
-    ref.setAllocator(Engine::AllocatorKind::Reference);
-    // The Reference oracle allocates per rerun by design; don't let
-    // the Debug alloc guard abort this intentional A/B run.
-    ref.setAllocGuardEnforced(false);
-    build(ref);
-    ref.run();
-    EXPECT_EQ(opt.makespan(), ref.makespan());
-    for (int t = 0; t < opt.taskCount(); ++t)
-        EXPECT_EQ(opt.taskFinishTime(t), ref.taskFinishTime(t));
+    Engine plain;
+    build(plain);
+    plain.run();
+    Engine audited;
+    audited.setAuditor(std::make_unique<Auditor>());
+    build(audited);
+    audited.run();
+    ASSERT_TRUE(audited.auditor()->exactRateCheck());
+    EXPECT_EQ(audited.auditor()->allocationsChecked(),
+              audited.stats().allocatorReruns);
+    EXPECT_GT(audited.auditor()->allocationsChecked(), 0u);
+    EXPECT_EQ(plain.makespan(), audited.makespan());
+    for (int t = 0; t < plain.taskCount(); ++t)
+        EXPECT_EQ(plain.taskFinishTime(t), audited.taskFinishTime(t));
 }
 
 TEST(EngineDeath, DeadlockedRendezvousPanics)

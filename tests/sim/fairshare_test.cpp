@@ -1,6 +1,8 @@
 /**
  * @file
  * Unit tests for the max-min fair (progressive filling) allocator.
+ * They pin the semantics on the reference solver; the engine's subset
+ * solver is pinned to it bit for bit by fairshare_diff_test.
  */
 
 #include <gtest/gtest.h>
@@ -23,14 +25,14 @@ flow(std::vector<ResourceId> path, double cap = 0.0)
 
 TEST(FairShare, SingleFlowGetsFullCapacity)
 {
-    auto rates = fairShareRates({100.0}, {flow({0})});
+    auto rates = fairShareRatesReference({100.0}, {flow({0})});
     ASSERT_EQ(rates.size(), 1u);
     EXPECT_DOUBLE_EQ(rates[0], 100.0);
 }
 
 TEST(FairShare, TwoFlowsSplitEvenly)
 {
-    auto rates = fairShareRates({100.0}, {flow({0}), flow({0})});
+    auto rates = fairShareRatesReference({100.0}, {flow({0}), flow({0})});
     EXPECT_DOUBLE_EQ(rates[0], 50.0);
     EXPECT_DOUBLE_EQ(rates[1], 50.0);
 }
@@ -38,14 +40,16 @@ TEST(FairShare, TwoFlowsSplitEvenly)
 TEST(FairShare, CapLimitsFlowAndReleasesCapacity)
 {
     // Flow 0 capped at 20; flow 1 takes the remaining 80.
-    auto rates = fairShareRates({100.0}, {flow({0}, 20.0), flow({0})});
+    auto rates = fairShareRatesReference(
+        {100.0}, {flow({0}, 20.0), flow({0})});
     EXPECT_DOUBLE_EQ(rates[0], 20.0);
     EXPECT_DOUBLE_EQ(rates[1], 80.0);
 }
 
 TEST(FairShare, CapAboveFairShareIsInert)
 {
-    auto rates = fairShareRates({100.0}, {flow({0}, 90.0), flow({0})});
+    auto rates = fairShareRatesReference(
+        {100.0}, {flow({0}, 90.0), flow({0})});
     EXPECT_DOUBLE_EQ(rates[0], 50.0);
     EXPECT_DOUBLE_EQ(rates[1], 50.0);
 }
@@ -53,7 +57,7 @@ TEST(FairShare, CapAboveFairShareIsInert)
 TEST(FairShare, PathMinimumGoverns)
 {
     // Flow crosses both resources; the narrow one binds.
-    auto rates = fairShareRates({100.0, 30.0}, {flow({0, 1})});
+    auto rates = fairShareRatesReference({100.0, 30.0}, {flow({0, 1})});
     EXPECT_DOUBLE_EQ(rates[0], 30.0);
 }
 
@@ -62,7 +66,7 @@ TEST(FairShare, ClassicMaxMinExample)
     // Three flows: A on r0 only, B on r0+r1, C on r1 only.
     // r0 = 10, r1 = 4: B is squeezed to 2 by r1 (fair share with C),
     // then A gets the rest of r0 = 8.
-    auto rates = fairShareRates(
+    auto rates = fairShareRatesReference(
         {10.0, 4.0}, {flow({0}), flow({0, 1}), flow({1})});
     EXPECT_DOUBLE_EQ(rates[1], 2.0);
     EXPECT_DOUBLE_EQ(rates[2], 2.0);
@@ -71,19 +75,19 @@ TEST(FairShare, ClassicMaxMinExample)
 
 TEST(FairShare, UnconstrainedFlowIsInfinite)
 {
-    auto rates = fairShareRates({10.0}, {flow({})});
+    auto rates = fairShareRatesReference({10.0}, {flow({})});
     EXPECT_TRUE(std::isinf(rates[0]));
 }
 
 TEST(FairShare, EmptyPathWithCapUsesCap)
 {
-    auto rates = fairShareRates({10.0}, {flow({}, 3.0)});
+    auto rates = fairShareRatesReference({10.0}, {flow({}, 3.0)});
     EXPECT_DOUBLE_EQ(rates[0], 3.0);
 }
 
 TEST(FairShare, NoFlows)
 {
-    auto rates = fairShareRates({10.0}, {});
+    auto rates = fairShareRatesReference({10.0}, {});
     EXPECT_TRUE(rates.empty());
 }
 
@@ -127,7 +131,7 @@ TEST_P(FairShareProperty, FeasibleAndMaxMin)
         flows.push_back(fl);
     }
 
-    auto rates = fairShareRates(caps, flows);
+    auto rates = fairShareRatesReference(caps, flows);
     ASSERT_EQ(rates.size(), flows.size());
 
     // (a) Feasibility: per-resource load within capacity.
