@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "kernels/nas_cg.hh"
 #include "kernels/stream.hh"
 #include "simmpi/comm.hh"
 
@@ -97,9 +96,8 @@ main()
 
     // --- Scheduler drift ---------------------------------------------
     {
-        NasCgWorkload cg(nasCgClassB());
         MachineConfig longs = longsConfig();
-        OptionSweepResult sweep = sweepOptions(longs, {4}, cg);
+        OptionSweepResult sweep = sweepOptions(longs, {4}, "nas-cg-b");
         double def = sweep.seconds[0][0];
         double local = sweep.seconds[0][1];
         std::printf("scheduler drift (CG 4 tasks, Default vs One MPI "
@@ -107,7 +105,7 @@ main()
         std::printf("  default: %.2f s   localalloc: %.2f s   gap "
                     "%.1f%%   (paper: 98.51 vs 88.21, ~10%%)\n",
                     def, local, (def - local) / def * 100.0);
-        OptionSweepResult full = sweepOptions(longs, {16}, cg);
+        OptionSweepResult full = sweepOptions(longs, {16}, "nas-cg-b");
         std::printf("  at 16 tasks the gap closes: default %.2f vs "
                     "two+localalloc %.2f (paper: 54.17 vs 54.45)\n",
                     full.seconds[0][0], full.seconds[0][3]);

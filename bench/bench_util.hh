@@ -123,17 +123,17 @@ printPlannedSweep(const std::string &machine_preset,
 
 /**
  * Print the standard option-sweep table (Tables 2/3/7/9/11/13/14
- * layout) for one workload on one machine.
+ * layout) for one registry workload on one machine.
  */
 inline void
 printOptionSweep(const MachineConfig &machine,
                  const std::vector<int> &rank_counts,
-                 const Workload &workload, const std::string &row_label,
-                 int tag = -1, int precision = 2)
+                 const std::string &workload,
+                 const std::string &row_label, int tag = -1,
+                 int precision = 2)
 {
     OptionSweepResult sweep =
-        sweepOptions(machine, rank_counts, workload,
-                     MpiImpl::OpenMpi, SubLayer::USysV, tag);
+        sweepOptions(machine, rank_counts, workload, tag);
     TextTable t(optionSweepHeader("Workload"));
     appendOptionSweepRows(t, sweep, row_label, precision);
     std::cout << machine.name << ":\n";

@@ -9,10 +9,8 @@
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_util.hh"
-#include "core/registry.hh"
 
 using namespace mcscope;
 using namespace mcscope::bench;
@@ -43,8 +41,7 @@ main()
 
         std::vector<std::vector<double>> eff(all.size() - 1);
         for (const char *k : kernels) {
-            auto w = makeWorkload(k);
-            auto t = defaultScalingTimes(cfg, all, *w);
+            auto t = defaultScalingTimes(cfg, all, k);
             for (size_t i = 1; i < all.size(); ++i)
                 eff[i - 1].push_back(t[0] / t[i] / all[i]);
         }
@@ -57,10 +54,8 @@ main()
         std::printf("\n");
     }
 
-    auto ep = makeWorkload("nas-ep-b");
-    auto is = makeWorkload("nas-is-b");
-    auto t_ep = defaultScalingTimes(longsConfig(), {1, 16}, *ep);
-    auto t_is = defaultScalingTimes(longsConfig(), {1, 16}, *is);
+    auto t_ep = defaultScalingTimes(longsConfig(), {1, 16}, "nas-ep-b");
+    auto t_is = defaultScalingTimes(longsConfig(), {1, 16}, "nas-is-b");
     observe("EP efficiency at 16 on Longs (control: near 1.0)",
             formatFixed(t_ep[0] / t_ep[1] / 16.0, 2));
     observe("IS efficiency at 16 on Longs (all-to-all bound)",

@@ -18,7 +18,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "kernels/nas_cg.hh"
 #include "kernels/stream.hh"
 
 using namespace mcscope;
@@ -34,7 +33,6 @@ main()
            "the placement spread vary smoothly, never invert");
 
     StreamWorkload stream(4u << 20, 8);
-    NasCgWorkload cg(nasCgClassB());
 
     std::printf("coherenceAlpha sweep (Longs):\n");
     std::printf("  %-8s %-16s %-18s %-14s\n", "alpha",
@@ -44,7 +42,7 @@ main()
         cfg.coherenceAlpha = alpha;
         RunResult r1 = run(cfg, pinnedSpread(), 1, stream);
         double bw = stream.bytesPerIteration() * 8 / r1.seconds / 1e9;
-        auto t = defaultScalingTimes(cfg, {1, 16}, cg);
+        auto t = defaultScalingTimes(cfg, {1, 16}, "nas-cg-b");
         std::printf("  %-8.3f %-16.2f %-18.2f %-14.2f\n", alpha, bw,
                     bw / 4.1, t[0] / t[1] / 16.0);
     }
@@ -57,7 +55,7 @@ main()
     for (double conc : {200.0, 400.0, 800.0, 1600.0}) {
         MachineConfig cfg = longsConfig();
         cfg.streamConcurrencyBytes = conc;
-        OptionSweepResult sweep = sweepOptions(cfg, {8}, cg);
+        OptionSweepResult sweep = sweepOptions(cfg, {8}, "nas-cg-b");
         const auto &row = sweep.seconds[0];
         std::printf("  %-8.0f %-20.2f %-20.2f\n", conc,
                     row[2] / row[1], row[5] / row[0]);

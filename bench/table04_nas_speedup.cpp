@@ -10,8 +10,6 @@
 
 #include "bench_util.hh"
 #include "core/metrics.hh"
-#include "kernels/nas_cg.hh"
-#include "kernels/nas_ft.hh"
 
 using namespace mcscope;
 using namespace mcscope::bench;
@@ -19,14 +17,15 @@ using namespace mcscope::bench;
 namespace {
 
 void
-row(const char *kernel, const Workload &w, const MachineConfig &cfg)
+row(const char *kernel, const std::string &workload,
+    const MachineConfig &cfg)
 {
     std::vector<int> ranks;
     for (int r = 2; r <= cfg.totalCores(); r *= 2)
         ranks.push_back(r);
     std::vector<int> all = {1};
     all.insert(all.end(), ranks.begin(), ranks.end());
-    std::vector<double> t = defaultScalingTimes(cfg, all, w);
+    std::vector<double> t = defaultScalingTimes(cfg, all, workload);
     std::vector<double> eff = efficiencies(t, all);
     std::printf("  %-4s %-6s", kernel, cfg.name.c_str());
     for (size_t i = 1; i < all.size(); ++i)
@@ -45,17 +44,14 @@ main()
            "efficiency falls with cores; CG collapses hardest on "
            "Longs (paper: 0.25 at 16); Tiger/DMZ comparable at 2");
 
-    NasCgWorkload cg(nasCgClassB());
-    NasFtWorkload ft(nasFtClassB());
-
     std::printf("  %-4s %-6s  (cores:efficiency)\n", "krnl", "system");
     for (auto cfg_fn : {dmzConfig, longsConfig, tigerConfig})
-        row("CG", cg, cfg_fn());
+        row("CG", "nas-cg-b", cfg_fn());
     for (auto cfg_fn : {dmzConfig, longsConfig, tigerConfig})
-        row("FT", ft, cfg_fn());
+        row("FT", "nas-ft-b", cfg_fn());
 
-    auto t_cg = defaultScalingTimes(longsConfig(), {1, 8, 16}, cg);
-    auto t_ft = defaultScalingTimes(longsConfig(), {1, 8, 16}, ft);
+    auto t_cg = defaultScalingTimes(longsConfig(), {1, 8, 16}, "nas-cg-b");
+    auto t_ft = defaultScalingTimes(longsConfig(), {1, 8, 16}, "nas-ft-b");
     std::printf("\n");
     observe("CG Longs 16-task efficiency (paper: 0.25)",
             formatFixed(t_cg[0] / t_cg[2] / 16.0, 2));

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <iostream>
 
-#include "apps/md/amber.hh"
 #include "bench_util.hh"
 
 using namespace mcscope;
@@ -23,14 +22,13 @@ main()
            "FFT phase shows the NAS-FT-like placement sensitivity on "
            "Longs; interleave blows up at 16 tasks");
 
-    AmberWorkload jac(amberBenchmarkByName("JAC"));
-    printOptionSweep(longsConfig(), {2, 4, 8, 16}, jac, "JAC FFT",
+    printOptionSweep(longsConfig(), {2, 4, 8, 16}, "amber-jac",
+                     "JAC FFT", tags::kFft);
+    printOptionSweep(dmzConfig(), {2, 4}, "amber-jac", "JAC FFT",
                      tags::kFft);
-    printOptionSweep(dmzConfig(), {2, 4}, jac, "JAC FFT", tags::kFft);
 
     OptionSweepResult longs16 =
-        sweepOptions(longsConfig(), {16}, jac, MpiImpl::OpenMpi,
-                     SubLayer::USysV, tags::kFft);
+        sweepOptions(longsConfig(), {16}, "amber-jac", tags::kFft);
     observe("16-task interleave/default FFT-phase ratio (paper: "
             "2.22/0.63 = 3.5)",
             formatFixed(longs16.seconds[0][5] / longs16.seconds[0][0],

@@ -38,10 +38,10 @@ main()
 
         std::vector<std::vector<double>> speed(ranks.size());
         for (const auto &b : benches) {
-            AmberWorkload w(b);
             std::vector<int> all = {1};
             all.insert(all.end(), ranks.begin(), ranks.end());
-            auto t = defaultScalingTimes(cfg, all, w);
+            auto t = defaultScalingTimes(cfg, all,
+                                         "amber-" + toLower(b.name));
             for (size_t i = 0; i < ranks.size(); ++i)
                 speed[i].push_back(t[0] / t[i + 1]);
         }
@@ -54,10 +54,8 @@ main()
         std::printf("\n");
     }
 
-    AmberWorkload gb(amberBenchmarkByName("gb_mb"));
-    AmberWorkload pme(amberBenchmarkByName("JAC"));
-    auto t_gb = defaultScalingTimes(longsConfig(), {1, 16}, gb);
-    auto t_pme = defaultScalingTimes(longsConfig(), {1, 16}, pme);
+    auto t_gb = defaultScalingTimes(longsConfig(), {1, 16}, "amber-gb_mb");
+    auto t_pme = defaultScalingTimes(longsConfig(), {1, 16}, "amber-jac");
     observe("gb_mb speedup at 16 (paper: 14.93)",
             formatFixed(t_gb[0] / t_gb[1], 2));
     observe("JAC speedup at 16 (paper: 7.97)",

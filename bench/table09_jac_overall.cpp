@@ -9,7 +9,6 @@
 #include <cmath>
 #include <iostream>
 
-#include "apps/md/amber.hh"
 #include "bench_util.hh"
 
 using namespace mcscope;
@@ -24,11 +23,11 @@ main()
            "localalloc best on Longs; DMZ default near-optimal; "
            "membind at 16 tasks clearly worse");
 
-    AmberWorkload jac(amberBenchmarkByName("JAC"));
-    printOptionSweep(longsConfig(), {2, 4, 8, 16}, jac, "JAC");
-    printOptionSweep(dmzConfig(), {2, 4}, jac, "JAC");
+    printOptionSweep(longsConfig(), {2, 4, 8, 16}, "amber-jac", "JAC");
+    printOptionSweep(dmzConfig(), {2, 4}, "amber-jac", "JAC");
 
-    OptionSweepResult longs = sweepOptions(longsConfig(), {2}, jac);
+    OptionSweepResult longs =
+        sweepOptions(longsConfig(), {2}, "amber-jac");
     double def = longs.seconds[0][0];
     double best = def;
     for (double v : longs.seconds[0]) {

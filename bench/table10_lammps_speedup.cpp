@@ -37,10 +37,9 @@ main()
         std::printf("\n");
         std::vector<std::vector<double>> speed(ranks.size());
         for (const auto &b : benches) {
-            LammpsWorkload w(b);
             std::vector<int> all = {1};
             all.insert(all.end(), ranks.begin(), ranks.end());
-            auto t = defaultScalingTimes(cfg, all, w);
+            auto t = defaultScalingTimes(cfg, all, "lammps-" + b.name);
             for (size_t i = 0; i < ranks.size(); ++i)
                 speed[i].push_back(t[0] / t[i + 1]);
         }
@@ -53,8 +52,7 @@ main()
         std::printf("\n");
     }
 
-    LammpsWorkload chain(lammpsBenchmarkByName("chain"));
-    auto t = defaultScalingTimes(longsConfig(), {1, 16}, chain);
+    auto t = defaultScalingTimes(longsConfig(), {1, 16}, "lammps-chain");
     observe("chain speedup at 16 on Longs (paper: 19.95, "
             "super-linear)",
             formatFixed(t[0] / t[1], 2));

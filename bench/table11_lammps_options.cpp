@@ -8,7 +8,6 @@
 #include <cmath>
 #include <iostream>
 
-#include "apps/md/lammps.hh"
 #include "bench_util.hh"
 
 using namespace mcscope;
@@ -23,11 +22,12 @@ main()
            "same story as AMBER: localalloc best on Longs, membind "
            "bad at 16 tasks, DMZ indifferent");
 
-    LammpsWorkload lj(lammpsBenchmarkByName("lj"));
-    printOptionSweep(longsConfig(), {2, 4, 8, 16}, lj, "LJ", -1, 3);
-    printOptionSweep(dmzConfig(), {2, 4}, lj, "LJ", -1, 5);
+    printOptionSweep(longsConfig(), {2, 4, 8, 16}, "lammps-lj", "LJ",
+                     -1, 3);
+    printOptionSweep(dmzConfig(), {2, 4}, "lammps-lj", "LJ", -1, 5);
 
-    OptionSweepResult longs16 = sweepOptions(longsConfig(), {16}, lj);
+    OptionSweepResult longs16 =
+        sweepOptions(longsConfig(), {16}, "lammps-lj");
     observe("16-task membind(two)/localalloc(two) ratio (paper: "
             "0.77/0.63 = 1.22)",
             formatFixed(longs16.seconds[0][4] /

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "apps/pop/pop.hh"
 #include "bench_util.hh"
 
 using namespace mcscope;
@@ -22,8 +21,6 @@ main()
            "both phases near-linear on every system (paper: 16.11 / "
            "14.85 at 16 on Longs)");
 
-    PopWorkload pop(popX1Config());
-
     std::printf("  %-7s %-7s %-12s %-12s\n", "cores", "system",
                 "Baroclinic", "Barotropic");
     for (auto cfg_fn : {dmzConfig, tigerConfig, longsConfig}) {
@@ -32,9 +29,9 @@ main()
         for (int r = 2; r <= cfg.totalCores(); r *= 2)
             all.push_back(r);
         auto t_bc =
-            defaultScalingTimes(cfg, all, pop, tags::kBaroclinic);
+            defaultScalingTimes(cfg, all, "pop-x1", tags::kBaroclinic);
         auto t_bt =
-            defaultScalingTimes(cfg, all, pop, tags::kBarotropic);
+            defaultScalingTimes(cfg, all, "pop-x1", tags::kBarotropic);
         for (size_t i = 1; i < all.size(); ++i) {
             std::printf("  %-7d %-7s %-12.2f %-12.2f\n", all[i],
                         cfg.name.c_str(), t_bc[0] / t_bc[i],
@@ -42,8 +39,7 @@ main()
         }
     }
 
-    PopWorkload p2(popX1Config());
-    auto t_bc = defaultScalingTimes(longsConfig(), {1, 16}, p2,
+    auto t_bc = defaultScalingTimes(longsConfig(), {1, 16}, "pop-x1",
                                     tags::kBaroclinic);
     std::printf("\n");
     observe("baroclinic speedup at 16 on Longs (paper: 16.11)",

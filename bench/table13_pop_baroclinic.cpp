@@ -8,7 +8,6 @@
 #include <cmath>
 #include <iostream>
 
-#include "apps/pop/pop.hh"
 #include "bench_util.hh"
 
 using namespace mcscope;
@@ -22,15 +21,13 @@ main()
            "localalloc best (paper 2-task Longs: 332.29 vs 358.57 "
            "default); membind worst at 8-16");
 
-    PopWorkload pop(popX1Config());
-    printOptionSweep(longsConfig(), {2, 4, 8, 16}, pop, "baroclinic",
-                     tags::kBaroclinic);
-    printOptionSweep(dmzConfig(), {2, 4}, pop, "baroclinic",
+    printOptionSweep(longsConfig(), {2, 4, 8, 16}, "pop-x1",
+                     "baroclinic", tags::kBaroclinic);
+    printOptionSweep(dmzConfig(), {2, 4}, "pop-x1", "baroclinic",
                      tags::kBaroclinic);
 
     OptionSweepResult s =
-        sweepOptions(longsConfig(), {2}, pop, MpiImpl::OpenMpi,
-                     SubLayer::USysV, tags::kBaroclinic);
+        sweepOptions(longsConfig(), {2}, "pop-x1", tags::kBaroclinic);
     observe("2-task Longs localalloc gain over default (paper: "
             "~7%)",
             formatFixed((s.seconds[0][0] - s.seconds[0][1]) /

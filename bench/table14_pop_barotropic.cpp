@@ -8,7 +8,6 @@
 #include <cmath>
 #include <iostream>
 
-#include "apps/pop/pop.hh"
 #include "bench_util.hh"
 
 using namespace mcscope;
@@ -22,15 +21,13 @@ main()
            "CG-like sensitivity: localalloc leads at low counts; "
            "membind hurts at 8 (paper: 21.99 vs 8.96)");
 
-    PopWorkload pop(popX1Config());
-    printOptionSweep(longsConfig(), {2, 4, 8, 16}, pop, "barotropic",
-                     tags::kBarotropic);
-    printOptionSweep(dmzConfig(), {2, 4}, pop, "barotropic",
+    printOptionSweep(longsConfig(), {2, 4, 8, 16}, "pop-x1",
+                     "barotropic", tags::kBarotropic);
+    printOptionSweep(dmzConfig(), {2, 4}, "pop-x1", "barotropic",
                      tags::kBarotropic);
 
     OptionSweepResult s =
-        sweepOptions(longsConfig(), {8}, pop, MpiImpl::OpenMpi,
-                     SubLayer::USysV, tags::kBarotropic);
+        sweepOptions(longsConfig(), {8}, "pop-x1", tags::kBarotropic);
     observe("8-task membind(two)/default ratio (paper: 21.99/8.74 = "
             "2.5)",
             formatFixed(s.seconds[0][4] / s.seconds[0][0], 2));

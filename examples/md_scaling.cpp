@@ -11,8 +11,9 @@
 #include "apps/md/amber.hh"
 #include "apps/md/engine.hh"
 #include "apps/md/lammps.hh"
-#include "core/experiment.hh"
+#include "core/runner.hh"
 #include "machine/config.hh"
+#include "util/str.hh"
 
 using namespace mcscope;
 
@@ -51,8 +52,8 @@ scalingStudy()
         std::printf("  %6d", ranks[i]);
     std::printf("\n");
 
-    auto series = [&](const std::string &label, const Workload &w) {
-        auto t = defaultScalingTimes(longsConfig(), ranks, w);
+    auto series = [&](const std::string &label) {
+        auto t = defaultScalingTimes(longsConfig(), ranks, toLower(label));
         std::printf("  %-14s", label.c_str());
         for (size_t i = 1; i < ranks.size(); ++i)
             std::printf("  %6.2f", t[0] / t[i]);
@@ -60,9 +61,9 @@ scalingStudy()
     };
 
     for (const LammpsBenchmark &b : lammpsBenchmarks())
-        series("lammps-" + b.name, LammpsWorkload(b));
+        series("lammps-" + b.name);
     for (const AmberBenchmark &b : amberBenchmarks())
-        series("amber-" + b.name, AmberWorkload(b));
+        series("amber-" + b.name);
 }
 
 } // namespace

@@ -12,7 +12,7 @@
 #include "core/experiment.hh"
 #include "core/metrics.hh"
 #include "core/report.hh"
-#include "kernels/nas_cg.hh"
+#include "core/runner.hh"
 #include "kernels/stream.hh"
 #include "machine/config.hh"
 #include "util/table.hh"
@@ -65,9 +65,7 @@ void
 nasCgOptions()
 {
     std::cout << "NAS CG class B on Longs, 8 tasks, Table 5 options:\n";
-    NasCgWorkload cg(nasCgClassB());
-    OptionSweepResult sweep =
-        sweepOptions(longsConfig(), {8}, cg);
+    OptionSweepResult sweep = sweepOptions(longsConfig(), {8}, "nas-cg-b");
     for (size_t i = 0; i < sweep.options.size(); ++i) {
         std::printf("  %-22s %s s\n", sweep.options[i].label.c_str(),
                     cell(sweep.seconds[0][i], 2).c_str());

@@ -2,8 +2,6 @@
 
 #include <memory>
 
-#include "core/plan.hh"
-#include "core/runner.hh"
 #include "machine/machine.hh"
 #include "sim/audit.hh"
 #include "simmpi/comm.hh"
@@ -72,97 +70,6 @@ runExperimentOn(Machine &machine, const ExperimentConfig &config,
         res.auditChecks = auditor->allocationsChecked();
     }
     return res;
-}
-
-namespace {
-
-/**
- * Axes shared by both legacy adapters: one caller-owned workload on
- * one machine.  The workload's display name stands in for a registry
- * name; the runner executes through RunnerOptions::workloadOverride,
- * so the name never reaches the registry.
- */
-SweepAxes
-adapterAxes(const MachineConfig &machine,
-            const std::vector<int> &rank_counts, const Workload &workload,
-            MpiImpl impl, SubLayer sublayer)
-{
-    SweepAxes axes;
-    axes.machinePreset.clear();
-    axes.machine = machine;
-    axes.workloads = {workload.name()};
-    axes.rankCounts = rank_counts;
-    axes.impls = {impl};
-    axes.sublayers = {sublayer};
-    return axes;
-}
-
-} // namespace
-
-OptionSweepResult
-sweepOptions(const MachineConfig &machine,
-             const std::vector<int> &rank_counts, const Workload &workload,
-             MpiImpl impl, SubLayer sublayer, int tag, int jobs,
-             SweepTelemetry *telemetry)
-{
-    if (rank_counts.empty()) {
-        OptionSweepResult out;
-        out.options = table5Options();
-        if (telemetry) {
-            telemetry->jobs = jobs < 1 ? 1 : jobs;
-            telemetry->points.clear();
-            telemetry->wallSeconds = 0.0;
-        }
-        return out;
-    }
-    SweepPlan plan = SweepPlan::expand(
-        adapterAxes(machine, rank_counts, workload, impl, sublayer));
-    RunnerOptions opts;
-    opts.jobs = jobs;
-    opts.workloadOverride = &workload;
-    opts.telemetry = telemetry;
-    PlanResults results = runPlan(plan, opts);
-    return optionSweepSlice(plan, results, 0, 0, 0, tag);
-}
-
-std::vector<double>
-defaultScalingTimes(const MachineConfig &machine,
-                    const std::vector<int> &rank_counts,
-                    const Workload &workload, int tag, int jobs,
-                    SweepTelemetry *telemetry)
-{
-    std::vector<double> out(rank_counts.size(), 0.0);
-    if (rank_counts.empty()) {
-        if (telemetry) {
-            telemetry->jobs = jobs < 1 ? 1 : jobs;
-            telemetry->points.clear();
-            telemetry->wallSeconds = 0.0;
-        }
-        return out;
-    }
-    SweepAxes axes = adapterAxes(machine, rank_counts, workload,
-                                 MpiImpl::OpenMpi, SubLayer::USysV);
-    axes.options = {table5Options().front()}; // Default
-    SweepPlan plan = SweepPlan::expand(axes);
-    RunnerOptions opts;
-    opts.jobs = jobs;
-    opts.workloadOverride = &workload;
-    opts.telemetry = telemetry;
-    PlanResults results = runPlan(plan, opts);
-    for (size_t i = 0; i < rank_counts.size(); ++i) {
-        const RunResult &r =
-            results.at(plan, plan.pointIndex(0, 0, 0, i, 0));
-        MCSCOPE_ASSERT(r.valid, "default placement rejected ",
-                       rank_counts[i], " ranks on ", machine.name);
-        out[i] = tag < 0 ? r.seconds : r.tagged(tag);
-    }
-    // The scaling tables historically label telemetry "default"
-    // rather than the Table 5 option label.
-    if (telemetry) {
-        for (GridPointSample &sample : telemetry->points)
-            sample.label = "default";
-    }
-    return out;
 }
 
 } // namespace mcscope

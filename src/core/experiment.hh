@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "affinity/placement.hh"
-#include "core/telemetry.hh"
 #include "kernels/workload.hh"
 #include "machine/config.hh"
 #include "simmpi/implementation.hh"
@@ -115,7 +114,8 @@ RunResult runExperimentOn(Machine &machine,
 
 /**
  * A (rank count x Table 5 option) sweep on one machine -- the shape
- * of Tables 2, 3, 7, 9, 11, 13 and 14.
+ * of Tables 2, 3, 7, 9, 11, 13 and 14.  Produced by sweepOptions()
+ * and optionSweepSlice() (core/runner.hh).
  */
 struct OptionSweepResult
 {
@@ -125,42 +125,6 @@ struct OptionSweepResult
     /** seconds[rank_index][option_index]; NaN for invalid cells. */
     std::vector<std::vector<double>> seconds;
 };
-
-/**
- * Run the full option sweep.
- *
- * Grid points are independent simulations (each builds its own
- * Machine and Engine), so they run concurrently when jobs > 1; the
- * result matrix is ordered by (rank index, option index) regardless
- * of the job count, and any worker exception is rethrown in the
- * caller.
- *
- * @param tag   -1 reports makespan; otherwise the tagged phase time
- *              (e.g. tags::kFft for the Table 7 FFT phase).
- * @param jobs  worker thread budget; <= 1 runs serially (see
- *              core/parallel_for.hh and defaultJobs()).
- * @param telemetry  optional out-param: per-grid-point wall time,
- *              event counts, and pool occupancy (core/telemetry.hh).
- */
-OptionSweepResult sweepOptions(const MachineConfig &machine,
-                               const std::vector<int> &rank_counts,
-                               const Workload &workload,
-                               MpiImpl impl = MpiImpl::OpenMpi,
-                               SubLayer sublayer = SubLayer::USysV,
-                               int tag = -1, int jobs = 1,
-                               SweepTelemetry *telemetry = nullptr);
-
-/**
- * Strong-scaling run times with the Default option (no numactl), the
- * shape of the speedup tables (4, 8, 10, 12).  Rank counts run
- * concurrently when jobs > 1, with deterministic result ordering.
- * When `telemetry` is non-null it is filled like sweepOptions().
- */
-std::vector<double> defaultScalingTimes(const MachineConfig &machine,
-                                        const std::vector<int> &rank_counts,
-                                        const Workload &workload,
-                                        int tag = -1, int jobs = 1,
-                                        SweepTelemetry *telemetry = nullptr);
 
 } // namespace mcscope
 

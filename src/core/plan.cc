@@ -117,7 +117,7 @@ SweepPlan::pointIndex(size_t w, size_t i, size_t s, size_t r,
              r) * O + o);
 }
 
-std::optional<uint64_t>
+uint64_t
 SweepPlan::digest(size_t i, const Workload &workload) const
 {
     MCSCOPE_ASSERT(i < specs_.size(), "spec ", i, " out of range (",
@@ -125,10 +125,10 @@ SweepPlan::digest(size_t i, const Workload &workload) const
     return finishScenarioDigest(textDigests_[i], workload);
 }
 
-std::vector<std::optional<uint64_t>>
+std::vector<uint64_t>
 SweepPlan::digests() const
 {
-    std::vector<std::optional<uint64_t>> out(specs_.size());
+    std::vector<uint64_t> out(specs_.size());
     for (size_t i = 0; i < specs_.size(); ++i)
         out[i] = digest(i, *makeWorkload(specs_[i].workload));
     return out;
@@ -168,11 +168,10 @@ SweepPlan::expand(const SweepAxes &axes)
     SweepAxes full = withDefaults(axes);
     MCSCOPE_ASSERT(!full.workloads.empty(),
                    "sweep axes need at least one workload");
-    // Workload names are deliberately not validated here: the legacy
-    // sweepOptions adapter expands plans around caller-owned Workload
-    // instances whose display names (e.g. "nas-cg.B") are not registry
-    // names.  Entry points that will instantiate from the registry
-    // (fromJson, the CLI) validate before expanding.
+    for (const std::string &workload : full.workloads) {
+        if (!knownWorkload(workload))
+            fatal(unknownWorkloadMessage(workload));
+    }
 
     SweepPlan plan;
     Seen seen;

@@ -15,9 +15,13 @@
  *
  * Grid-point ordering is fixed and documented: workloads outermost,
  * then impls, sublayers, rank counts, and options innermost.  The
- * legacy sweepOptions() (rank, option) matrix is the two innermost
- * axes of a single-workload plan, which is how core/experiment.cc
- * reimplements it.
+ * (rank, option) matrix of the paper's tables is the two innermost
+ * axes of a single-workload plan, which is how sweepOptions()
+ * (core/runner.hh) reads it.
+ *
+ * Every workload a plan names is a registry name (core/registry.hh),
+ * checked when the plan is expanded; every registry workload has a
+ * parameter signature, so every spec has a content digest.
  */
 
 #ifndef MCSCOPE_CORE_PLAN_HH
@@ -108,7 +112,10 @@ struct SweepAxes
 class SweepPlan
 {
   public:
-    /** Expand a full grid; fatal() on unknown workload names. */
+    /**
+     * Expand a full grid; fatal() on unknown workload names, with the
+     * nearest-name hint of unknownWorkloadMessage().
+     */
     static SweepPlan expand(const SweepAxes &axes);
 
     /**
@@ -152,19 +159,19 @@ class SweepPlan
     const ScenarioSpec &pointSpec(size_t point) const;
 
     /**
-     * Content digest of spec `i` run as `workload`: equal to
-     * specs()[i].digestWith(workload), finished (finishScenarioDigest)
-     * from the text digest the plan computed once while deduplicating,
-     * so executing a plan never re-canonicalizes a spec.
+     * Content digest of spec `i`, given its registry workload
+     * instance (makeWorkload(specs()[i].workload)): equal to
+     * specs()[i].digest(), finished (finishScenarioDigest) from the
+     * text digest the plan computed once while deduplicating, so
+     * executing a plan never re-canonicalizes a spec.
      */
-    std::optional<uint64_t> digest(size_t i,
-                                   const Workload &workload) const;
+    uint64_t digest(size_t i, const Workload &workload) const;
 
     /**
      * digest(i, *makeWorkload(specs()[i].workload)) for every spec: the
-     * journal and dedup keys of the registry workloads the plan names.
+     * cache, journal and dedup keys of the plan.
      */
-    std::vector<std::optional<uint64_t>> digests() const;
+    std::vector<uint64_t> digests() const;
 
     /** Axes (only meaningful for expand()/fromJson() plans). */
     const SweepAxes &axes() const { return axes_; }

@@ -358,18 +358,13 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
         const ScenarioSpec &spec = plan.specs()[i];
         const Clock::time_point spec_start = Clock::now();
 
-        std::unique_ptr<Workload> owned;
-        const Workload *workload = opts.workloadOverride;
-        if (!workload) {
-            owned = makeWorkload(spec.workload);
-            workload = owned.get();
-        }
-        std::optional<uint64_t> digest = plan.digest(i, *workload);
-        const bool cacheable = digest.has_value() && !opts.noCache;
+        const std::unique_ptr<Workload> workload =
+            makeWorkload(spec.workload);
+        const uint64_t digest = plan.digest(i, *workload);
 
         std::optional<ResultCache::Hit> hit;
-        if (cacheable)
-            hit = cache.lookup(*digest);
+        if (!opts.noCache)
+            hit = cache.lookup(digest);
 
         if (hit && !audit_active) {
             if (hit->fromDisk)
@@ -408,8 +403,8 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
             } else {
                 ++misses;
             }
-            if (cacheable)
-                cache.store(*digest, fresh);
+            if (!opts.noCache)
+                cache.store(digest, fresh);
             out.bySpec[i] = fresh;
         }
         out.specWallSeconds[i] = secondsSince(spec_start);
@@ -630,16 +625,15 @@ class ShardWorkerContext
 
         std::unique_ptr<Workload> workload =
             makeWorkload(pt.spec.workload);
-        std::optional<uint64_t> digest =
-            pt.spec.digestWith(*workload);
+        const uint64_t digest = pt.spec.digestWith(*workload);
         const Clock::time_point start = Clock::now();
         RunResult result;
         bool hit = false;
         // Audit mode always simulates (the auditor must see the run);
         // plain mode may serve the point from the shared disk cache.
-        if (cache_ && digest && !audit) {
+        if (cache_ && !audit) {
             if (std::optional<ResultCache::Hit> h =
-                    cache_->lookup(*digest)) {
+                    cache_->lookup(digest)) {
                 result = h->result;
                 hit = true;
                 ++cacheHits_;
@@ -649,8 +643,8 @@ class ShardWorkerContext
             ExperimentConfig cfg = pt.spec.toExperiment();
             cfg.audit = audit;
             result = runExperiment(cfg, *workload);
-            if (cache_ && digest)
-                cache_->store(*digest, result);
+            if (cache_)
+                cache_->store(digest, result);
         }
 
         JsonValue rec = JsonValue::object();
@@ -658,8 +652,7 @@ class ShardWorkerContext
                 JsonValue::number(static_cast<double>(pt.index)));
         rec.set("wall_seconds",
                 JsonValue::number(secondsSince(start)));
-        rec.set("result",
-                runResultToJson(digest ? *digest : 0, result));
+        rec.set("result", runResultToJson(digest, result));
         return rec;
     }
 
@@ -775,7 +768,7 @@ struct ShardExecutor::Impl
     size_t n = 0;
     size_t doneCount = 0;
     PlanResults out;
-    std::vector<std::optional<uint64_t>> digests;
+    std::vector<uint64_t> digests;
     std::vector<bool> done;
     std::vector<int> retries;
     std::vector<Clock::time_point> notBefore; ///< per-point backoff gate
@@ -806,8 +799,6 @@ struct ShardExecutor::Impl
         notBefore.assign(n, Clock::time_point::min());
 
         // Content digests drive both the journal and resume matching.
-        // A spec without one (non-content-addressable workload) is
-        // always executed and never journaled.
         digests = plan.digests();
 
         // Points the journal already vouches for complete instantly:
@@ -819,9 +810,7 @@ struct ShardExecutor::Impl
         const std::unordered_map<uint64_t, RunResult> *hits =
             known ? known : &resumed;
         for (size_t i = 0; i < n; ++i) {
-            if (!digests[i])
-                continue;
-            auto it = hits->find(*digests[i]);
+            auto it = hits->find(digests[i]);
             if (it == hits->end())
                 continue;
             out.bySpec[i] = it->second;
@@ -986,8 +975,7 @@ struct ShardExecutor::Impl
             warn("supervisor: unexpected record for spec ", i);
             return;
         }
-        std::optional<RunResult> r =
-            parseRunResult(*res, digests[i] ? *digests[i] : 0);
+        std::optional<RunResult> r = parseRunResult(*res, digests[i]);
         if (!r) {
             // Ignored, so the point stays owed; the channel's death
             // will trigger the retry path.
@@ -1016,8 +1004,8 @@ struct ShardExecutor::Impl
         ++out.shard.executed;
         // Write-ahead guarantee: the record is durable before the
         // sweep counts the point as complete.
-        if (journal && digests[i])
-            journal->append(*digests[i], *r);
+        if (journal)
+            journal->append(digests[i], *r);
         completions.push_back({i, wall, false});
     }
 
@@ -1396,7 +1384,7 @@ ShardExecutor::drainCompletions()
     return out;
 }
 
-const std::vector<std::optional<uint64_t>> &
+const std::vector<uint64_t> &
 ShardExecutor::digests() const
 {
     return impl_->digests;
@@ -1483,6 +1471,62 @@ optionSweepSlice(const SweepPlan &plan, const PlanResults &results,
                     tag < 0 ? res.seconds : res.tagged(tag);
             }
         }
+    }
+    return out;
+}
+
+namespace {
+
+/** One registry workload on one inline machine, OpenMPI over USysV. */
+SweepAxes
+singleWorkloadAxes(const MachineConfig &machine,
+                   const std::vector<int> &rank_counts,
+                   const std::string &workload)
+{
+    SweepAxes axes;
+    axes.machinePreset.clear();
+    axes.machine = machine;
+    axes.workloads = {workload};
+    axes.rankCounts = rank_counts;
+    return axes;
+}
+
+} // namespace
+
+OptionSweepResult
+sweepOptions(const MachineConfig &machine,
+             const std::vector<int> &rank_counts,
+             const std::string &workload, int tag)
+{
+    if (rank_counts.empty()) {
+        OptionSweepResult out;
+        out.options = table5Options();
+        return out;
+    }
+    SweepPlan plan = SweepPlan::expand(
+        singleWorkloadAxes(machine, rank_counts, workload));
+    return optionSweepSlice(plan, runPlan(plan, RunnerOptions{}), 0, 0,
+                            0, tag);
+}
+
+std::vector<double>
+defaultScalingTimes(const MachineConfig &machine,
+                    const std::vector<int> &rank_counts,
+                    const std::string &workload, int tag)
+{
+    std::vector<double> out;
+    if (rank_counts.empty())
+        return out;
+    SweepAxes axes = singleWorkloadAxes(machine, rank_counts, workload);
+    axes.options = {table5Options().front()}; // Default
+    SweepPlan plan = SweepPlan::expand(axes);
+    const OptionSweepResult sweep = optionSweepSlice(
+        plan, runPlan(plan, RunnerOptions{}), 0, 0, 0, tag);
+    for (size_t r = 0; r < rank_counts.size(); ++r) {
+        MCSCOPE_ASSERT(!std::isnan(sweep.seconds[r][0]),
+                       "default placement rejected ", rank_counts[r],
+                       " ranks on ", machine.name);
+        out.push_back(sweep.seconds[r][0]);
     }
     return out;
 }

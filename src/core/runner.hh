@@ -23,8 +23,12 @@
  *    entry recorded one -- must match bit-for-bit, or the runner
  *    panics.  Audit mode trades the cache's speed for an end-to-end
  *    proof that cached and fresh results agree.
- *  - Workloads whose Workload::signature() is empty are not
- *    content-addressable and bypass the cache entirely.
+ *
+ * Every spec is executed with its registry workload
+ * (makeWorkload(spec.workload)), and every registry workload has a
+ * parameter signature, so every spec has a digest: there is no
+ * uncacheable path.  A one-off parameterization that is not in the
+ * registry runs through runExperiment() directly.
  *
  * runPlanSharded() layers fault tolerance on top: the plan's points
  * are partitioned across `mcscope worker` subprocesses, every
@@ -49,6 +53,7 @@
 #include <vector>
 
 #include "core/plan.hh"
+#include "core/telemetry.hh"
 
 namespace mcscope {
 
@@ -145,14 +150,6 @@ struct RunnerOptions
     /** Set to bypass the cache entirely (hits become simulations). */
     bool noCache = false;
 
-    /**
-     * Execute every spec with this workload instance instead of
-     * instantiating from the registry -- the legacy sweepOptions
-     * path, where the caller owns a possibly non-registry-configured
-     * Workload.  When its signature() is empty the cache is skipped.
-     */
-    const Workload *workloadOverride = nullptr;
-
     /** Optional per-grid-point telemetry (core/telemetry.hh). */
     SweepTelemetry *telemetry = nullptr;
 };
@@ -191,7 +188,7 @@ struct RunnerStats
     uint64_t uniqueSpecs = 0; ///< after plan deduplication
     uint64_t memoryHits = 0;
     uint64_t diskHits = 0;
-    uint64_t misses = 0;       ///< includes uncacheable specs
+    uint64_t misses = 0;       ///< includes noCache specs
     uint64_t corrupt = 0;      ///< disk entries rejected this run
     uint64_t validatedHits = 0; ///< audit-mode re-simulated hits
     uint64_t simulations = 0;   ///< engine runs actually executed
@@ -261,6 +258,31 @@ OptionSweepResult optionSweepSlice(const SweepPlan &plan,
                                    const PlanResults &results, size_t w,
                                    size_t i, size_t s, int tag = -1,
                                    size_t m = 0);
+
+/**
+ * The (rank count x Table 5 option) sweep of one registry workload
+ * on one machine with OpenMPI over USysV -- the shape of Tables 2, 3,
+ * 7, 9, 11, 13 and 14.  A one-workload plan run through runPlan()
+ * (serial, process cache) and read back with optionSweepSlice().
+ * fatal() on an unknown workload name.
+ *
+ * @param tag  -1 reports makespan; otherwise the tagged phase time
+ *             (e.g. tags::kFft for the Table 7 FFT phase).
+ */
+OptionSweepResult sweepOptions(const MachineConfig &machine,
+                               const std::vector<int> &rank_counts,
+                               const std::string &workload,
+                               int tag = -1);
+
+/**
+ * Strong-scaling run times of one registry workload with the Default
+ * option (no numactl), the shape of the speedup tables (4, 8, 10,
+ * 12); one entry per rank count.  Runs like sweepOptions().
+ */
+std::vector<double> defaultScalingTimes(const MachineConfig &machine,
+                                        const std::vector<int> &rank_counts,
+                                        const std::string &workload,
+                                        int tag = -1);
 
 /** How to execute a plan across worker subprocesses (DESIGN.md §10). */
 struct ShardOptions
@@ -401,8 +423,8 @@ class ShardExecutor
     /** Completions since the last call (journal hits included). */
     std::vector<Completion> drainCompletions();
 
-    /** Per-spec content digests (nullopt = not content-addressable). */
-    const std::vector<std::optional<uint64_t>> &digests() const;
+    /** Per-spec content digests (SweepPlan::digests()). */
+    const std::vector<uint64_t> &digests() const;
 
     /** Result for a completed spec (invalid RunResult for gaps). */
     const RunResult &resultFor(size_t spec) const;

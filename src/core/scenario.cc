@@ -401,26 +401,22 @@ canonicalTextDigest(const std::string &canonicalText)
     return fnv1a(calibrationDigest(), canonicalText);
 }
 
-std::optional<uint64_t>
+uint64_t
 finishScenarioDigest(uint64_t textDigest, const Workload &w)
 {
     std::string signature = w.signature();
-    if (signature.empty())
-        return std::nullopt; // not content-addressable: never cache
+    MCSCOPE_ASSERT(!signature.empty(), "workload '", w.name(),
+                   "' has no parameter signature");
     return fnv1a(fnv1a(textDigest, "|sig|"), signature);
 }
 
 uint64_t
 ScenarioSpec::digest() const
 {
-    std::optional<uint64_t> d =
-        digestWith(*makeWorkload(canonicalWorkloadName(workload)));
-    MCSCOPE_ASSERT(d, "registry workload '", workload,
-                   "' has no parameter signature");
-    return *d;
+    return digestWith(*makeWorkload(canonicalWorkloadName(workload)));
 }
 
-std::optional<uint64_t>
+uint64_t
 ScenarioSpec::digestWith(const Workload &w) const
 {
     return finishScenarioDigest(canonicalTextDigest(canonicalText()), w);

@@ -32,7 +32,8 @@
  * simulation *result*: change a calibration constant, a workload
  * parameter, or the cost models (bump kScenarioModelVersion!) and the
  * digest moves, so stale cache entries can never be mistaken for
- * current ones.
+ * current ones.  A spec names a registry workload, and every registry
+ * workload has a signature, so every spec has a digest.
  */
 
 #ifndef MCSCOPE_CORE_SCENARIO_HH
@@ -124,12 +125,11 @@ struct ScenarioSpec
     uint64_t digest() const;
 
     /**
-     * Digest variant for a caller-supplied workload instance (the
-     * legacy sweepOptions path, where the Workload may carry
-     * non-registry parameters).  Returns nullopt when the workload is
-     * not content-addressable (Workload::signature() is empty).
+     * digest() with the registry workload already instantiated: `w`
+     * must be makeWorkload(workload), which lets an executor that
+     * needs the instance anyway skip a second construction.
      */
-    std::optional<uint64_t> digestWith(const Workload &w) const;
+    uint64_t digestWith(const Workload &w) const;
 };
 
 /**
@@ -142,11 +142,11 @@ uint64_t canonicalTextDigest(const std::string &canonicalText);
 /**
  * The one step that finishes every scenario digest (digest(),
  * digestWith(), SweepPlan::digest()): fold the workload's parameter
- * signature into a canonicalTextDigest().  nullopt when the workload
- * is not content-addressable (empty signature).
+ * signature into a canonicalTextDigest().  Every registry workload
+ * has a signature, so every spec has a digest; an empty signature is
+ * a programming error and panics.
  */
-std::optional<uint64_t> finishScenarioDigest(uint64_t textDigest,
-                                             const Workload &w);
+uint64_t finishScenarioDigest(uint64_t textDigest, const Workload &w);
 
 /** Equality = same canonical text (same experiment). */
 bool operator==(const ScenarioSpec &a, const ScenarioSpec &b);

@@ -390,13 +390,11 @@ runServe(const ServeOptions &opts, std::ostream &out)
         for (const ShardExecutor::Completion &c :
              active->ex->drainCompletions()) {
             const RunResult &r = active->ex->resultFor(c.spec);
-            const std::optional<uint64_t> digest =
-                active->ex->digests()[c.spec];
+            const uint64_t digest = active->ex->digests()[c.spec];
             // Infeasible cells (valid=false) dedup like any other
             // completed point -- the journal stores them, --resume
             // serves them, and the service must agree.
-            if (digest)
-                known[*digest] = r;
+            known[digest] = r;
             if (active->clientFd < 0)
                 continue;
             JsonValue record = JsonValue::object();
@@ -407,8 +405,7 @@ runServe(const ServeOptions &opts, std::ostream &out)
                        JsonValue::boolean(c.fromJournal));
             record.set("wall_seconds",
                        JsonValue::number(c.wallSeconds));
-            record.set("result",
-                       runResultToJson(digest ? *digest : 0, r));
+            record.set("result", runResultToJson(digest, r));
             if (writeFrame(active->clientFd, record.dump()))
                 active->streamed[c.spec] = true;
             else
@@ -457,7 +454,7 @@ runSubmit(const SubmitOptions &opts, std::ostream &out)
     // The client verifies every record against its own digest of the
     // spec -- a daemon serving a different model version contributes
     // nothing silently wrong, exactly like a stale journal.
-    const std::vector<std::optional<uint64_t>> digests = plan->digests();
+    const std::vector<uint64_t> digests = plan->digests();
 
     int fd = tcpConnect(opts.host, opts.port, &error);
     if (fd < 0) {
@@ -522,8 +519,7 @@ runSubmit(const SubmitOptions &opts, std::ostream &out)
                 warn("submit: record for unknown point ", i);
                 continue;
             }
-            std::optional<RunResult> r =
-                parseRunResult(*result, digests[i] ? *digests[i] : 0);
+            std::optional<RunResult> r = parseRunResult(*result, digests[i]);
             if (!r) {
                 warn("submit: record for point ", i,
                      " failed digest validation; leaving a gap");

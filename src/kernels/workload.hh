@@ -119,11 +119,12 @@ class Workload
     /**
      * Parameter signature for content-addressed result caching
      * (core/scenario.hh): a string encoding every constructor
-     * parameter that influences the simulated result.  The default --
-     * an empty string -- marks the workload as *not*
-     * content-addressable, and the runner then bypasses the cache
-     * rather than risk serving a result for differently-parameterized
-     * instances that share a name.  Implementations must fold in every
+     * parameter that influences the simulated result.  Every registry
+     * workload (core/registry.hh) overrides it with a non-empty
+     * string, so every scenario spec has a digest; the default --
+     * empty -- is only for workloads run directly through
+     * runExperiment(), and digesting one panics
+     * (finishScenarioDigest).  Implementations must fold in every
      * model input, and changing a workload's cost model without
      * bumping kScenarioModelVersion is a cache-poisoning bug.
      */

@@ -13,6 +13,7 @@
 #include "apps/md/lammps.hh"
 #include "core/experiment.hh"
 #include "core/metrics.hh"
+#include "core/runner.hh"
 #include "machine/config.hh"
 
 namespace mcscope {
@@ -67,10 +68,8 @@ TEST(AmberBench, GbHasNoFftPhase)
 TEST(AmberBench, GbScalesBetterThanPmeAt16)
 {
     // Table 8: GB ~14x at 16 cores; PME saturates near 7-8x.
-    AmberWorkload gb(amberBenchmarkByName("gb_cox2"));
-    AmberWorkload pme(amberBenchmarkByName("JAC"));
-    auto t_gb = defaultScalingTimes(longsConfig(), {1, 16}, gb);
-    auto t_pme = defaultScalingTimes(longsConfig(), {1, 16}, pme);
+    auto t_gb = defaultScalingTimes(longsConfig(), {1, 16}, "amber-gb_cox2");
+    auto t_pme = defaultScalingTimes(longsConfig(), {1, 16}, "amber-jac");
     double s_gb = t_gb[0] / t_gb[1];
     double s_pme = t_pme[0] / t_pme[1];
     EXPECT_GT(s_gb, s_pme);
@@ -108,8 +107,7 @@ TEST(LammpsBench, DescriptorsMatchPaper)
 TEST(LammpsBench, ChainIsSuperLinearOnLongs)
 {
     // Table 10: chain reaches 19.95x on 16 cores (cache capacity).
-    LammpsWorkload chain(lammpsBenchmarkByName("chain"));
-    auto t = defaultScalingTimes(longsConfig(), {1, 16}, chain);
+    auto t = defaultScalingTimes(longsConfig(), {1, 16}, "lammps-chain");
     double speedup = t[0] / t[1];
     EXPECT_GT(speedup, 16.0);
     EXPECT_LT(speedup, 26.0);
@@ -119,13 +117,12 @@ TEST(LammpsBench, OrderingChainAboveEamAboveLj)
 {
     // Table 10 at 16 cores: chain 19.95 > eam 12.54 > lj 10.65.
     auto speedup16 = [](const char *name) {
-        LammpsWorkload w(lammpsBenchmarkByName(name));
-        auto t = defaultScalingTimes(longsConfig(), {1, 16}, w);
+        auto t = defaultScalingTimes(longsConfig(), {1, 16}, name);
         return t[0] / t[1];
     };
-    double lj = speedup16("lj");
-    double chain = speedup16("chain");
-    double eam = speedup16("eam");
+    double lj = speedup16("lammps-lj");
+    double chain = speedup16("lammps-chain");
+    double eam = speedup16("lammps-eam");
     EXPECT_GT(chain, eam);
     EXPECT_GT(eam, lj);
 }
@@ -134,8 +131,7 @@ TEST(LammpsBench, NearLinearAtTwoCores)
 {
     // Table 10 at 2 cores: ~1.8-2.2 on every system.
     for (auto cfg_fn : {dmzConfig, longsConfig, tigerConfig}) {
-        LammpsWorkload lj(lammpsBenchmarkByName("lj"));
-        auto t = defaultScalingTimes(cfg_fn(), {1, 2}, lj);
+        auto t = defaultScalingTimes(cfg_fn(), {1, 2}, "lammps-lj");
         double s = t[0] / t[1];
         EXPECT_GT(s, 1.6);
         EXPECT_LT(s, 2.4);
@@ -146,9 +142,8 @@ TEST(AppModels, PlacementMattersMoreOnLongsThanDmz)
 {
     // Tables 9/11: DMZ default is near-optimal; Longs shows real
     // spread across numactl options.
-    AmberWorkload jac(amberBenchmarkByName("JAC"));
-    auto spread_of = [&jac](const MachineConfig &m, int ranks) {
-        OptionSweepResult s = sweepOptions(m, {ranks}, jac);
+    auto spread_of = [](const MachineConfig &m, int ranks) {
+        OptionSweepResult s = sweepOptions(m, {ranks}, "amber-jac");
         double lo = 1e300, hi = 0.0;
         for (double v : s.seconds[0]) {
             if (std::isnan(v))

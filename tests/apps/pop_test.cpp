@@ -13,6 +13,7 @@
 #include "apps/pop/pop.hh"
 #include "apps/pop/solver.hh"
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "machine/config.hh"
 #include "util/rng.hh"
 
@@ -115,9 +116,8 @@ TEST(PopModel, PhasesAreTaggedAndBarotropicIsMinor)
 
 TEST(PopModel, ScalesNearlyLinearlyOnLongs)
 {
-    PopWorkload pop(popX1Config());
     std::vector<double> t =
-        defaultScalingTimes(longsConfig(), {1, 16}, pop);
+        defaultScalingTimes(longsConfig(), {1, 16}, "pop-x1");
     double speedup = t[0] / t[1];
     // Table 12: 16.11 at 16 cores.
     EXPECT_GT(speedup, 12.0);

@@ -14,6 +14,7 @@
 #include "core/metrics.hh"
 #include "core/registry.hh"
 #include "core/report.hh"
+#include "core/runner.hh"
 #include "kernels/stream.hh"
 #include "machine/config.hh"
 
@@ -47,9 +48,7 @@ TEST(Experiment, DeterministicAcrossRuns)
 
 TEST(Experiment, SweepShapeMatchesTableLayout)
 {
-    StreamWorkload stream(1u << 20, 2);
-    OptionSweepResult sweep =
-        sweepOptions(dmzConfig(), {2, 4}, stream);
+    OptionSweepResult sweep = sweepOptions(dmzConfig(), {2, 4}, "stream");
     ASSERT_EQ(sweep.rankCounts.size(), 2u);
     ASSERT_EQ(sweep.options.size(), 6u);
     ASSERT_EQ(sweep.seconds.size(), 2u);
@@ -94,11 +93,23 @@ TEST(Metrics, SingleStarRatioAndPlacementGain)
 
 TEST(Telemetry, SweepRecordsEveryGridPoint)
 {
-    StreamWorkload stream(1u << 20, 2);
+    SweepAxes axes;
+    axes.machinePreset = "dmz";
+    axes.workloads = {"stream"};
+    axes.rankCounts = {2, 4};
+    const SweepPlan plan = SweepPlan::expand(axes);
+    // A cache of its own, so every sample is a simulation and not a
+    // hit left behind by another test.
+    ResultCache cache;
     SweepTelemetry telemetry;
-    OptionSweepResult sweep =
-        sweepOptions(dmzConfig(), {2, 4}, stream, MpiImpl::OpenMpi,
-                     SubLayer::USysV, -1, 2, &telemetry);
+    RunnerOptions opts;
+    opts.jobs = 2;
+    opts.cache = &cache;
+    opts.telemetry = &telemetry;
+    const PlanResults results = runPlan(plan, opts);
+    ASSERT_EQ(results.stats.simulations, results.stats.uniqueSpecs);
+    const OptionSweepResult sweep =
+        optionSweepSlice(plan, results, 0, 0, 0);
     ASSERT_EQ(telemetry.points.size(),
               2 * sweep.options.size());
     EXPECT_EQ(telemetry.jobs, 2);
@@ -147,7 +158,18 @@ TEST(Telemetry, JsonDumpHasAllFields)
 TEST(Report, OptionSweepTablePrintsDashesForInvalid)
 {
     StreamWorkload stream(1u << 20, 2);
-    OptionSweepResult sweep = sweepOptions(dmzConfig(), {4}, stream);
+    OptionSweepResult sweep;
+    sweep.rankCounts = {4};
+    sweep.options = table5Options();
+    sweep.seconds.emplace_back();
+    for (const NumactlOption &option : sweep.options) {
+        ExperimentConfig cfg;
+        cfg.machine = dmzConfig();
+        cfg.option = option;
+        cfg.ranks = 4;
+        RunResult r = runExperiment(cfg, stream);
+        sweep.seconds[0].push_back(r.valid ? r.seconds : std::nan(""));
+    }
     TextTable t(optionSweepHeader("Kernel"));
     appendOptionSweepRows(t, sweep, "STREAM");
     std::string s = t.str();
@@ -173,6 +195,16 @@ TEST(Registry, AllWorkloadsInstantiate)
         ASSERT_NE(w, nullptr) << name;
         EXPECT_FALSE(w->name().empty());
     }
+}
+
+TEST(Registry, EveryWorkloadHasASignature)
+{
+    // Every spec is digested with its registry workload's signature,
+    // so an empty one would leave a spec without a digest.
+    std::vector<std::string> names = registeredWorkloads();
+    names.push_back("stream-triad");
+    for (const std::string &name : names)
+        EXPECT_FALSE(makeWorkload(name)->signature().empty()) << name;
 }
 
 TEST(Registry, EveryWorkloadRunsOnTwoRanks)

@@ -12,11 +12,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "core/experiment.hh"
 #include "core/parallel_for.hh"
-#include "core/registry.hh"
+#include "core/runner.hh"
 #include "machine/config.hh"
 
 namespace mcscope {
@@ -75,19 +75,42 @@ TEST(ParallelFor, DefaultJobsReadsEnvironment)
     EXPECT_EQ(defaultJobs(), 1);
 }
 
+/** DMZ STREAM over ranks {1, 2, 4}; `options` empty = all six. */
+SweepPlan
+streamPlan(std::vector<NumactlOption> options)
+{
+    SweepAxes axes;
+    axes.machinePreset = "dmz";
+    axes.workloads = {"stream"};
+    axes.rankCounts = {1, 2, 4};
+    axes.options = std::move(options);
+    return SweepPlan::expand(axes);
+}
+
+/**
+ * Run `plan` with `jobs` workers against a fresh cache, so every
+ * unique spec is simulated rather than served from memory.
+ */
+PlanResults
+simulate(const SweepPlan &plan, int jobs)
+{
+    ResultCache cache;
+    RunnerOptions opts;
+    opts.jobs = jobs;
+    opts.cache = &cache;
+    PlanResults results = runPlan(plan, opts);
+    EXPECT_EQ(results.stats.simulations, results.stats.uniqueSpecs)
+        << "jobs=" << jobs;
+    return results;
+}
+
 TEST(ParallelSweep, ParallelOptionSweepMatchesSerialBitForBit)
 {
-    auto workload = makeWorkload("stream");
-    ASSERT_NE(workload, nullptr);
-    MachineConfig machine = dmzConfig();
-    std::vector<int> ranks = {1, 2, 4};
-
+    const SweepPlan plan = streamPlan({});
     OptionSweepResult serial =
-        sweepOptions(machine, ranks, *workload, MpiImpl::OpenMpi,
-                     SubLayer::USysV, -1, 1);
+        optionSweepSlice(plan, simulate(plan, 1), 0, 0, 0);
     OptionSweepResult parallel =
-        sweepOptions(machine, ranks, *workload, MpiImpl::OpenMpi,
-                     SubLayer::USysV, -1, 4);
+        optionSweepSlice(plan, simulate(plan, 4), 0, 0, 0);
 
     ASSERT_EQ(parallel.seconds.size(), serial.seconds.size());
     for (size_t i = 0; i < serial.seconds.size(); ++i) {
@@ -107,18 +130,17 @@ TEST(ParallelSweep, ParallelOptionSweepMatchesSerialBitForBit)
 
 TEST(ParallelSweep, ParallelScalingMatchesSerialBitForBit)
 {
-    auto workload = makeWorkload("stream");
-    ASSERT_NE(workload, nullptr);
-    MachineConfig machine = dmzConfig();
-    std::vector<int> ranks = {1, 2, 4};
-
-    std::vector<double> serial =
-        defaultScalingTimes(machine, ranks, *workload, -1, 1);
-    std::vector<double> parallel =
-        defaultScalingTimes(machine, ranks, *workload, -1, 4);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i)
-        EXPECT_EQ(serial[i], parallel[i]) << "rank index " << i;
+    const SweepPlan plan = streamPlan({table5Options().front()});
+    const PlanResults serial = simulate(plan, 1);
+    const PlanResults parallel = simulate(plan, 4);
+    ASSERT_EQ(parallel.bySpec.size(), serial.bySpec.size());
+    for (size_t i = 0; i < serial.bySpec.size(); ++i) {
+        EXPECT_TRUE(serial.bySpec[i].valid) << "rank index " << i;
+        EXPECT_EQ(serial.bySpec[i].seconds, parallel.bySpec[i].seconds)
+            << "rank index " << i;
+        EXPECT_EQ(serial.bySpec[i].events, parallel.bySpec[i].events)
+            << "rank index " << i;
+    }
 }
 
 } // namespace

@@ -360,6 +360,14 @@ TEST(SweepPlan, FromJsonRejectsUnknownKeysAndWorkloads)
     EXPECT_NE(error.find("stream"), std::string::npos) << error;
 }
 
+TEST(SweepPlanDeathTest, ExpandRejectsUnknownWorkloadWithHint)
+{
+    SweepAxes axes;
+    axes.workloads = {"nas-cg-b", "streem"};
+    EXPECT_DEATH(SweepPlan::expand(axes),
+                 "unknown workload 'streem'; did you mean 'stream'");
+}
+
 TEST(ResultCache, EntryJsonRoundTrips)
 {
     RunResult r;
@@ -531,7 +539,7 @@ TEST(Runner, MisfiledEntryIsRejectedByDigest)
     EXPECT_EQ(result.stats.simulations, 1u);
 }
 
-TEST(Runner, UncacheableWorkloadsBypassTheCache)
+TEST(ScenarioDigestDeathTest, UnsignedWorkloadTripsTheAssertion)
 {
     /** A workload with no signature() override. */
     class Opaque : public Workload
@@ -548,18 +556,13 @@ TEST(Runner, UncacheableWorkloadsBypassTheCache)
         StreamWorkload inner_{1u << 16, 2};
     };
 
-    SweepPlan plan = tinyPlan();
+    // Every spec is digested with its registry workload, so an
+    // unsigned workload is a programming error, not an uncacheable
+    // point.
     Opaque opaque;
-    ResultCache cache;
-    RunnerOptions opts;
-    opts.cache = &cache;
-    opts.workloadOverride = &opaque;
-
-    runPlan(plan, opts);
-    PlanResults second = runPlan(plan, opts);
-    EXPECT_EQ(second.stats.hits(), 0u);
-    EXPECT_EQ(second.stats.simulations, 1u);
-    EXPECT_EQ(cache.stats().stores, 0u);
+    const uint64_t text = canonicalTextDigest("{}");
+    EXPECT_DEATH(finishScenarioDigest(text, opaque),
+                 "'opaque' has no parameter signature");
 }
 
 TEST(Runner, AuditModeValidatesHits)
@@ -682,13 +685,12 @@ TEST(ScenarioSpec, CanonicalTextAndDigestArePinned)
     for (const PinnedSpec &p : pinnedSpecs()) {
         EXPECT_EQ(p.spec.canonicalText(), p.text) << p.name;
         EXPECT_EQ(digestHex(p.spec.digest()), p.digest) << p.name;
-        std::optional<uint64_t> with =
-            p.spec.digestWith(*makeWorkload(p.spec.workload));
-        ASSERT_TRUE(with.has_value()) << p.name;
-        EXPECT_EQ(digestHex(*with), p.digest) << p.name;
+        EXPECT_EQ(digestHex(p.spec.digestWith(
+                      *makeWorkload(p.spec.workload))),
+                  p.digest)
+            << p.name;
         SweepPlan plan = SweepPlan::fromSpecs({p.spec});
-        ASSERT_TRUE(plan.digests()[0].has_value()) << p.name;
-        EXPECT_EQ(digestHex(*plan.digests()[0]), p.digest) << p.name;
+        EXPECT_EQ(digestHex(plan.digests()[0]), p.digest) << p.name;
     }
 }
 
@@ -716,11 +718,9 @@ TEST(SweepPlan, PlanDigestsMatchSpecDigestsOnEveryExample)
 
         // fromJson's expansion composes texts per machine variant;
         // its digests are the specs' own.
-        const std::vector<std::optional<uint64_t>> have = plan.digests();
-        for (size_t i = 0; i < n; ++i) {
-            ASSERT_TRUE(have[i].has_value()) << file << " spec " << i;
-            EXPECT_EQ(*have[i], want[i]) << file << " spec " << i;
-        }
+        const std::vector<uint64_t> have = plan.digests();
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_EQ(have[i], want[i]) << file << " spec " << i;
 
         // ... and every grid point's digest is that of the spec its
         // coordinates name, built and digested one by one.
@@ -745,7 +745,7 @@ TEST(SweepPlan, PlanDigestsMatchSpecDigestsOnEveryExample)
             point.impl = ax.impls[c[3]];
             point.sublayer = ax.sublayers[c[2]];
             point.latencyNoise = ax.latencyNoise;
-            EXPECT_EQ(*have[plan.specIndex(p)], point.digest())
+            EXPECT_EQ(have[plan.specIndex(p)], point.digest())
                 << file << " point " << p;
         }
 
@@ -761,13 +761,10 @@ TEST(SweepPlan, PlanDigestsMatchSpecDigestsOnEveryExample)
             shuffled_specs.push_back(plan.specs()[k]);
         const SweepPlan shuffled = SweepPlan::fromSpecs(shuffled_specs);
         ASSERT_EQ(shuffled.specs().size(), n) << file;
-        const std::vector<std::optional<uint64_t>> shuffled_have =
-            shuffled.digests();
-        for (size_t k = 0; k < n; ++k) {
-            ASSERT_TRUE(shuffled_have[k].has_value()) << file;
-            EXPECT_EQ(*shuffled_have[k], want[order[k]])
+        const std::vector<uint64_t> shuffled_have = shuffled.digests();
+        for (size_t k = 0; k < n; ++k)
+            EXPECT_EQ(shuffled_have[k], want[order[k]])
                 << file << " shuffled spec " << k;
-        }
 
         // Every executor keys results by the plan's digests.  Distinct
         // stand-in results (seconds = spec index + 1) stored under the

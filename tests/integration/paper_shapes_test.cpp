@@ -11,12 +11,10 @@
 
 #include <cmath>
 
-#include "apps/pop/pop.hh"
 #include "core/experiment.hh"
 #include "core/metrics.hh"
+#include "core/runner.hh"
 #include "kernels/blas3.hh"
-#include "kernels/nas_cg.hh"
-#include "kernels/nas_ft.hh"
 #include "kernels/stream.hh"
 #include "machine/config.hh"
 #include "simmpi/collectives.hh"
@@ -161,8 +159,7 @@ TEST(PaperShapes, SameDieCommunicationAdvantage)
 /** Tables 2-3: localalloc best; membind/interleave pathological. */
 TEST(PaperShapes, NumactlOptionOrderingOnLongs)
 {
-    NasCgWorkload cg(nasCgClassB());
-    OptionSweepResult sweep = sweepOptions(longsConfig(), {8}, cg);
+    OptionSweepResult sweep = sweepOptions(longsConfig(), {8}, "nas-cg-b");
     const auto &row = sweep.seconds[0];
     double def = row[0], one_la = row[1], one_mb = row[2];
     double two_la = row[3], two_mb = row[4], il = row[5];
@@ -179,8 +176,8 @@ TEST(PaperShapes, NumactlOptionOrderingOnLongs)
 /** Table 2, 16 tasks: Default ~ Two MPI + Local Alloc at full load. */
 TEST(PaperShapes, DefaultMatchesPinnedAtFullLoad)
 {
-    NasCgWorkload cg(nasCgClassB());
-    OptionSweepResult sweep = sweepOptions(longsConfig(), {16}, cg);
+    OptionSweepResult sweep =
+        sweepOptions(longsConfig(), {16}, "nas-cg-b");
     const auto &row = sweep.seconds[0];
     EXPECT_TRUE(std::isnan(row[1])); // One MPI infeasible at 16
     EXPECT_NEAR(row[0] / row[3], 1.0, 0.05);
@@ -189,11 +186,8 @@ TEST(PaperShapes, DefaultMatchesPinnedAtFullLoad)
 /** Abstract: >25% improvement available from placement choices. */
 TEST(PaperShapes, PlacementDecisionsWorthOverTwentyFivePercent)
 {
-    NasCgWorkload cg(nasCgClassB());
-    NasFtWorkload ft(nasFtClassB());
-    for (const Workload *w :
-         std::initializer_list<const Workload *>{&cg, &ft}) {
-        OptionSweepResult sweep = sweepOptions(longsConfig(), {8}, *w);
+    for (const char *w : {"nas-cg-b", "nas-ft-b"}) {
+        OptionSweepResult sweep = sweepOptions(longsConfig(), {8}, w);
         double lo = 1e300, hi = 0.0;
         for (double v : sweep.seconds[0]) {
             if (std::isnan(v))
@@ -201,15 +195,14 @@ TEST(PaperShapes, PlacementDecisionsWorthOverTwentyFivePercent)
             lo = std::min(lo, v);
             hi = std::max(hi, v);
         }
-        EXPECT_GT(hi / lo, 1.25) << w->name();
+        EXPECT_GT(hi / lo, 1.25) << w;
     }
 }
 
 /** Table 4: CG scaling collapses on Longs beyond 8 tasks. */
 TEST(PaperShapes, CgStopsScalingOnLongs)
 {
-    NasCgWorkload cg(nasCgClassB());
-    auto t = defaultScalingTimes(longsConfig(), {8, 16}, cg);
+    auto t = defaultScalingTimes(longsConfig(), {8, 16}, "nas-cg-b");
     // 16 tasks no better than ~15% over 8 tasks (paper: worse).
     EXPECT_GT(t[1] / t[0], 0.85);
 }
@@ -217,18 +210,15 @@ TEST(PaperShapes, CgStopsScalingOnLongs)
 /** Table 4: FT keeps scaling (weakly) where CG stalls. */
 TEST(PaperShapes, FtOutScalesCgAtSixteen)
 {
-    NasCgWorkload cg(nasCgClassB());
-    NasFtWorkload ft(nasFtClassB());
-    auto tcg = defaultScalingTimes(longsConfig(), {8, 16}, cg);
-    auto tft = defaultScalingTimes(longsConfig(), {8, 16}, ft);
+    auto tcg = defaultScalingTimes(longsConfig(), {8, 16}, "nas-cg-b");
+    auto tft = defaultScalingTimes(longsConfig(), {8, 16}, "nas-ft-b");
     EXPECT_LT(tft[1] / tft[0], tcg[1] / tcg[0]);
 }
 
 /** Section 4: 10-20% app-level gain from placement (Longs). */
 TEST(PaperShapes, ApplicationLevelPlacementGain)
 {
-    PopWorkload pop(popX1Config());
-    OptionSweepResult sweep = sweepOptions(longsConfig(), {4}, pop);
+    OptionSweepResult sweep = sweepOptions(longsConfig(), {4}, "pop-x1");
     double gain = placementGain(sweep.seconds[0]);
     EXPECT_GT(gain, 0.03);
     double lo = 1e300, hi = 0.0;
@@ -244,10 +234,9 @@ TEST(PaperShapes, ApplicationLevelPlacementGain)
 /** Table 12: POP scales nearly linearly everywhere. */
 TEST(PaperShapes, PopScalesLinearly)
 {
-    PopWorkload pop(popX1Config());
     for (auto cfg_fn : {dmzConfig, longsConfig}) {
         MachineConfig m = cfg_fn();
-        auto t = defaultScalingTimes(m, {1, m.totalCores()}, pop);
+        auto t = defaultScalingTimes(m, {1, m.totalCores()}, "pop-x1");
         double eff = t[0] / t[1] / m.totalCores();
         EXPECT_GT(eff, 0.85) << m.name;
         EXPECT_LT(eff, 1.25) << m.name;

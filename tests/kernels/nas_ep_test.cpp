@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/experiment.hh"
@@ -14,6 +15,17 @@
 
 namespace mcscope {
 namespace {
+
+/** Class A EP on Longs: not a registry workload, so run directly. */
+RunResult
+runEpClassA(const NumactlOption &option, int ranks)
+{
+    ExperimentConfig cfg;
+    cfg.machine = longsConfig();
+    cfg.option = option;
+    cfg.ranks = ranks;
+    return runExperiment(cfg, NasEpWorkload(nasEpClassA()));
+}
 
 TEST(EpFunctional, AcceptanceRateIsPiOverFour)
 {
@@ -42,9 +54,9 @@ TEST(EpFunctional, DeterministicInSeed)
 
 TEST(EpModel, ScalesLinearlyWhereCgCollapses)
 {
-    NasEpWorkload ep(nasEpClassA());
-    auto t = defaultScalingTimes(longsConfig(), {1, 16}, ep);
-    double eff = t[0] / t[1] / 16.0;
+    const NumactlOption def = table5Options().front();
+    double eff = runEpClassA(def, 1).seconds /
+                 runEpClassA(def, 16).seconds / 16.0;
     // EP is the control: no memory, no ladder, near-ideal efficiency
     // on the very machine where CG drops to ~0.4.
     EXPECT_GT(eff, 0.90);
@@ -53,14 +65,13 @@ TEST(EpModel, ScalesLinearlyWhereCgCollapses)
 
 TEST(EpModel, PlacementInsensitive)
 {
-    NasEpWorkload ep(nasEpClassA());
-    OptionSweepResult sweep = sweepOptions(longsConfig(), {8}, ep);
     double lo = 1e300, hi = 0.0;
-    for (double v : sweep.seconds[0]) {
-        if (std::isnan(v))
+    for (const NumactlOption &option : table5Options()) {
+        RunResult r = runEpClassA(option, 8);
+        if (!r.valid)
             continue;
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
+        lo = std::min(lo, r.seconds);
+        hi = std::max(hi, r.seconds);
     }
     EXPECT_LT(hi / lo, 1.15);
 }

@@ -180,14 +180,17 @@ TEST(FftModel, PlacementSensitivityIsIntermediate)
 {
     // Figure 9/10: DGEMM insensitive, STREAM very sensitive, FFT in
     // between.  Compare localalloc vs membind-at-scale on Longs.
+    // The sizes are not the registry's, so each point runs directly.
     auto spread_of = [](const Workload &w) {
-        OptionSweepResult s = sweepOptions(longsConfig(), {8}, w);
         double lo = 1e300, hi = 0.0;
-        for (double v : s.seconds[0]) {
-            if (std::isnan(v))
+        for (const NumactlOption &option : table5Options()) {
+            ExperimentConfig cfg = config(longsConfig(), 8);
+            cfg.option = option;
+            RunResult r = runExperiment(cfg, w);
+            if (!r.valid)
                 continue;
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
+            lo = std::min(lo, r.seconds);
+            hi = std::max(hi, r.seconds);
         }
         return hi / lo;
     };
