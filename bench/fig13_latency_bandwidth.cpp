@@ -34,9 +34,9 @@ pingPongLatencyUs(const MachineConfig &cfg, SubLayer sl, int iters)
     rt.appendRecv(p0, 0, 1, 8.0, 0x2000ULL);
     rt.appendRecv(p1, 1, 0, 8.0, 0x1000ULL);
     rt.appendSend(p1, 1, 0, 8.0, 0x2000ULL);
-    machine.engine().addTask(std::make_unique<LoopTask>(
+    machine.engine().addTask(TaskProgram(
         "pp0", std::vector<Prim>{}, p0, iters));
-    machine.engine().addTask(std::make_unique<LoopTask>(
+    machine.engine().addTask(TaskProgram(
         "pp1", std::vector<Prim>{}, p1, iters));
     machine.engine().run();
     return machine.engine().makespan() / iters / 2.0 * 1e6;
@@ -55,7 +55,7 @@ ringLatencyUs(const MachineConfig &cfg, SubLayer sl, int iters)
     for (int r = 0; r < 16; ++r) {
         std::vector<Prim> body;
         appendRingShift(rt, body, r, 8.0, 0x3000ULL);
-        machine.engine().addTask(std::make_unique<LoopTask>(
+        machine.engine().addTask(TaskProgram(
             "ring" + std::to_string(r), std::vector<Prim>{}, body,
             iters));
     }

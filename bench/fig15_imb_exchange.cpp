@@ -32,7 +32,7 @@ exchangeTime(MpiImpl impl, int ranks, double bytes, int iters)
     for (int r = 0; r < ranks; ++r) {
         std::vector<Prim> body;
         appendExchange(rt, body, r, bytes, 0x5000ULL);
-        machine.engine().addTask(std::make_unique<LoopTask>(
+        machine.engine().addTask(TaskProgram(
             "xc" + std::to_string(r), std::vector<Prim>{}, body,
             iters));
     }

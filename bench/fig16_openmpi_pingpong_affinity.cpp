@@ -50,9 +50,9 @@ pingPong(const Config &c, double bytes, int iters)
     rt.appendRecv(p0, 0, 1, bytes, 0x2000ULL);
     rt.appendRecv(p1, 1, 0, bytes, 0x1000ULL);
     rt.appendSend(p1, 1, 0, bytes, 0x2000ULL);
-    machine.engine().addTask(std::make_unique<LoopTask>(
+    machine.engine().addTask(TaskProgram(
         "pp0", std::vector<Prim>{}, p0, iters));
-    machine.engine().addTask(std::make_unique<LoopTask>(
+    machine.engine().addTask(TaskProgram(
         "pp1", std::vector<Prim>{}, p1, iters));
     machine.engine().run();
     double one_way = machine.engine().makespan() / iters / 2.0;

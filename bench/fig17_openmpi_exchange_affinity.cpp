@@ -33,7 +33,7 @@ exchangeTime(const NumactlOption &opt, int ranks, double noise,
     for (int r = 0; r < ranks; ++r) {
         std::vector<Prim> body;
         appendExchange(rt, body, r, bytes, 0x5000ULL);
-        machine.engine().addTask(std::make_unique<LoopTask>(
+        machine.engine().addTask(TaskProgram(
             "xc" + std::to_string(r), std::vector<Prim>{}, body,
             iters));
     }

@@ -90,7 +90,7 @@ BM_EngineEventThroughput(benchmark::State &state)
         w.amount = 1.0e6;
         w.path = {r};
         for (int t = 0; t < 4; ++t) {
-            e.addTask(std::make_unique<LoopTask>(
+            e.addTask(TaskProgram(
                 "t" + std::to_string(t), std::vector<Prim>{},
                 std::vector<Prim>{w}, iters));
         }
@@ -117,7 +117,7 @@ BM_EngineEventThroughputTraced(benchmark::State &state)
         w.amount = 1.0e6;
         w.path = {r};
         for (int t = 0; t < 4; ++t) {
-            e.addTask(std::make_unique<LoopTask>(
+            e.addTask(TaskProgram(
                 "t" + std::to_string(t), std::vector<Prim>{},
                 std::vector<Prim>{w}, iters));
         }
@@ -145,7 +145,7 @@ BM_EngineEventThroughputTimeline(benchmark::State &state)
         w.amount = 1.0e6;
         w.path = {r};
         for (int t = 0; t < 4; ++t) {
-            e.addTask(std::make_unique<LoopTask>(
+            e.addTask(TaskProgram(
                 "t" + std::to_string(t), std::vector<Prim>{},
                 std::vector<Prim>{w}, iters));
         }
@@ -188,11 +188,11 @@ BM_CalQueueChurn(benchmark::State &state)
 BENCHMARK(BM_CalQueueChurn)->Arg(64)->Arg(1024)->Arg(16384);
 
 void
-BM_FairShareSubsetSolve(benchmark::State &state)
+BM_FairShareComponentSolve(benchmark::State &state)
 {
-    // The incremental-solve primitive: re-solve a 4-flow closure out
-    // of nf total flows.  Cost must track the closure size, not nf --
-    // this is the whole point of the dirty-set path.
+    // The incremental-solve primitive: re-solve a 4-flow component out
+    // of nf total flows.  Cost must track the component size, not nf
+    // -- this is the whole point of the dirty-set path.
     const int nf = static_cast<int>(state.range(0));
     std::vector<double> caps(16, 1.0e9);
     std::vector<FairShareFlow> all = syntheticFlows(nf);
@@ -202,7 +202,7 @@ BM_FairShareSubsetSolve(benchmark::State &state)
         paths.push_back(f.path);
         rateCaps.push_back(f.rateCap);
     }
-    // A closed 4-flow subset: flows sharing resources 0 and 7 only.
+    // A closed 4-flow component: flows sharing resources 0 and 7 only.
     const int slots[4] = {0, 1, 2, 3};
     for (int k = 0; k < 4; ++k)
         paths[slots[k]] = {static_cast<ResourceId>(0),
@@ -210,12 +210,12 @@ BM_FairShareSubsetSolve(benchmark::State &state)
     const ResourceId res[2] = {0, 7};
     FairShareScratch scratch;
     for (auto _ : state) {
-        fairShareSolveSubset(caps, paths, rateCaps, slots, 4, res, 2,
-                             scratch);
+        fairShareSolveComponent(caps, paths, rateCaps, slots, 4, res, 2,
+                                scratch);
         benchmark::DoNotOptimize(scratch.rates.data());
     }
 }
-BENCHMARK(BM_FairShareSubsetSolve)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_FairShareComponentSolve)->Arg(64)->Arg(1024)->Arg(16384);
 
 void
 BM_EngineManyComponents(benchmark::State &state)
@@ -236,7 +236,7 @@ BM_EngineManyComponents(benchmark::State &state)
             Work w;
             w.amount = 1.0e6 * (1.0 + 0.1 * (t % 7));
             w.path = {r};
-            e.addTask(std::make_unique<LoopTask>(
+            e.addTask(TaskProgram(
                 "t" + std::to_string(t), std::vector<Prim>{},
                 std::vector<Prim>{w}, iters));
         }

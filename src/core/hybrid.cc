@@ -122,7 +122,7 @@ HybridWorkload::buildTasks(Machine &machine, const MpiRuntime &rt) const
                 start.expected = total;
                 pro.emplace_back(std::in_place_type<SyncAll>, start);
             }
-            machine.engine().addTask(std::make_unique<LoopTask>(
+            machine.engine().addTask(TaskProgram(
                 name() + ".t" + std::to_string(t) + ".th" +
                     std::to_string(th),
                 std::move(pro), std::move(body),

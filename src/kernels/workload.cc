@@ -120,7 +120,7 @@ LoopWorkload::buildTasks(Machine &machine, const MpiRuntime &rt) const
             // -Wmaybe-uninitialized false positive on push_back.
             pro.emplace_back(std::in_place_type<SyncAll>, s);
         }
-        machine.engine().addTask(std::make_unique<LoopTask>(
+        machine.engine().addTask(TaskProgram(
             name() + ".r" + std::to_string(r), std::move(pro),
             body(machine, rt, r), iterations()));
     }

@@ -156,7 +156,7 @@ class Workload
 /**
  * Convenience base for loop-structured workloads: subclasses provide
  * the per-rank prologue/body/epilogue; buildTasks wraps them into
- * LoopTasks with a leading barrier so all ranks start aligned.
+ * task programs with a leading barrier so all ranks start aligned.
  */
 class LoopWorkload : public Workload
 {

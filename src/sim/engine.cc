@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <sstream>
 
 #include "sim/alloc_guard.hh"
 #include "sim/audit.hh"
@@ -15,6 +17,9 @@ namespace mcscope {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Step::flow of a primitive that starts no flow. */
+constexpr uint32_t kNoFlow = std::numeric_limits<uint32_t>::max();
 
 static_assert((Engine::kMemoSets & (Engine::kMemoSets - 1)) == 0,
               "memo set count must be a power of two");
@@ -46,7 +51,36 @@ sameBits(double a, double b)
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+/** Engine::TaskState names, in declaration order. */
+const char *const kTaskStateNames[] = {
+    "unstarted", "ready", "blocked-on-flow", "blocked-on-delay",
+    "waiting-rendezvous", "waiting-barrier", "finished"};
+
+/** True when `w` takes simulated time, i.e. becomes a flow. */
+bool
+startsFlow(const Work &w)
+{
+    return w.amount > 0.0 && !(w.path.empty() && w.rateCap <= 0.0);
+}
+
 } // namespace
+
+std::string
+primKindName(const Prim &p)
+{
+    switch (p.index()) {
+      case 0:
+        return "Work";
+      case 1:
+        return "Delay";
+      case 2:
+        return "Rendezvous";
+      case 3:
+        return "SyncAll";
+      default:
+        return "?";
+    }
+}
 
 Engine::Engine()
 {
@@ -110,13 +144,37 @@ Engine::addResource(std::string name, double capacity)
 }
 
 int
-Engine::addTask(std::unique_ptr<Task> task)
+Engine::addTask(TaskProgram program)
 {
-    MCSCOPE_ASSERT(task != nullptr, "null task");
-    TaskEntry entry;
-    entry.task = std::move(task);
-    tasks_.push_back(std::move(entry));
+    if (program.iterations == 0)
+        program.body.clear();
+    TaskEntry t;
+    t.name = std::move(program.name);
+    t.steps.reserve(program.prologue.size() + program.body.size() +
+                    program.epilogue.size());
+    compilePrims(program.prologue, t.steps);
+    t.bodyBegin = t.steps.size();
+    compilePrims(program.body, t.steps);
+    t.bodyEnd = t.steps.size();
+    t.iterations = t.bodyEnd > t.bodyBegin ? program.iterations : 0;
+    compilePrims(program.epilogue, t.steps);
+    t.keyStride = program.keyStride;
+    tasks_.push_back(std::move(t));
     return static_cast<int>(tasks_.size() - 1);
+}
+
+void
+Engine::compilePrims(std::vector<Prim> &prims, std::vector<Step> &steps)
+{
+    for (Prim &p : prims) {
+        const Work *w = std::get_if<Work>(&p);
+        if (const auto *r = std::get_if<Rendezvous>(&p); r && r->carrier)
+            w = &r->transfer;
+        const uint32_t flow = w != nullptr && startsFlow(*w)
+                                  ? internFlow(w->path, w->rateCap)
+                                  : kNoFlow;
+        steps.push_back({std::move(p), flow});
+    }
 }
 
 SimTime
@@ -214,11 +272,13 @@ Engine::markResourceDirty(ResourceId r)
 }
 
 void
-Engine::startFlow(const Work &w, OwnerVec owners, PhaseTag tag)
+Engine::startFlow(uint32_t flow, double amount, OwnerVec owners,
+                  PhaseTag tag)
 {
+    const FairShareFlow &f = internFlows_[flow];
     if (tracing()) {
         emitTrace({TraceEvent::Kind::FlowStart, now_, owners[0], tag,
-                   w.amount, w.path});
+                   amount, f.path});
     }
 
     FlowSlot slot;
@@ -243,16 +303,16 @@ Engine::startFlow(const Work &w, OwnerVec owners, PhaseTag tag)
         calq_.reserveSlots(slot + 1);
     }
 
-    flowRemaining_[slot] = w.amount;
+    flowRemaining_[slot] = amount;
     flowRate_[slot] = 0.0;
     flowFinish_[slot] = kInf;
-    flowThresh_[slot] = 1e-9 * std::max(1.0, w.amount) + 1e-300;
-    flowAmount_[slot] = w.amount;
-    flowRateCap_[slot] = w.rateCap;
-    flowPath_[slot] = w.path;
+    flowThresh_[slot] = 1e-9 * std::max(1.0, amount) + 1e-300;
+    flowAmount_[slot] = amount;
+    flowRateCap_[slot] = f.rateCap;
+    flowPath_[slot] = f.path;
     flowOwners_[slot] = std::move(owners);
     flowTag_[slot] = tag;
-    flowKey_[slot] = internFlow(w.path, w.rateCap);
+    flowKey_[slot] = flow;
     flowAlive_[slot] = 1;
 
     // Wire up per-resource incidence and dirty the path.  The running
@@ -260,7 +320,7 @@ Engine::startFlow(const Work &w, OwnerVec owners, PhaseTag tag)
     // only changes by one per arrival/departure, so every peak is
     // attained immediately after some arrival.
     flowPosInRes_[slot].clear();
-    for (ResourceId r : w.path) {
+    for (ResourceId r : f.path) {
         flowPosInRes_[slot].push_back(
             static_cast<int>(resFlows_[r].size()));
         resFlows_[r].push_back(slot);
@@ -384,49 +444,54 @@ Engine::applyRates(const FlowSlot *slots, size_t count,
 void
 Engine::solveOptimized()
 {
-    // Closure of the dirty resources: alternate resource -> incident
-    // flows -> their other path resources until the component of
-    // every changed flow is covered.  Flows outside the closure share
-    // no resource (transitively) with any changed flow, so their
-    // max-min rates are provably unchanged and are left untouched.
+    ++counters_.incrementalSolves;
+    // One breadth-first walk per dirty resource not yet reached:
+    // resource -> incident flows -> their other path resources.  Each
+    // walk covers exactly one connected component, and flows outside
+    // every walked component share no resource (transitively) with
+    // any changed flow, so their max-min rates are provably unchanged
+    // and are left untouched.  A component's rates depend on its flows
+    // alone, so each is solved (or served from the memo) on its own.
     closureRes_.clear();
     closureFlows_.clear();
-    for (ResourceId r : dirtyRes_) {
-        if (!resInClosure_[r]) {
-            resInClosure_[r] = 1;
-            // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
-            closureRes_.push_back(r);
-        }
-    }
-    for (size_t i = 0; i < closureRes_.size(); ++i) {
-        const ResourceId r = closureRes_[i];
-        for (FlowSlot s : resFlows_[r]) {
-            if (flowInClosure_[s])
-                continue;
-            flowInClosure_[s] = 1;
-            // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
-            closureFlows_.push_back(s);
-            for (ResourceId rr : flowPath_[s]) {
-                if (!resInClosure_[rr]) {
-                    resInClosure_[rr] = 1;
-                    // MCSCOPE_LINT_ALLOW(HOT-1): amortized reuse.
-                    closureRes_.push_back(rr);
+    for (ResourceId seed : dirtyRes_) {
+        if (resInClosure_[seed])
+            continue;
+        const size_t resBegin = closureRes_.size();
+        const size_t flowBegin = closureFlows_.size();
+        resInClosure_[seed] = 1;
+        // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
+        closureRes_.push_back(seed);
+        for (size_t i = resBegin; i < closureRes_.size(); ++i) {
+            const ResourceId r = closureRes_[i];
+            for (FlowSlot s : resFlows_[r]) {
+                if (flowInClosure_[s])
+                    continue;
+                flowInClosure_[s] = 1;
+                // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
+                closureFlows_.push_back(s);
+                for (ResourceId rr : flowPath_[s]) {
+                    if (!resInClosure_[rr]) {
+                        resInClosure_[rr] = 1;
+                        // MCSCOPE_LINT_ALLOW(HOT-1): amortized reuse.
+                        closureRes_.push_back(rr);
+                    }
                 }
             }
         }
+        // Slot order makes the component's per-round residual-update
+        // sequence match a whole-set solve (see
+        // fairShareSolveComponent).
+        std::sort(closureFlows_.begin() + static_cast<ptrdiff_t>(flowBegin),
+                  closureFlows_.end());
+        solveComponent(flowBegin, resBegin);
     }
     for (ResourceId r : closureRes_)
         resInClosure_[r] = 0;
     for (FlowSlot s : closureFlows_)
         flowInClosure_[s] = 0;
 
-    // Slot order makes the closure's per-round residual-update
-    // sequence match a whole-set solve (see fairShareSolveSubset).
-    std::sort(closureFlows_.begin(), closureFlows_.end());
-    ++counters_.incrementalSolves;
-    solveClosure();
-
-    // Empty-path capped arrivals touch no resource, so no closure
+    // Empty-path capped arrivals touch no resource, so no component
     // reaches them; their max-min rate is simply their cap.
     for (FlowSlot s : newFlows_) {
         if (!flowAlive_[s] || !flowPath_[s].empty() ||
@@ -448,19 +513,19 @@ Engine::closureMemoSet(const uint32_t *key, size_t count)
 }
 
 void
-Engine::solveClosure()
+Engine::solveComponent(size_t flowBegin, size_t resBegin)
 {
-    const size_t n = closureFlows_.size();
-    const FlowSlot *slots = closureFlows_.data();
+    const size_t n = closureFlows_.size() - flowBegin;
+    const FlowSlot *slots = closureFlows_.data() + flowBegin;
     if (n == 0)
-        return;
+        return; // a dirty resource no flow crosses any more
 
-    // The entry this solve fills; larger closures bypass the memo.
+    // The entry this solve fills; larger components bypass the memo.
     MemoEntry *fill = nullptr;
     if (n <= kMemoMaxFlows) {
-        // The closure's rates are a function of its flows' (path, cap)
-        // sequence alone (capacities are fixed), so an equal key --
-        // all of it, not a hash -- means bit-identical rates.
+        // The component's rates are a function of its flows' (path,
+        // cap) sequence alone (capacities are fixed), so an equal key
+        // -- all of it, not a hash -- means bit-identical rates.
         uint32_t key[kMemoMaxFlows] = {};
         for (size_t k = 0; k < n; ++k)
             key[k] = flowKey_[slots[k]];
@@ -490,9 +555,10 @@ Engine::solveClosure()
         std::memcpy(fill->key, key, n * sizeof key[0]);
     }
 
-    fairShareSolveSubset(capacities_, flowPath_, flowRateCap_, slots, n,
-                         closureRes_.data(), closureRes_.size(),
-                         fsScratch_);
+    ++counters_.componentSolves;
+    fairShareSolveComponent(capacities_, flowPath_, flowRateCap_, slots, n,
+                            closureRes_.data() + resBegin,
+                            closureRes_.size() - resBegin, fsScratch_);
     if (fill != nullptr) {
         std::memcpy(fill->rates, fsScratch_.rates.data(),
                     n * sizeof(double));
@@ -631,15 +697,33 @@ Engine::accrueTimeline(SimTime t0, SimTime t1)
 [[noreturn]] void
 Engine::panicDeadlock() const
 {
-    std::string diag;
+    static_assert(std::size(kTaskStateNames) ==
+                  static_cast<size_t>(TaskState::Finished) + 1);
+    std::ostringstream diag;
     for (int i = 0; i < taskCount(); ++i) {
-        if (tasks_[i].state == TaskState::Finished)
+        const TaskEntry &t = tasks_[i];
+        if (t.state == TaskState::Finished)
             continue;
-        diag += " task " + std::to_string(i) + "(" +
-                tasks_[i].task->name() + ") state " +
-                std::to_string(static_cast<int>(tasks_[i].state));
+        diag << "\n  task " << i << " (" << t.name << ") "
+             << kTaskStateNames[static_cast<int>(t.state)];
+        if (t.state == TaskState::WaitingRendezvous ||
+            t.state == TaskState::WaitingBarrier) {
+            diag << " key 0x" << std::hex << t.waitKey << std::dec;
+        }
+        // pc has moved past the primitive the task is blocked in.
+        if (t.pc > 0) {
+            const size_t at = t.pc - 1;
+            if (at < t.bodyBegin) {
+                diag << " at prologue[" << at << "]";
+            } else if (at < t.bodyEnd) {
+                diag << " at body[" << at - t.bodyBegin << "] iteration "
+                     << t.iter << " of " << t.iterations;
+            } else {
+                diag << " at epilogue[" << at - t.bodyEnd << "]";
+            }
+        }
     }
-    MCSCOPE_PANIC("simulation deadlock:", diag);
+    MCSCOPE_PANIC("simulation deadlock:", diag.str());
 }
 
 size_t
@@ -653,11 +737,7 @@ Engine::allocGuardCapacitySum(const std::vector<int> &to_advance) const
            fsScratch_.frozen.capacity() +
            fsScratch_.residual.capacity() +
            fsScratch_.users.capacity() +
-           fsScratch_.saturated.capacity() +
-           fsScratch_.parent.capacity() +
-           fsScratch_.flowRoot.capacity() +
-           fsScratch_.compFlows.capacity() +
-           fsScratch_.compRes.capacity() + memo +
+           fsScratch_.saturated.capacity() + memo +
            auditScratch_.capacity() + timelineBusy_.capacity() +
            readyQueue_.capacity() + to_advance.capacity() +
            flowRemaining_.capacity() + flowPath_.capacity() +
@@ -689,6 +769,8 @@ Engine::run()
             kMemoSets * kMemoWays);
         memoTags_ = std::make_unique<MemoTag[]>(kMemoSets * kMemoWays);
     }
+    rendezvous_.reset(tasks_.size());
+    barriers_.reset(tasks_.size());
 
     for (int i = 0; i < taskCount(); ++i) {
         if (tasks_[i].state == TaskState::Unstarted) {
@@ -724,8 +806,8 @@ Engine::run()
 
     // MCSCOPE_HOT_BEGIN: Engine::run steady-state loop.  No heap
     // allocation below (mcscope-lint rule HOT-1; runtime counterpart
-    // above).  Event-driven work is funneled through advanceTask() /
-    // emitTrace(), which pause the guard and are exempt by design.
+    // above).  Only the diagnostic call-outs -- emitTrace() and the
+    // auditor -- pause the guard.
     while (unfinished_ > 0) {
         if (ratesDirty_)
             recomputeRates();
@@ -881,24 +963,24 @@ Engine::run()
     }
 }
 
+// MCSCOPE_HOT_BEGIN: task-program interpreter, run once per event
+// from the steady-state loop.  Programs were compiled by addTask()
+// and the wait tables sized by run(), so nothing here allocates
+// beyond amortized growth of the guard-tracked queues.
 void
 Engine::advanceTask(int task)
 {
-    // Task programs are user code (generators may allocate freely),
-    // and the blocking-structure mutations here (delay/rendezvous/
-    // barrier map nodes, flow starts) are event-driven rather than
-    // per-time-step, so the whole section sits outside the
-    // steady-state zero-allocation contract.
-    alloc_guard::Pause pause;
-
     TaskEntry &t = tasks_[task];
     MCSCOPE_ASSERT(t.state != TaskState::Finished,
                    "advancing finished task ", task);
 
     for (;;) {
-        std::optional<Prim> p = t.task->next();
+        if (t.pc == t.bodyEnd && t.iter + 1 < t.iterations) {
+            ++t.iter;
+            t.pc = t.bodyBegin;
+        }
         ++events_;
-        if (!p) {
+        if (t.pc == t.steps.size()) {
             t.state = TaskState::Finished;
             t.finishTime = now_;
             --unfinished_;
@@ -908,105 +990,175 @@ Engine::advanceTask(int task)
             }
             return;
         }
+        const size_t at = t.pc++;
+        const Step &step = t.steps[at];
+        const Prim &p = step.prim;
 
-        if (auto *w = std::get_if<Work>(&*p)) {
-            if (w->amount <= 0.0)
-                continue;
-            if (w->path.empty() && w->rateCap <= 0.0)
-                continue; // unconstrained => instantaneous
+        if (const auto *w = std::get_if<Work>(&p)) {
+            if (step.flow == kNoFlow)
+                continue; // zero amount or unconstrained: instantaneous
             t.state = TaskState::BlockedOnFlow;
             t.blockStart = now_;
             t.blockTag = w->tag;
-            startFlow(*w, {task}, w->tag);
+            startFlow(step.flow, w->amount, {task}, w->tag);
             return;
         }
 
-        if (auto *d = std::get_if<Delay>(&*p)) {
+        if (const auto *d = std::get_if<Delay>(&p)) {
             if (d->seconds <= 0.0)
                 continue;
             t.state = TaskState::BlockedOnDelay;
             t.blockStart = now_;
             t.blockTag = d->tag;
+            // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
             delayHeap_.push_back({now_ + d->seconds, delaySeq_++, task});
             std::push_heap(delayHeap_.begin(), delayHeap_.end(),
                            DelayAfter{});
             return;
         }
 
-        if (auto *r = std::get_if<Rendezvous>(&*p)) {
-            auto it = rendezvous_.find(r->key);
-            if (it == rendezvous_.end()) {
-                PendingRendezvous pend;
-                pend.task = task;
-                if (r->carrier)
-                    pend.carrier = r->transfer;
-                pend.tag = r->tag;
-                rendezvous_.emplace(r->key, pend);
+        // Body keys are shifted per iteration so successive iterations
+        // match independently.
+        const uint64_t shift =
+            at >= t.bodyBegin && at < t.bodyEnd ? t.iter * t.keyStride : 0;
+
+        if (const auto *r = std::get_if<Rendezvous>(&p)) {
+            const uint64_t key = r->key + shift;
+            WaitTable::Entry *pending = rendezvous_.find(key);
+            if (pending == nullptr) {
+                rendezvous_.add(key).head = task;
                 t.state = TaskState::WaitingRendezvous;
                 t.blockStart = now_;
                 t.blockTag = r->tag;
+                t.waitKey = key;
                 return;
             }
-            // Partner already waiting: start the joint transfer.
-            PendingRendezvous pend = it->second;
-            rendezvous_.erase(it);
-            MCSCOPE_ASSERT(pend.task != task,
-                           "task ", task, " rendezvoused with itself, key ",
-                           r->key);
-            const Work *transfer = nullptr;
-            if (r->carrier) {
-                transfer = &r->transfer;
-            } else {
-                MCSCOPE_ASSERT(pend.carrier.has_value(),
-                               "rendezvous key ", r->key,
-                               " has no carrier side");
-                transfer = &*pend.carrier;
-            }
+            // Partner already waiting: start the joint transfer.  The
+            // carrier side's transfer moves the data; a waiting
+            // partner's rendezvous is the primitive just behind its pc.
+            const int partner = pending->head;
+            rendezvous_.erase(pending);
+            const Step &carrier =
+                r->carrier ? step
+                           : tasks_[partner].steps[tasks_[partner].pc - 1];
+            const Rendezvous &cr = std::get<Rendezvous>(carrier.prim);
+            MCSCOPE_ASSERT(cr.carrier, "rendezvous key ", key,
+                           " has no carrier side");
             // The waiting partner has accrued its waiting time; switch
             // it to flow-blocked as of now.
-            accrueBlockedTime(pend.task);
-            tasks_[pend.task].blockStart = now_;
-            tasks_[pend.task].state = TaskState::BlockedOnFlow;
+            accrueBlockedTime(partner);
+            tasks_[partner].blockStart = now_;
+            tasks_[partner].state = TaskState::BlockedOnFlow;
             t.state = TaskState::BlockedOnFlow;
             t.blockStart = now_;
             t.blockTag = r->tag;
-            if (transfer->amount <= 0.0 ||
-                (transfer->path.empty() && transfer->rateCap <= 0.0)) {
+            if (carrier.flow == kNoFlow) {
                 // Instantaneous transfer: both sides continue.
-                tasks_[pend.task].state = TaskState::Ready;
-                readyQueue_.push_back(pend.task);
+                tasks_[partner].state = TaskState::Ready;
+                // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
+                readyQueue_.push_back(partner);
                 continue;
             }
-            startFlow(*transfer, {task, pend.task}, transfer->tag);
+            startFlow(carrier.flow, cr.transfer.amount,
+                      {task, partner}, cr.transfer.tag);
             return;
         }
 
-        if (auto *s = std::get_if<SyncAll>(&*p)) {
+        if (const auto *s = std::get_if<SyncAll>(&p)) {
             MCSCOPE_ASSERT(s->expected > 0, "barrier with expected <= 0");
-            PendingBarrier &b = barriers_[s->key];
-            b.expected = s->expected;
-            b.waiters.push_back(task);
-            if (static_cast<int>(b.waiters.size()) >=
-                b.expected) {
-                std::vector<int> waiters = std::move(b.waiters);
-                barriers_.erase(s->key);
-                for (int w : waiters) {
-                    if (w == task)
-                        continue;
-                    accrueBlockedTime(w);
-                    tasks_[w].state = TaskState::Ready;
-                    readyQueue_.push_back(w);
+            const uint64_t key = s->key + shift;
+            WaitTable::Entry *b = barriers_.find(key);
+            const int arrived = (b != nullptr ? b->count : 0) + 1;
+            if (arrived >= s->expected) {
+                // Release the earlier arrivals in arrival order; this
+                // task proceeds immediately.
+                if (b != nullptr) {
+                    for (int w = b->head; w >= 0; w = tasks_[w].nextWaiter) {
+                        accrueBlockedTime(w);
+                        tasks_[w].state = TaskState::Ready;
+                        // MCSCOPE_LINT_ALLOW(HOT-1): amortized reuse.
+                        readyQueue_.push_back(w);
+                    }
+                    barriers_.erase(b);
                 }
-                continue; // this task proceeds immediately
+                continue;
             }
+            if (b == nullptr) {
+                b = &barriers_.add(key);
+                b->head = task;
+            } else {
+                tasks_[b->tail].nextWaiter = task;
+            }
+            b->tail = task;
+            b->count = arrived;
+            t.nextWaiter = -1;
             t.state = TaskState::WaitingBarrier;
             t.blockStart = now_;
             t.blockTag = s->tag;
+            t.waitKey = key;
             return;
         }
 
         MCSCOPE_PANIC("unhandled primitive kind");
     }
+}
+// MCSCOPE_HOT_END: task-program interpreter.
+
+void
+Engine::WaitTable::reset(size_t maxEntries)
+{
+    size_t size = 16;
+    while (size < 2 * maxEntries)
+        size *= 2;
+    entries_.assign(size, Entry{});
+}
+
+size_t
+Engine::WaitTable::home(uint64_t key) const
+{
+    return static_cast<size_t>(mixHash(0, key)) & (entries_.size() - 1);
+}
+
+Engine::WaitTable::Entry *
+Engine::WaitTable::find(uint64_t key)
+{
+    const size_t mask = entries_.size() - 1;
+    for (size_t i = home(key);; i = (i + 1) & mask) {
+        if (entries_[i].head < 0)
+            return nullptr;
+        if (entries_[i].key == key)
+            return &entries_[i];
+    }
+}
+
+Engine::WaitTable::Entry &
+Engine::WaitTable::add(uint64_t key)
+{
+    const size_t mask = entries_.size() - 1;
+    size_t i = home(key);
+    while (entries_[i].head >= 0)
+        i = (i + 1) & mask;
+    entries_[i] = Entry{};
+    entries_[i].key = key;
+    return entries_[i];
+}
+
+void
+Engine::WaitTable::erase(Entry *entry)
+{
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless its home lies cyclically in (hole, entry],
+    // so every remaining key stays reachable from its home.
+    const size_t mask = entries_.size() - 1;
+    auto hole = static_cast<size_t>(entry - entries_.data());
+    for (size_t j = (hole + 1) & mask; entries_[j].head >= 0;
+         j = (j + 1) & mask) {
+        if (((j - home(entries_[j].key)) & mask) >= ((j - hole) & mask)) {
+            entries_[hole] = entries_[j];
+            hole = j;
+        }
+    }
+    entries_[hole].head = -1;
 }
 
 } // namespace mcscope

@@ -3,7 +3,8 @@
  * The flow-level discrete-event simulation engine.
  *
  * The engine owns a set of resources (capacities in units/s) and a set
- * of tasks (pull-model programs of primitives).  Active Work primitives
+ * of tasks (programs of primitives, each compiled into a flat array
+ * before run()).  Active Work primitives
  * become fluid flows whose rates are the max-min fair allocation across
  * their resource paths; the engine advances simulated time from one
  * flow completion / delay expiry to the next, re-running the allocator
@@ -18,9 +19,9 @@
  * Steady-state complexity (DESIGN §13): flow state is a structure of
  * arrays over stable slots, the next flow finish comes from a calendar
  * queue, and a flow arrival/departure re-solves only the connected
- * component of flows reachable from the resources it touched (the
- * dirty-set closure) -- so per-event cost is proportional to the
- * affected component, not the whole flow population.  A closure whose
+ * components of flows reachable from the resources it touched (the
+ * dirty set) -- so per-event cost is proportional to the affected
+ * components, not the whole flow population.  A component whose
  * ordered input was solved before takes its rates from a per-engine
  * memo instead of being solved again.
  */
@@ -31,9 +32,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,8 +110,13 @@ class Engine
     /** Register a resource; capacity must be positive. */
     ResourceId addResource(std::string name, double capacity);
 
-    /** Register a task; returns the task index. */
-    int addTask(std::unique_ptr<Task> task);
+    /**
+     * Register a task program; returns the task index.  The program is
+     * compiled into one flat array of steps, and each Work's (path,
+     * rate cap) -- a carrier rendezvous transfer's included -- is
+     * interned here, in build order, so run() never hashes a flow.
+     */
+    int addTask(TaskProgram program);
 
     /** Number of registered tasks. */
     int taskCount() const { return static_cast<int>(tasks_.size()); }
@@ -170,7 +174,10 @@ class Engine
      */
     struct Stats
     {
-        /** Primitives popped from tasks (same as eventCount()). */
+        /**
+         * Program steps taken: one per primitive issued plus one per
+         * task completion (same as eventCount()).
+         */
         uint64_t events = 0;
 
         /** Max-min allocator executions. */
@@ -186,7 +193,7 @@ class Engine
         uint64_t timeSteps = 0;
 
         /**
-         * Allocator reruns that re-solved only the dirty-set closure
+         * Allocator reruns that re-solved only the dirty components
          * (the flows reachable from resources whose flow set
          * changed), directly or from the closure memo.  Every rerun
          * is one, so this equals allocatorReruns.
@@ -201,10 +208,16 @@ class Engine
         uint64_t fullSolves = 0;
 
         /**
-         * Reruns whose closure rates came from the closure memo
-         * instead of a solve (a subset of incrementalSolves).
+         * Dirty components whose rates came from the closure memo
+         * instead of a solve.
          */
         uint64_t memoHits = 0;
+
+        /**
+         * Dirty components solved by fairShareSolveComponent(): memo
+         * misses plus components too large for the memo.
+         */
+        uint64_t componentSolves = 0;
 
         /** Calendar-queue operations (inserts + removes). */
         uint64_t calqueueOps = 0;
@@ -283,10 +296,10 @@ class Engine
 
     /**
      * Closure-memo geometry (DESIGN §13 "Closure memo").  Every flow's
-     * (path, rate cap) is interned to a dense id, in order of first
-     * appearance; a closure's key is its flows' ids in ascending-slot
-     * order.  Closures of more than kMemoMaxFlows flows bypass the
-     * memo and are solved directly.
+     * (path, rate cap) is interned to a dense id at addTask(), in
+     * build order; a dirty component's key is its flows' ids in
+     * ascending-slot order.  Components of more than kMemoMaxFlows
+     * flows bypass the memo and are solved directly.
      */
     static constexpr size_t kMemoMaxFlows = 16;
     static constexpr size_t kMemoSets = 128;
@@ -296,6 +309,7 @@ class Engine
     static size_t closureMemoSet(const uint32_t *key, size_t count);
 
   private:
+    /** Keep in step with kTaskStateNames in engine.cc. */
     enum class TaskState
     {
         Unstarted,
@@ -307,13 +321,49 @@ class Engine
         Finished,
     };
 
+    /**
+     * One compiled primitive: the primitive and the interned (path,
+     * cap) id of the flow it starts (a Work, or a carrier's rendezvous
+     * transfer), or kNoFlow when it starts none.
+     */
+    struct Step
+    {
+        Prim prim;
+        uint32_t flow;
+    };
+
+    /**
+     * A compiled task: its program as one step array -- prologue
+     * [0, bodyBegin), body [bodyBegin, bodyEnd), epilogue [bodyEnd,
+     * end) -- and its position in it.  An empty body runs zero
+     * iterations, and a body that runs zero iterations is not copied,
+     * so bodyBegin == bodyEnd iff iterations == 0.
+     */
     struct TaskEntry
     {
-        std::unique_ptr<Task> task;
+        std::string name;
+        std::vector<Step> steps;
+        size_t bodyBegin = 0;
+        size_t bodyEnd = 0;
+        uint64_t iterations = 0;
+        uint64_t keyStride = 0;
+
+        /** Index in steps of the next primitive to issue. */
+        size_t pc = 0;
+
+        /** Current body iteration. */
+        uint64_t iter = 0;
+
         TaskState state = TaskState::Unstarted;
         SimTime finishTime = 0.0;
         SimTime blockStart = 0.0;
         PhaseTag blockTag = 0;
+
+        /** Shifted key of the rendezvous or barrier being waited on. */
+        uint64_t waitKey = 0;
+
+        /** Next task in the same barrier's arrival order, or -1. */
+        int nextWaiter = -1;
 
         /** Per-tag blocked time; flat array, tags are small ints. */
         std::array<SimTime, kPhaseTagSlots> taggedTime{};
@@ -322,17 +372,39 @@ class Engine
     /** Owner list of a flow: one task, or two for rendezvous. */
     using OwnerVec = SmallVec<int, 2>;
 
-    struct PendingRendezvous
+    /**
+     * Open-addressing map from a shifted rendezvous or barrier key to
+     * the tasks waiting on it; a barrier chains its waiters in arrival
+     * order through TaskEntry::nextWaiter.  Every entry holds a blocked
+     * task, so reset(taskCount()) sizes it for the whole run.
+     */
+    class WaitTable
     {
-        int task = -1;
-        std::optional<Work> carrier;
-        PhaseTag tag = 0;
-    };
+      public:
+        struct Entry
+        {
+            uint64_t key = 0;
+            int head = -1; ///< first waiting task; -1 = empty entry
+            int tail = -1; ///< last waiting task (barriers)
+            int count = 0; ///< waiting tasks (barriers)
+        };
 
-    struct PendingBarrier
-    {
-        std::vector<int> waiters;
-        int expected = 0;
+        /** Empty the table and size it for `maxEntries` entries. */
+        void reset(size_t maxEntries);
+
+        /** The entry for `key`, or nullptr. */
+        Entry *find(uint64_t key);
+
+        /** Add an entry for an absent `key`; the caller sets head. */
+        Entry &add(uint64_t key);
+
+        /** Remove an entry returned by find() or add(). */
+        void erase(Entry *entry);
+
+      private:
+        size_t home(uint64_t key) const;
+
+        std::vector<Entry> entries_;
     };
 
     /**
@@ -362,8 +434,15 @@ class Engine
     /** Drive a task until it blocks or finishes. */
     void advanceTask(int task);
 
-    /** Start a fluid flow owned by `owners`. */
-    void startFlow(const Work &w, OwnerVec owners, PhaseTag tag);
+    /** Append `prims` to `steps`, interning each flow they can start. */
+    void compilePrims(std::vector<Prim> &prims, std::vector<Step> &steps);
+
+    /**
+     * Start a fluid flow of `amount` units over interned (path, cap)
+     * `flow`, owned by `owners`.
+     */
+    void startFlow(uint32_t flow, double amount, OwnerVec owners,
+                   PhaseTag tag);
 
     /** Tear down a completed flow's slot and incidence entries. */
     void removeFlow(FlowSlot slot);
@@ -374,15 +453,16 @@ class Engine
     /** Recompute max-min fair rates for the dirty flow set. */
     void recomputeRates();
 
-    /** Dirty-set closure solve. */
+    /** Solve every connected component the dirty resources reach. */
     void solveOptimized();
 
     /**
-     * Rates for the sorted closure in closureFlows_: from the memo
-     * when its key was solved before, else from a subset solve whose
-     * result is then memoized.
+     * Rates for the component in closureFlows_[flowBegin..] (sorted by
+     * slot) over closureRes_[resBegin..]: from the memo when its key
+     * was solved before, else from a component solve whose result is
+     * then memoized.
      */
-    void solveClosure();
+    void solveComponent(size_t flowBegin, size_t resBegin);
 
     /** Dense id of a flow's (path, rate cap); interns new pairs. */
     uint32_t internFlow(const PathVec &path, double rateCap);
@@ -417,7 +497,11 @@ class Engine
     /** Double the timeline bucket width, merging buckets pairwise. */
     void rebinTimeline();
 
-    /** Panic with a per-task diagnostic of a simulation deadlock. */
+    /**
+     * Panic with a per-task diagnostic of a simulation deadlock: each
+     * stuck task's state, the key it waits on, and its program
+     * position.
+     */
     [[noreturn]] void panicDeadlock() const;
 
     /**
@@ -473,7 +557,9 @@ class Engine
     std::vector<ResourceId> dirtyRes_;  ///< resources with changed flows
     std::vector<FlowSlot> newFlows_;    ///< slots started since last solve
 
-    // Closure scratch (valid only inside recomputeRates()).
+    // Component scratch (valid only inside recomputeRates()): the
+    // resources and flows of every component found so far this rerun,
+    // each component a contiguous range.
     std::vector<char> resInClosure_;
     std::vector<char> flowInClosure_;
     std::vector<ResourceId> closureRes_;
@@ -481,12 +567,11 @@ class Engine
 
     // Flow interning: internFlows_[id] is the (path, cap) of id, and
     // internTable_ is an open-addressing index over it holding id + 1
-    // (0 = empty).  Grows only in startFlow(), outside the
-    // zero-allocation contract.
+    // (0 = empty).  Filled by addTask(); run() only reads it.
     std::vector<FairShareFlow> internFlows_;
     std::vector<uint32_t> internTable_;
 
-    /** One memoized closure: its key and the rates solved for it. */
+    /** One memoized component: its key and the rates solved for it. */
     struct MemoEntry
     {
         uint32_t key[kMemoMaxFlows];
@@ -516,8 +601,8 @@ class Engine
     std::vector<DelayEntry> delayHeap_;
     uint64_t delaySeq_ = 0;
 
-    std::map<uint64_t, PendingRendezvous> rendezvous_;
-    std::map<uint64_t, PendingBarrier> barriers_;
+    WaitTable rendezvous_;
+    WaitTable barriers_;
 
     std::vector<int> readyQueue_;
 

@@ -7,64 +7,69 @@
 
 namespace mcscope {
 
-namespace {
-
-/** Union-find lookup with path halving (component discovery). */
-int
-ufFind(std::vector<int> &parent, int r)
-{
-    while (parent[r] != r) {
-        parent[r] = parent[parent[r]];
-        r = parent[r];
-    }
-    return r;
-}
-
-/**
- * Progressive filling over one connected component.
- *
- * The arithmetic and iteration orders are the historical whole-set
- * solve restricted to the component, so a component's rates are a
- * function of that component alone.  That decomposability is what the
- * dirty-set incremental engine relies on: rates of components no
- * event touched are carried over bit-intact, and a later whole-set
- * reference solve must reproduce them exactly.  A global level
- * sequence would break this -- its per-round tolerance can merge
- * near-equal constraints across unrelated components, leaking their
- * bits into each other (DESIGN §13).
- */
 void
-solveComponent(const std::vector<PathVec> &paths,
-               const std::vector<double> &rateCaps,
-               const int *flowSlots,
-               const std::vector<int> &compFlows,
-               const std::vector<ResourceId> &compRes,
-               FairShareScratch &scratch)
+fairShareSolveComponent(const std::vector<double> &capacities,
+                        const std::vector<PathVec> &paths,
+                        const std::vector<double> &rateCaps,
+                        const FlowSlot *flowSlots, size_t flowCount,
+                        const ResourceId *resources, size_t resourceCount,
+                        FairShareScratch &scratch)
 {
+    const size_t nr = capacities.size();
     const double inf = std::numeric_limits<double>::infinity();
+
+    scratch.rates.assign(flowCount, 0.0);
+    scratch.frozen.assign(flowCount, 0);
+    // Full-size sparse arrays: only component entries are
+    // (re)initialized, the rest hold stale junk that is never read.
+    // resize() instead of assign() keeps the per-call cost
+    // proportional to the component.
+    if (scratch.residual.size() < nr) {
+        scratch.residual.resize(nr, 0.0);
+        scratch.users.resize(nr, 0);
+        scratch.saturated.resize(nr, 0);
+    }
+
     std::vector<double> &rates = scratch.rates;
     std::vector<char> &frozen = scratch.frozen;
     std::vector<double> &residual = scratch.residual;
     std::vector<int> &users = scratch.users;
     std::vector<char> &saturated = scratch.saturated;
 
+    for (size_t i = 0; i < resourceCount; ++i) {
+        const ResourceId r = resources[i];
+        MCSCOPE_ASSERT(r >= 0 && static_cast<size_t>(r) < nr,
+                       "component references unknown resource ", r);
+        residual[r] = capacities[r];
+        users[r] = 0;
+        saturated[r] = 0;
+    }
+    for (size_t k = 0; k < flowCount; ++k) {
+        for (ResourceId r : paths[flowSlots[k]])
+            ++users[r];
+    }
+
     // All unfrozen flows rise at a common level; each round the
     // binding constraint is the smallest of (a) a flow's cap and (b) a
     // resource's residual fair share.  Freeze everything at that level
-    // and continue.
-    size_t unfrozen = compFlows.size();
+    // and continue.  Only this component's flows take part: a global
+    // level sequence would let the per-round tolerance merge
+    // near-equal constraints across unrelated components, leaking
+    // their bits into each other (DESIGN §13).
+    size_t unfrozen = flowCount;
     double level = 0.0;
     while (unfrozen > 0) {
         double next = inf;
-        for (ResourceId r : compRes) {
+        for (size_t i = 0; i < resourceCount; ++i) {
+            const ResourceId r = resources[i];
             if (users[r] > 0) {
                 double share = residual[r] / users[r];
                 if (share < next)
                     next = share;
             }
         }
-        for (int k : compFlows) {
-            const int s = flowSlots[k];
+        for (size_t k = 0; k < flowCount; ++k) {
+            const FlowSlot s = flowSlots[k];
             if (!frozen[k] && rateCaps[s] > 0.0 && rateCaps[s] < next)
                 next = rateCaps[s];
         }
@@ -77,17 +82,18 @@ solveComponent(const std::vector<PathVec> &paths,
         const double tol = 1e-12 * (next > 1.0 ? next : 1.0);
 
         // Identify saturated resources at this level.
-        for (ResourceId r : compRes) {
+        for (size_t i = 0; i < resourceCount; ++i) {
+            const ResourceId r = resources[i];
             saturated[r] =
                 users[r] > 0 && residual[r] / users[r] <= next + tol;
         }
 
         // Freeze flows that hit a cap or cross a saturated resource.
         size_t frozen_this_round = 0;
-        for (int k : compFlows) {
+        for (size_t k = 0; k < flowCount; ++k) {
             if (frozen[k])
                 continue;
-            const int s = flowSlots[k];
+            const FlowSlot s = flowSlots[k];
             bool freeze = rateCaps[s] > 0.0 && rateCaps[s] <= next + tol;
             if (!freeze) {
                 for (ResourceId r : paths[s]) {
@@ -116,100 +122,6 @@ solveComponent(const std::vector<PathVec> &paths,
         MCSCOPE_ASSERT(frozen_this_round > 0,
                        "progressive filling made no progress");
         level = next;
-    }
-}
-
-} // namespace
-
-void
-fairShareSolveSubset(const std::vector<double> &capacities,
-                     const std::vector<PathVec> &paths,
-                     const std::vector<double> &rateCaps,
-                     const int *flowSlots, size_t flowCount,
-                     const ResourceId *resources, size_t resourceCount,
-                     FairShareScratch &scratch)
-{
-    const size_t nr = capacities.size();
-    const double inf = std::numeric_limits<double>::infinity();
-
-    scratch.rates.assign(flowCount, 0.0);
-    scratch.frozen.assign(flowCount, 0);
-    scratch.flowRoot.assign(flowCount, -1);
-    // Full-size sparse arrays: only subset entries are (re)initialized,
-    // the rest hold stale junk that is never read.  resize() instead of
-    // assign() keeps the per-call cost proportional to the subset.
-    if (scratch.residual.size() < nr) {
-        scratch.residual.resize(nr, 0.0);
-        scratch.users.resize(nr, 0);
-        scratch.saturated.resize(nr, 0);
-    }
-    if (scratch.parent.size() < nr)
-        scratch.parent.resize(nr, 0);
-
-    std::vector<double> &rates = scratch.rates;
-    std::vector<char> &frozen = scratch.frozen;
-    std::vector<double> &residual = scratch.residual;
-    std::vector<int> &users = scratch.users;
-    std::vector<char> &saturated = scratch.saturated;
-    std::vector<int> &parent = scratch.parent;
-    std::vector<int> &flowRoot = scratch.flowRoot;
-
-    for (size_t i = 0; i < resourceCount; ++i) {
-        const ResourceId r = resources[i];
-        MCSCOPE_ASSERT(r >= 0 && static_cast<size_t>(r) < nr,
-                       "subset references unknown resource ", r);
-        residual[r] = capacities[r];
-        users[r] = 0;
-        saturated[r] = 0;
-        parent[r] = r;
-    }
-
-    // Pass 1: freeze resource-free flows, count users, and union each
-    // path into one component.
-    for (size_t k = 0; k < flowCount; ++k) {
-        const int s = flowSlots[k];
-        const PathVec &p = paths[s];
-        if (p.empty()) {
-            // No resource contention: only the cap (if any) binds.
-            rates[k] = rateCaps[s] > 0.0 ? rateCaps[s] : inf;
-            frozen[k] = 1;
-            continue;
-        }
-        const int root = ufFind(parent, p[0]);
-        for (ResourceId r : p) {
-            ++users[r];
-            const int rr = ufFind(parent, r);
-            if (rr != root)
-                parent[rr] = root;
-        }
-    }
-    // Pass 2: resolve each flow's final root (unions after pass 1's
-    // visit may have re-rooted it).
-    for (size_t k = 0; k < flowCount; ++k) {
-        if (!frozen[k])
-            flowRoot[k] = ufFind(parent, paths[flowSlots[k]][0]);
-    }
-
-    // Solve each component independently, in resource-list order of
-    // the root.  Component order is irrelevant to the result: the
-    // solves touch disjoint flows and resources.
-    for (size_t i = 0; i < resourceCount; ++i) {
-        const ResourceId r = resources[i];
-        if (users[r] == 0 || ufFind(parent, r) != r)
-            continue;
-        scratch.compRes.clear();
-        for (size_t j = 0; j < resourceCount; ++j) {
-            const ResourceId q = resources[j];
-            if (users[q] > 0 && ufFind(parent, q) == r)
-                scratch.compRes.push_back(q);
-        }
-        scratch.compFlows.clear();
-        for (size_t k = 0; k < flowCount; ++k) {
-            if (flowRoot[k] == r)
-                scratch.compFlows.push_back(static_cast<int>(k));
-        }
-        solveComponent(paths, rateCaps, flowSlots, scratch.compFlows,
-                       scratch.compRes, scratch);
     }
 }
 
@@ -242,9 +154,7 @@ fairShareRatesReference(const std::vector<double> &capacities,
     }
 
     // Connected components of the flow/resource bipartite graph,
-    // found by breadth-first search over an explicit adjacency (an
-    // implementation independent of the optimized solver's
-    // union-find).
+    // found by search over an explicit adjacency.
     std::vector<std::vector<int>> resFlows(nr);
     for (size_t f = 0; f < nf; ++f) {
         if (frozen[f])
@@ -288,8 +198,9 @@ fairShareRatesReference(const std::vector<double> &capacities,
     // flows rise at a common level; each round the binding constraint
     // is the smallest of (a) a flow's cap and (b) a resource's
     // residual fair share.  Freeze everything at that level and
-    // continue.  Components never interact -- see solveComponent in
-    // the optimized solver for why that independence is load-bearing.
+    // continue.  Components never interact -- see
+    // fairShareSolveComponent for why that independence is
+    // load-bearing.
     for (int c = 0; c < ncomp; ++c) {
         size_t unfrozen = 0;
         for (size_t f = 0; f < nf; ++f) {

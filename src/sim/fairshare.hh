@@ -55,64 +55,60 @@ struct FairShareScratch
     std::vector<double> residual;
     std::vector<int> users;
     std::vector<char> saturated;
-
-    // Component-decomposition machinery (fairShareSolveSubset):
-    // union-find over resources, per-flow root, and the gathered
-    // flow/resource lists of the component being solved.
-    std::vector<int> parent;
-    std::vector<int> flowRoot;
-    std::vector<int> compFlows;
-    std::vector<ResourceId> compRes;
 };
 
 /**
  * The allocation-per-call implementation, retained as the
- * differential-testing oracle: fairShareSolveSubset() must match it
- * bit for bit on every input, and the auditor's exact-rate check
+ * differential-testing oracle: fairShareSolveComponent() must match it
+ * bit for bit on every component, and the auditor's exact-rate check
  * (sim/audit.hh) compares every audited allocation against it (see
- * also tests/sim/fairshare_diff_test.cpp).  Like the optimized solver it fills each connected component of the
- * flow/resource graph independently -- a component's rates are a
- * function of that component alone, which is what lets the dirty-set
- * incremental engine carry rates of untouched components across
- * solves and still agree with a fresh whole-set solve bitwise.  Its
- * component discovery (BFS over an explicit adjacency) and data
- * layout are deliberately independent of the optimized solver's.
+ * also tests/sim/fairshare_diff_test.cpp).  It discovers the
+ * connected components of the flow/resource graph itself and fills
+ * each independently -- a component's rates are a function of that
+ * component alone, which is what lets the dirty-set incremental
+ * engine carry rates of untouched components across solves and still
+ * agree with a fresh whole-set solve bitwise.  Its data layout is
+ * deliberately independent of the engine's.
  */
 std::vector<double>
 fairShareRatesReference(const std::vector<double> &capacities,
                         const std::vector<FairShareFlow> &flows);
 
 /**
- * Progressive filling restricted to a subset of flows and resources --
- * the engine's one solver, run on each dirty-set closure.
+ * Progressive filling over one connected component of the
+ * flow/resource graph -- the engine's one solver, run on each
+ * component its dirty resources reach.
  *
  * Flows live in slot-indexed parallel arrays (the engine's
  * structure-of-arrays state): `paths[s]` and `rateCaps[s]` describe
- * the flow in slot s.  `flowSlots[0..flowCount)` selects the flows to
- * solve and `resources[0..resourceCount)` the resources they may
- * touch.  Rates land in scratch.rates[k] for the k-th selected flow.
+ * the flow in slot s.  `flowSlots[0..flowCount)` selects the
+ * component's flows and `resources[0..resourceCount)` its resources,
+ * in any order.  Rates land in scratch.rates[k] for the k-th selected
+ * flow.
  *
- * Caller contract -- this is what makes a subset solve bit-identical
- * to the full solve (see DESIGN §13):
- *  - the subset is closed: every resource on a selected flow's path
- *    appears in `resources`, and every flow crossing a selected
- *    resource appears in `flowSlots`;
+ * Caller contract -- this is what makes a component solve
+ * bit-identical to the whole-set reference (see DESIGN §13):
+ *  - the selection is exactly one connected component: every resource
+ *    on a selected flow's path appears in `resources`, every flow
+ *    crossing a selected resource appears in `flowSlots`, and every
+ *    selected path is non-empty;
  *  - `flowSlots` is sorted ascending, so the per-round residual
- *    subtraction order matches a full solve over all slots.
+ *    subtraction order matches the reference's flow order.
  *
- * Internally the subset is split into connected components and each
- * is filled independently with arithmetic line-for-line the reference
- * algorithm's, so a component's rates never depend on flows outside
- * it.  scratch.residual/users/saturated are used as full-size (one
- * per resource id) arrays with only the subset entries initialized,
- * so no per-call O(total resources) work occurs.
+ * The arithmetic is line-for-line the reference's, so the rates are a
+ * function of the flows' (path, cap) sequence alone; resource order
+ * feeds only a min and per-resource flags.  scratch.residual/users/
+ * saturated are used as full-size (one per resource id) arrays with
+ * only the component's entries initialized, so no per-call O(total
+ * resources) work occurs.
  */
-void fairShareSolveSubset(const std::vector<double> &capacities,
-                          const std::vector<PathVec> &paths,
-                          const std::vector<double> &rateCaps,
-                          const int *flowSlots, size_t flowCount,
-                          const ResourceId *resources, size_t resourceCount,
-                          FairShareScratch &scratch);
+void fairShareSolveComponent(const std::vector<double> &capacities,
+                             const std::vector<PathVec> &paths,
+                             const std::vector<double> &rateCaps,
+                             const FlowSlot *flowSlots, size_t flowCount,
+                             const ResourceId *resources,
+                             size_t resourceCount,
+                             FairShareScratch &scratch);
 
 } // namespace mcscope
 

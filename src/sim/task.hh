@@ -1,16 +1,14 @@
 /**
  * @file
- * Simulated tasks: pull-model programs executed by the Engine.
+ * Simulated tasks: programs of primitives executed by the Engine.
  */
 
 #ifndef MCSCOPE_SIM_TASK_HH
 #define MCSCOPE_SIM_TASK_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/prim.hh"
@@ -18,95 +16,40 @@
 namespace mcscope {
 
 /**
- * A simulated process.  The engine calls next() whenever the previous
- * primitive completes; returning std::nullopt terminates the task.
+ * A simulated process, as data: `prologue`, then `iterations`
+ * repetitions of `body`, then `epilogue`.  A straight-line program is
+ * just a prologue.
  *
- * Tasks are pull-model state machines rather than stored scripts so
- * that long iterative programs (a 10,000-iteration solver) need O(1)
- * memory.
- */
-class Task
-{
-  public:
-    virtual ~Task() = default;
-
-    /** Produce the next primitive, or std::nullopt when done. */
-    virtual std::optional<Prim> next() = 0;
-
-    /** Display name for traces and statistics. */
-    virtual std::string name() const { return "task"; }
-};
-
-/**
- * A task defined by a fixed list of primitives.  Convenient for short
- * programs and tests.
- */
-class SequenceTask : public Task
-{
-  public:
-    SequenceTask(std::string name, std::vector<Prim> prims);
-
-    std::optional<Prim> next() override;
-    std::string name() const override { return name_; }
-
-  private:
-    std::string name_;
-    std::vector<Prim> prims_;
-    size_t pos_ = 0;
-};
-
-/**
- * A task that repeats a per-iteration primitive template.
+ * Rendezvous/SyncAll keys inside the body are shifted per iteration
+ * (key + iteration * keyStride) so that successive iterations match
+ * independently; prologue and epilogue keys are used as written.
  *
- * The program is: prologue, then `iterations` repetitions of the body,
- * then epilogue.  Rendezvous/SyncAll keys inside the body are rewritten
- * per iteration (key + iteration * keyStride) so that successive
- * iterations match independently.
+ * Engine::addTask() compiles a program into the engine's flat
+ * primitive array before run(), so the event loop only ever indexes
+ * it: a 10,000-iteration solver costs the memory of one body.
  */
-class LoopTask : public Task
+struct TaskProgram
 {
-  public:
-    LoopTask(std::string name, std::vector<Prim> prologue,
-             std::vector<Prim> body, uint64_t iterations,
-             std::vector<Prim> epilogue = {},
-             uint64_t key_stride = 1ULL << 32);
+    TaskProgram(std::string program_name, std::vector<Prim> pro,
+                std::vector<Prim> loop_body = {}, uint64_t iteration_count = 0,
+                std::vector<Prim> epi = {}, uint64_t key_stride = 1ULL << 32)
+        : name(std::move(program_name)),
+          prologue(std::move(pro)),
+          body(std::move(loop_body)),
+          iterations(iteration_count),
+          epilogue(std::move(epi)),
+          keyStride(key_stride)
+    {
+    }
 
-    std::optional<Prim> next() override;
-    std::string name() const override { return name_; }
+    /** Display name for traces, statistics and diagnostics. */
+    std::string name;
 
-  private:
-    std::string name_;
-    std::vector<Prim> prologue_;
-    std::vector<Prim> body_;
-    std::vector<Prim> epilogue_;
-    uint64_t iterations_;
-    uint64_t keyStride_;
-
-    enum class Stage { Prologue, Body, Epilogue, Done };
-    Stage stage_ = Stage::Prologue;
-    size_t pos_ = 0;
-    uint64_t iter_ = 0;
-};
-
-/**
- * A task driven by a generator callback.  The callback receives the
- * zero-based step index and returns the primitive to execute, or
- * std::nullopt to finish.
- */
-class GeneratorTask : public Task
-{
-  public:
-    using Generator = std::function<std::optional<Prim>(uint64_t step)>;
-
-    GeneratorTask(std::string name, Generator gen);
-
-    std::optional<Prim> next() override;
-    std::string name() const override { return name_; }
-
-  private:
-    std::string name_;
-    Generator gen_;
-    uint64_t step_ = 0;
+    std::vector<Prim> prologue;
+    std::vector<Prim> body;
+    uint64_t iterations;
+    std::vector<Prim> epilogue;
+    uint64_t keyStride;
 };
 
 } // namespace mcscope

@@ -57,7 +57,7 @@ computeMakespan(const MachineConfig &cfg, const std::vector<int> &contexts,
 {
     Machine m(cfg);
     for (int c : contexts) {
-        m.engine().addTask(std::make_unique<SequenceTask>(
+        m.engine().addTask(TaskProgram(
             "t" + std::to_string(c),
             std::vector<Prim>{m.computeWork(c, flops, 1.0)}));
     }

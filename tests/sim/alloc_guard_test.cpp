@@ -160,7 +160,9 @@ TEST(AllocGuard, SteadyStateLoopIsAllocationFree)
     // The 8-socket Longs ladder produces the longest resource paths
     // (and would catch a PathVec inline capacity regression); the zoo
     // machines carry hundreds of resources, so their later components
-    // outgrow the subset solver's first-sized scratch.
+    // outgrow the solver's first-sized scratch.  Task programs are
+    // interpreted under the guard as well: nothing pauses it around
+    // event handling.
     const MachineConfig *t34 = zooMachine("t3-4");
     const MachineConfig *cluster12 = zooMachine("cluster12");
     ASSERT_NE(t34, nullptr);
@@ -205,7 +207,7 @@ runTracedLoop(int hops)
     for (int h = 0; h < hops; ++h)
         w.path.push_back(e.addResource("r" + std::to_string(h), 10.0));
     for (int t = 0; t < 2; ++t) {
-        e.addTask(std::make_unique<LoopTask>(
+        e.addTask(TaskProgram(
             "t" + std::to_string(t), std::vector<Prim>{},
             std::vector<Prim>{w}, 50));
     }

@@ -228,7 +228,7 @@ runAuditedEngine()
         s.key = 42;
         s.expected = 4;
         prog.push_back(s);
-        e.addTask(std::make_unique<SequenceTask>(
+        e.addTask(TaskProgram(
             "t" + std::to_string(t), std::move(prog)));
     }
     e.run();
@@ -260,8 +260,8 @@ TEST(Audit, RendezvousTransfersAuditCleanly)
     Rendezvous b;
     b.key = 7;
     receiver.push_back(b);
-    e.addTask(std::make_unique<SequenceTask>("send", std::move(sender)));
-    e.addTask(std::make_unique<SequenceTask>("recv", std::move(receiver)));
+    e.addTask(TaskProgram("send", std::move(sender)));
+    e.addTask(TaskProgram("recv", std::move(receiver)));
     e.run();
     EXPECT_DOUBLE_EQ(e.makespan(), 2.0);
     EXPECT_EQ(e.auditor()->openFlowCount(), 0u);
@@ -278,7 +278,7 @@ TEST(Audit, PeakConcurrencyCountsSimultaneousFlows)
         prog.push_back(work(100.0, {r}));
         if (t == 0)
             prog.push_back(work(500.0, {r}));
-        e.addTask(std::make_unique<SequenceTask>(
+        e.addTask(TaskProgram(
             "t" + std::to_string(t), std::move(prog)));
     }
     e.run();

@@ -12,13 +12,15 @@
  * barriers, rendezvous pairs) through audited runs.
  *
  * Targeted scenarios then drive the closure memo through eviction,
- * bypass of oversized closures, and memo-set collisions between
- * different closures, each audited the same way.
+ * bypass of oversized components, memo-set collisions between
+ * different components, and departures that split one component into
+ * several, each audited the same way.
  *
- * A second suite pins the subset solver itself: on a closed connected
- * component, fairShareSolveSubset must reproduce the rates of a full
- * fairShareRatesReference solve bit-for-bit, which is the algebraic
- * fact the incremental engine path rests on (DESIGN.md section 13).
+ * A second suite pins the component solver itself: on a closed
+ * connected component, fairShareSolveComponent must reproduce the
+ * rates of a full fairShareRatesReference solve bit-for-bit, which is
+ * the algebraic fact the incremental engine path rests on (DESIGN.md
+ * section 13).
  */
 
 #include <gtest/gtest.h>
@@ -154,7 +156,7 @@ runScenario(const Scenario &s)
     for (size_t r = 0; r < s.caps.size(); ++r)
         e.addResource("r" + std::to_string(r), s.caps[r]);
     for (size_t t = 0; t < s.scripts.size(); ++t)
-        e.addTask(std::make_unique<SequenceTask>(
+        e.addTask(TaskProgram(
             "t" + std::to_string(t), s.scripts[t]));
     e.run();
     EXPECT_TRUE(e.auditor()->exactRateCheck());
@@ -212,16 +214,16 @@ TEST(EngineDiff, OptimizedRunsAreDeterministicAcrossRepeats)
 TEST(EngineDiff, OptimizedEngineActuallySolvesIncrementally)
 {
     // Many tasks on disjoint private resources replaying one flow
-    // each: every re-solve's dirty closure is a single flow whose key
-    // repeats, so the memo must serve most of them and no solve may
-    // cover the whole flow set.
+    // each: every dirty component is a single flow whose key repeats,
+    // so the memo must serve most of them and no solve may cover the
+    // whole flow set.
     Engine e;
     for (int t = 0; t < 16; ++t) {
         ResourceId r = e.addResource("r" + std::to_string(t), 100.0);
         Work w;
         w.amount = 50.0 + t;
         w.path = {r};
-        e.addTask(std::make_unique<LoopTask>(
+        e.addTask(TaskProgram(
             "t" + std::to_string(t), std::vector<Prim>{},
             std::vector<Prim>{w}, 20));
     }
@@ -252,10 +254,10 @@ groupWork(Rng &rng, int lo)
 TEST(EngineDiff, MemoEvictionStaysBitIdentical)
 {
     // Task 0 (resources 0-2) plays 3000 distinct works twice over.
-    // Each of its closures holds exactly one of them, so there are
+    // Each of its components holds exactly one of them, so there are
     // more distinct keys than memo entries and the second pass finds
     // every one evicted.  Task 1 (resources 3-5) replays three works,
-    // so its closures keep hitting amid the churn.
+    // so its components keep hitting amid the churn.
     Rng rng(0xe71c7ULL);
     Scenario s;
     for (int r = 0; r < 6; ++r)
@@ -275,14 +277,17 @@ TEST(EngineDiff, MemoEvictionStaysBitIdentical)
         s.scripts[1].push_back(replayed[rng.below(3)]);
 
     const Engine::Stats st = expectMatchesReference(s);
-    EXPECT_GT(st.incrementalSolves - st.memoHits,
+    // Every one-flow component fits the memo, so each solve is a miss:
+    // more of them than the memo holds entries means entries were
+    // evicted and solved again.
+    EXPECT_GT(st.componentSolves,
               2 * Engine::kMemoSets * Engine::kMemoWays);
     EXPECT_GT(st.memoHits, 0u);
 }
 
 TEST(EngineDiff, MemoBypassesOversizedClosuresBitIdentically)
 {
-    // 24 tasks all cross resource 0, so every closure holds every
+    // 24 tasks all cross resource 0, so every component holds every
     // active flow: more than kMemoMaxFlows while all of them run
     // (solved directly), fewer as tasks finish (memoized).
     Rng rng(0xb1a55ULL);
@@ -313,8 +318,8 @@ TEST(EngineDiff, MemoBypassesOversizedClosuresBitIdentically)
 
 TEST(EngineDiff, MemoSetCollisionsCompareTheFullKey)
 {
-    // A lone task's closure is its current flow, keyed by that flow's
-    // interned id, and ids are dense in order of first appearance.
+    // A lone task's component is its current flow, keyed by that
+    // flow's interned id, and ids are dense in build order.
     // Collect kMemoWays + 1 ids whose one-flow keys fall in the same
     // memo set as id 0.  Each id's work has its own cap, and the cap
     // is its rate, so a lookup that matched on the set (or a hash)
@@ -352,7 +357,44 @@ TEST(EngineDiff, MemoSetCollisionsCompareTheFullKey)
     EXPECT_GT(st.memoHits, 0u);
 }
 
-// --- Subset solver: the algebraic core of the incremental path. -----
+TEST(EngineDiff, DepartureSplitsAComponentServedFromTheMemo)
+{
+    // Three long flows on private resources 0, 1 and 2, and a short
+    // bridge flow over all three that comes and goes.  While the
+    // bridge runs the four flows are one component; each bridge
+    // departure dirties resources 0-2 and leaves three one-flow
+    // components, whose keys were solved when the long flows started
+    // alone -- so every split is served from the memo, three hits per
+    // departure.
+    constexpr int kBridges = 40;
+    Scenario s;
+    s.caps = {100.0, 70.0, 130.0};
+    s.scripts.resize(4);
+    for (int t = 0; t < 3; ++t) {
+        Work w;
+        w.amount = 1e6;
+        w.path = {static_cast<ResourceId>(t)};
+        s.scripts[t].push_back(w);
+    }
+    Delay gap;
+    gap.seconds = 0.25;
+    Work bridge;
+    bridge.amount = 5.0;
+    bridge.path = {0, 1, 2};
+    bridge.rateCap = 40.0;
+    for (int i = 0; i < kBridges; ++i) {
+        s.scripts[3].push_back(gap);
+        s.scripts[3].push_back(bridge);
+    }
+
+    const Engine::Stats st = expectMatchesReference(s);
+    EXPECT_GE(st.memoHits, 3u * kBridges);
+    // Solved: the three lone flows once each and the joined component
+    // once; everything after that is served from the memo.
+    EXPECT_EQ(st.componentSolves, 4u);
+}
+
+// --- Component solver: the algebraic core of the incremental path. --
 
 /** Connected components of flows under shared-resource adjacency. */
 std::vector<int>
@@ -417,7 +459,7 @@ TEST(SubsetSolver, ComponentSolveMatchesFullReferenceBitForBit)
         const std::vector<double> full =
             fairShareRatesReference(caps, flows);
         const std::vector<int> comp = flowComponents(flows, nr);
-        // Solve each component through the subset entry point and
+        // Solve each component through the component solver and
         // demand the full solve's exact bits.
         for (int f = 0; f < nf; ++f) {
             if (comp[f] != f)
@@ -436,10 +478,10 @@ TEST(SubsetSolver, ComponentSolveMatchesFullReferenceBitForBit)
                     }
                 }
             }
-            fairShareSolveSubset(caps, paths, rateCaps,
-                                 members.data(), members.size(),
-                                 resList.data(), resList.size(),
-                                 scratch);
+            fairShareSolveComponent(caps, paths, rateCaps,
+                                    members.data(), members.size(),
+                                    resList.data(), resList.size(),
+                                    scratch);
             for (size_t k = 0; k < members.size(); ++k) {
                 ASSERT_EQ(bits(scratch.rates[k]),
                           bits(full[members[k]]))

@@ -96,7 +96,7 @@ runScenario(const Scenario &sc, double *moved = nullptr)
     for (int r = 0; r < sc.resources; ++r)
         e.addResource("r" + std::to_string(r), 100.0);
     for (int t = 0; t < sc.tasks; ++t) {
-        e.addTask(std::make_unique<SequenceTask>(
+        e.addTask(TaskProgram(
             "t" + std::to_string(t), sc.programs[t]));
     }
     e.run();
@@ -144,7 +144,7 @@ TEST(EngineStress, ManyTasksOneResource)
         Work w;
         w.amount = 1000.0;
         w.path = {r};
-        e.addTask(std::make_unique<LoopTask>(
+        e.addTask(TaskProgram(
             "t" + std::to_string(t), std::vector<Prim>{},
             std::vector<Prim>{w}, 10));
     }
@@ -177,7 +177,7 @@ TEST(EngineStress, LongDependencyChain)
             send.carrier = true;
             prog.push_back(send);
         }
-        e.addTask(std::make_unique<SequenceTask>(
+        e.addTask(TaskProgram(
             "t" + std::to_string(t), std::move(prog)));
     }
     e.run();

@@ -3,22 +3,25 @@
  * Differential test of the engine's fair-share solver against the
  * retained reference implementation.
  *
- * fairShareSolveSubset() (the engine hot path, reusable workspace),
- * run on a whole flow set -- identity slots, every resource -- must
- * produce exactly the rates of fairShareRatesReference() (the
- * original allocation-per-call implementation), bit for bit, on every
- * input.  This drives ~1k randomized flow sets -- varying resource
- * counts, path lengths (including paths long enough to spill
- * PathVec's inline storage), caps, and the degenerate empty-path /
- * cap-only flows -- through both, reusing one scratch workspace
+ * fairShareSolveComponent() (the engine hot path, reusable
+ * workspace), run on every connected component of a flow set in turn
+ * -- found here the way the engine finds them, by a breadth-first walk
+ * from each resource -- must produce exactly the rates of
+ * fairShareRatesReference() (the original allocation-per-call
+ * implementation), bit for bit, on every input.  This drives ~1k
+ * randomized flow sets -- varying resource counts, path lengths
+ * (including paths long enough to spill PathVec's inline storage),
+ * caps, and the degenerate empty-path / cap-only flows, which belong
+ * to no component -- through both, reusing one scratch workspace
  * across all of them so stale-state bugs would surface as cross-set
  * contamination.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
-#include <numeric>
+#include <limits>
 #include <vector>
 
 #include "sim/fairshare.hh"
@@ -77,49 +80,94 @@ randomScenario(Rng &rng)
     return s;
 }
 
-/** Solve every flow over every resource through the subset solver. */
-void
-solveWhole(const std::vector<double> &caps,
-           const std::vector<FairShareFlow> &flows,
-           FairShareScratch &scratch)
+/**
+ * Rates of every flow: each connected component is found by a
+ * breadth-first walk from a resource, sorted by slot, and solved by
+ * the component solver.  A flow with no path belongs to no component;
+ * only its cap binds (+inf when uncapped).  Returns the number of
+ * components solved.
+ */
+int
+solveByComponents(const std::vector<double> &caps,
+                  const std::vector<FairShareFlow> &flows,
+                  FairShareScratch &scratch, std::vector<double> &rates)
 {
     std::vector<PathVec> paths;
     std::vector<double> rateCaps;
-    for (const FairShareFlow &f : flows) {
-        paths.push_back(f.path);
-        rateCaps.push_back(f.rateCap);
+    std::vector<std::vector<FlowSlot>> resFlows(caps.size());
+    rates.assign(flows.size(), 0.0);
+    for (size_t f = 0; f < flows.size(); ++f) {
+        paths.push_back(flows[f].path);
+        rateCaps.push_back(flows[f].rateCap);
+        for (ResourceId r : flows[f].path)
+            resFlows[r].push_back(static_cast<FlowSlot>(f));
+        if (flows[f].path.empty()) {
+            rates[f] = flows[f].rateCap > 0.0
+                           ? flows[f].rateCap
+                           : std::numeric_limits<double>::infinity();
+        }
     }
-    std::vector<int> slots(flows.size());
-    std::iota(slots.begin(), slots.end(), 0);
-    std::vector<ResourceId> resources(caps.size());
-    std::iota(resources.begin(), resources.end(), 0);
-    fairShareSolveSubset(caps, paths, rateCaps, slots.data(),
-                         slots.size(), resources.data(),
-                         resources.size(), scratch);
+    std::vector<char> resSeen(caps.size(), 0);
+    std::vector<char> flowSeen(flows.size(), 0);
+    int components = 0;
+    for (size_t seed = 0; seed < caps.size(); ++seed) {
+        if (resSeen[seed] || resFlows[seed].empty())
+            continue;
+        std::vector<ResourceId> res = {static_cast<ResourceId>(seed)};
+        std::vector<FlowSlot> members;
+        resSeen[seed] = 1;
+        for (size_t i = 0; i < res.size(); ++i) {
+            for (FlowSlot f : resFlows[res[i]]) {
+                if (flowSeen[f])
+                    continue;
+                flowSeen[f] = 1;
+                members.push_back(f);
+                for (ResourceId r : paths[f]) {
+                    if (!resSeen[r]) {
+                        resSeen[r] = 1;
+                        res.push_back(r);
+                    }
+                }
+            }
+        }
+        std::sort(members.begin(), members.end());
+        fairShareSolveComponent(caps, paths, rateCaps, members.data(),
+                                members.size(), res.data(), res.size(),
+                                scratch);
+        EXPECT_EQ(scratch.rates.size(), members.size());
+        for (size_t k = 0; k < members.size(); ++k)
+            rates[members[k]] = scratch.rates[k];
+        ++components;
+    }
+    return components;
 }
 
 TEST(FairShareDiff, OptimizedMatchesReferenceOnRandomFlowSets)
 {
     Rng rng(0x5eedf00dULL);
     FairShareScratch scratch; // deliberately reused across all sets
+    std::vector<double> rates;
     int spilled = 0;
+    int multiComponent = 0;
     for (int iter = 0; iter < 1000; ++iter) {
         Scenario s = randomScenario(rng);
         std::vector<double> ref =
             fairShareRatesReference(s.caps, s.flows);
-        solveWhole(s.caps, s.flows, scratch);
-        ASSERT_EQ(scratch.rates.size(), ref.size())
-            << "iteration " << iter;
+        if (solveByComponents(s.caps, s.flows, scratch, rates) > 1)
+            ++multiComponent;
+        ASSERT_EQ(rates.size(), ref.size()) << "iteration " << iter;
         for (size_t f = 0; f < ref.size(); ++f) {
-            ASSERT_EQ(bits(scratch.rates[f]), bits(ref[f]))
+            ASSERT_EQ(bits(rates[f]), bits(ref[f]))
                 << "iteration " << iter << " flow " << f << ": "
-                << scratch.rates[f] << " vs " << ref[f];
+                << rates[f] << " vs " << ref[f];
             if (!s.flows[f].path.inlined())
                 ++spilled;
         }
     }
-    // The generator must really produce heap-spilled paths.
+    // The generator must really produce heap-spilled paths and flow
+    // sets of several components.
     EXPECT_GT(spilled, 0);
+    EXPECT_GT(multiComponent, 0);
 }
 
 TEST(FairShareDiff, ScratchReuseDoesNotLeakStateAcrossShrinkingSets)
@@ -134,15 +182,17 @@ TEST(FairShareDiff, ScratchReuseDoesNotLeakStateAcrossShrinkingSets)
         big.push_back(std::move(fl));
     }
     FairShareScratch scratch;
-    solveWhole(caps_big, big, scratch);
-    ASSERT_EQ(scratch.rates.size(), 64u);
+    std::vector<double> rates;
+    EXPECT_EQ(solveByComponents(caps_big, big, scratch, rates), 16);
+    ASSERT_EQ(rates.size(), 64u);
+    EXPECT_DOUBLE_EQ(rates[0], 25.0);
 
     std::vector<double> caps_small = {10.0};
     std::vector<FairShareFlow> small;
     FairShareFlow fl;
     fl.path = {0};
     small.push_back(std::move(fl));
-    solveWhole(caps_small, small, scratch);
+    solveByComponents(caps_small, small, scratch, rates);
     ASSERT_EQ(scratch.rates.size(), 1u);
     EXPECT_DOUBLE_EQ(scratch.rates[0], 10.0);
 }

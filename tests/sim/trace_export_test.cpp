@@ -289,7 +289,7 @@ TEST(TraceExport, HandBuiltEngineProducesValidPairedTrace)
     Engine e;
     ResourceId r = e.addResource("mem", 10.0);
     for (int t = 0; t < 2; ++t) {
-        e.addTask(std::make_unique<SequenceTask>(
+        e.addTask(TaskProgram(
             "t" + std::to_string(t),
             std::vector<Prim>{work(20.0, {r}, 3), Delay{0.5, 0},
                               work(10.0, {r}, 4)}));
@@ -318,7 +318,7 @@ TEST(TraceExport, FinishIsIdempotentAndDestructorSafe)
     std::ostringstream oss;
     Engine e;
     ResourceId r = e.addResource("mem", 10.0);
-    e.addTask(std::make_unique<SequenceTask>(
+    e.addTask(TaskProgram(
         "t0", std::vector<Prim>{work(5.0, {r})}));
     {
         ChromeTraceWriter w(oss);
@@ -419,7 +419,7 @@ TEST(EngineStats, CountersTrackTheRun)
     Engine e;
     ResourceId r = e.addResource("mem", 10.0);
     for (int t = 0; t < 3; ++t) {
-        e.addTask(std::make_unique<SequenceTask>(
+        e.addTask(TaskProgram(
             "t" + std::to_string(t),
             std::vector<Prim>{work(10.0, {r}), Delay{0.1, 0},
                               work(5.0, {r})}));
@@ -437,7 +437,7 @@ TEST(Timeline, MustBeEnabledBeforeRun)
 {
     Engine e;
     ResourceId r = e.addResource("mem", 10.0);
-    e.addTask(std::make_unique<SequenceTask>(
+    e.addTask(TaskProgram(
         "t0", std::vector<Prim>{work(5.0, {r})}));
     e.run();
     EXPECT_DEATH(e.enableUtilizationTimeline(4), "before run");

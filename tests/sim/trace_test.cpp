@@ -28,10 +28,10 @@ TEST(Trace, EmitsBalancedFlowEventsInTimeOrder)
 {
     Engine e;
     ResourceId r = e.addResource("r", 10.0);
-    e.addTask(std::make_unique<SequenceTask>(
+    e.addTask(TaskProgram(
         "a", std::vector<Prim>{work(10.0, {r}, 7),
                                work(20.0, {r}, 8)}));
-    e.addTask(std::make_unique<SequenceTask>(
+    e.addTask(TaskProgram(
         "b", std::vector<Prim>{work(10.0, {r}, 7)}));
 
     std::vector<TraceEvent> events;
@@ -68,7 +68,7 @@ TEST(Trace, CarriesTagsAndAmounts)
 {
     Engine e;
     ResourceId r = e.addResource("r", 10.0);
-    e.addTask(std::make_unique<SequenceTask>(
+    e.addTask(TaskProgram(
         "t", std::vector<Prim>{work(42.0, {r}, 5)}));
     std::vector<TraceEvent> events;
     e.setTraceSink([&events](const TraceEvent &ev) {
@@ -89,8 +89,7 @@ TEST(Trace, DelayEndReported)
     Delay d;
     d.seconds = 0.5;
     d.tag = 9;
-    e.addTask(std::make_unique<SequenceTask>("t",
-                                             std::vector<Prim>{d}));
+    e.addTask(TaskProgram("t", std::vector<Prim>{d}));
     bool saw_delay = false;
     e.setTraceSink([&saw_delay](const TraceEvent &ev) {
         if (ev.kind == TraceEvent::Kind::DelayEnd) {
@@ -115,7 +114,7 @@ TEST(Trace, NullSinkIsFine)
 {
     Engine e;
     ResourceId r = e.addResource("r", 1.0);
-    e.addTask(std::make_unique<SequenceTask>(
+    e.addTask(TaskProgram(
         "t", std::vector<Prim>{work(1.0, {r})}));
     e.setTraceSink(nullptr);
     e.run();

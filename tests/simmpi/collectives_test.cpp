@@ -31,7 +31,7 @@ runCollective(int ranks, Builder build)
     for (int r = 0; r < ranks; ++r) {
         std::vector<Prim> prims;
         build(rt, prims, r);
-        machine.engine().addTask(std::make_unique<SequenceTask>(
+        machine.engine().addTask(TaskProgram(
             "r" + std::to_string(r), std::move(prims)));
     }
     machine.engine().run();
@@ -152,7 +152,7 @@ TEST(Collectives, SysVAllReduceSlowerThanUSysV)
         for (int r = 0; r < 8; ++r) {
             std::vector<Prim> prims;
             appendAllReduce(rt, prims, r, 16.0, 0x60000ULL);
-            machine.engine().addTask(std::make_unique<SequenceTask>(
+            machine.engine().addTask(TaskProgram(
                 "r" + std::to_string(r), std::move(prims)));
         }
         machine.engine().run();

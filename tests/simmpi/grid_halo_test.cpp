@@ -31,7 +31,7 @@ runGridHalo(int rows, int cols, double bytes_ew, double bytes_ns,
         std::vector<Prim> body;
         appendGridHalo(rt, body, r, rows, cols, bytes_ew, bytes_ns,
                        0x10000ULL);
-        machine.engine().addTask(std::make_unique<LoopTask>(
+        machine.engine().addTask(TaskProgram(
             "g" + std::to_string(r), std::vector<Prim>{},
             std::move(body), iterations));
     }

@@ -54,13 +54,20 @@ TEST(Prims, KindNames)
     EXPECT_EQ(primKindName(SyncAll{}), "SyncAll");
 }
 
-TEST(Tasks, SequenceTaskExhausts)
+TEST(Tasks, StraightLineProgramRunsEveryPrim)
 {
-    SequenceTask t("seq", {Delay{0.5, 0}, Delay{0.25, 0}});
-    EXPECT_TRUE(t.next().has_value());
-    EXPECT_TRUE(t.next().has_value());
-    EXPECT_FALSE(t.next().has_value());
-    EXPECT_EQ(t.name(), "seq");
+    // A program that is only a prologue runs each primitive once, in
+    // order, then finishes: one event per primitive plus one for the
+    // completion.
+    Engine e;
+    e.addResource("r", 1.0);
+    const int t =
+        e.addTask(TaskProgram("seq", {Delay{0.5, 0}, Delay{0.25, 1}}));
+    e.run();
+    EXPECT_DOUBLE_EQ(e.taskFinishTime(t), 0.75);
+    EXPECT_DOUBLE_EQ(e.taggedTime(t, 0), 0.5);
+    EXPECT_DOUBLE_EQ(e.taggedTime(t, 1), 0.25);
+    EXPECT_EQ(e.eventCount(), 3u);
 }
 
 TEST(Tasks, LoopTaskEpilogueRuns)
@@ -73,7 +80,7 @@ TEST(Tasks, LoopTaskEpilogueRuns)
     Work epi;
     epi.amount = 3.0;
     epi.path = {r};
-    e.addTask(std::make_unique<LoopTask>(
+    e.addTask(TaskProgram(
         "loop", std::vector<Prim>{w} /* prologue */,
         std::vector<Prim>{w}, 2, std::vector<Prim>{epi}));
     e.run();
@@ -88,7 +95,7 @@ TEST(Tasks, LoopTaskZeroIterations)
     Work w;
     w.amount = 2.0;
     w.path = {r};
-    e.addTask(std::make_unique<LoopTask>(
+    e.addTask(TaskProgram(
         "empty", std::vector<Prim>{w}, std::vector<Prim>{}, 5));
     e.run();
     // Empty body: only the prologue runs.

@@ -46,7 +46,7 @@ import sys
 HOT_PATH_BENCHES = {
     "BM_EngineEventThroughput",
     "BM_CalQueueChurn",
-    "BM_FairShareSubsetSolve",
+    "BM_FairShareComponentSolve",
     "BM_EngineManyComponents",
     "BM_CoherenceProbe",
     "BM_NasCgExperiment",
