@@ -2,15 +2,19 @@
  * @file
  * google-benchmark microbenchmarks of the simulation engine itself:
  * fair-share allocation, event throughput, end-to-end experiment
- * cost, and the plan layer (batch spec expansion, spec digests).  These guard the harness's own performance (a full table
- * sweep runs hundreds of simulations).
+ * cost, the plan layer (batch spec expansion, spec digests) and the
+ * on-disk result store.  These guard the harness's own performance (a
+ * full table sweep runs hundreds of simulations).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
+
+#include <unistd.h>
 
 #include "core/experiment.hh"
 #include "core/plan.hh"
@@ -453,6 +457,54 @@ BM_SweepCacheHit(benchmark::State &state)
 }
 BENCHMARK(BM_SweepCacheHit)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void
+BM_DiskCacheHit(benchmark::State &state)
+{
+    // The warm path's cache layer: open a fresh ResultCache on a
+    // directory holding 144 stored records (the zoo grid's count,
+    // shaped like its records) and look every one of them up.  Each
+    // iteration times the store's open and index build plus 144 disk
+    // hits, each a read and a parse.
+    constexpr uint64_t kRecords = 144;
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("mcscope_bm_disk_cache_" +
+          std::to_string(static_cast<long>(::getpid()))))
+            .string();
+    std::filesystem::remove_all(dir);
+    {
+        ResultCache writer(dir);
+        Rng rng(144);
+        for (uint64_t i = 0; i < kRecords; ++i) {
+            RunResult r;
+            r.valid = true;
+            r.seconds = rng.uniform(1e-3, 10.0);
+            for (int tag = 0; tag < 4; ++tag)
+                r.taggedSeconds[tag] = r.seconds * rng.uniform(0.0, 1.0);
+            r.events = 1000 + rng.below(100000);
+            r.incrementalSolves = r.events / 2;
+            r.calqueueOps = 2 * r.events;
+            writer.store(0x9e3779b97f4a7c15ULL * (i + 1), r);
+        }
+    }
+    for (auto _ : state) {
+        ResultCache cache(dir);
+        for (uint64_t i = 0; i < kRecords; ++i) {
+            std::optional<ResultCache::Hit> hit =
+                cache.lookup(0x9e3779b97f4a7c15ULL * (i + 1));
+            if (!hit || !hit->fromDisk) {
+                state.SkipWithError("stored record not served from disk");
+                break;
+            }
+            benchmark::DoNotOptimize(hit->result.seconds);
+        }
+    }
+    std::filesystem::remove_all(dir);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(kRecords));
+}
+BENCHMARK(BM_DiskCacheHit)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace mcscope

@@ -46,18 +46,11 @@ lockHolder(const std::string &lock_path)
 
 /** write(2) the whole buffer; fatal on error (journal loss = data loss). */
 void
-writeAllOrDie(int fd, const std::string &data, const std::string &path)
+writeAllOrDie(int fd, std::string_view data, const std::string &path)
 {
-    size_t off = 0;
-    while (off < data.size()) {
-        ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("cannot append to journal '", path,
-                  "': ", std::strerror(errno));
-        }
-        off += static_cast<size_t>(n);
+    if (!writeAll(fd, data)) {
+        fatal("cannot append to journal '", path,
+              "': ", std::strerror(errno));
     }
 }
 
@@ -104,21 +97,28 @@ SweepJournal::SweepJournal(std::string path)
         std::to_string(static_cast<long>(::getpid())) + "\n";
     writeAllOrDie(lock_fd_, pid_line, lock_path_);
 
-    const bool fresh = ::access(path_.c_str(), F_OK) != 0;
+    // Read access too: the tail check below reads the last byte.
     fd_ = ::open(path_.c_str(),
-                 O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-    if (fd_ < 0) {
+                 O_CREAT | O_RDWR | O_APPEND | O_CLOEXEC, 0644);
+    struct stat st;
+    if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
         int saved = errno;
         ::close(lock_fd_);
         ::unlink(lock_path_.c_str());
         fatal("cannot open journal '", path_,
               "': ", std::strerror(saved));
     }
-    if (fresh) {
-        JsonValue header = JsonValue::object();
-        header.set("format", JsonValue::str(kJournalFormat));
-        header.set("model", JsonValue::str(kScenarioModelVersion));
-        writeAllOrDie(fd_, header.dump() + "\n", path_);
+    char last = '\n';
+    if (st.st_size > 0 && ::pread(fd_, &last, 1, st.st_size - 1) != 1)
+        fatal("cannot read journal '", path_, "': ", std::strerror(errno));
+    if (st.st_size == 0) {
+        writeAllOrDie(fd_, journalHeaderLine(), path_);
+        ::fsync(fd_);
+    } else if (last != '\n') {
+        // A torn tail from a killed supervisor: end it here, or the
+        // first record appended below would be glued onto it and
+        // lost with it.  The torn line still reads as corrupt.
+        writeAllOrDie(fd_, "\n", path_);
         ::fsync(fd_);
     }
 }
@@ -149,24 +149,44 @@ SweepJournal::append(uint64_t digest, const RunResult &result)
     ++appended_;
 }
 
-std::optional<std::pair<uint64_t, RunResult>>
-parseJournalRecord(const std::string &line)
+std::string
+journalHeaderLine()
 {
-    std::optional<JsonValue> doc = parseJson(line);
-    if (!doc || !doc->isObject())
+    JsonValue header = JsonValue::object();
+    header.set("format", JsonValue::str(kJournalFormat));
+    header.set("model", JsonValue::str(kScenarioModelVersion));
+    return header.dump() + "\n";
+}
+
+namespace {
+
+/** A parsed line as a record; nullopt for headers and bad records. */
+std::optional<std::pair<uint64_t, RunResult>>
+recordFromDoc(const JsonValue &doc)
+{
+    if (!doc.isObject() || doc.find("format"))
         return std::nullopt;
-    if (doc->find("format"))
-        return std::nullopt; // header line
-    const JsonValue *digest = doc->find("digest");
+    const JsonValue *digest = doc.find("digest");
     if (!digest || !digest->isString())
         return std::nullopt;
     std::optional<uint64_t> d = parseDigestHex(digest->asString());
     if (!d)
         return std::nullopt;
-    std::optional<RunResult> r = parseRunResult(*doc, *d);
+    std::optional<RunResult> r = parseRunResult(doc, *d);
     if (!r)
         return std::nullopt;
     return std::make_pair(*d, *r);
+}
+
+} // namespace
+
+std::optional<std::pair<uint64_t, RunResult>>
+parseJournalRecord(std::string_view line)
+{
+    std::optional<JsonValue> doc = parseJson(line);
+    if (!doc)
+        return std::nullopt;
+    return recordFromDoc(*doc);
 }
 
 std::unordered_map<uint64_t, RunResult>
@@ -178,33 +198,35 @@ loadJournal(const std::string &path, JournalLoadStats *stats)
     // which mcscope-lint rule DET-2 forbids in this unit.
     std::unordered_map<uint64_t, RunResult> out;
     JournalLoadStats local;
-    // readWholeFile() opens with O_CLOEXEC (FD-1): the supervisor
-    // that calls this also forks workers.
-    std::string text;
-    if (readWholeFile(path, text)) {
-        size_t pos = 0;
-        while (pos < text.size()) {
-            const size_t nl = text.find('\n', pos);
-            const size_t len =
-                (nl == std::string::npos ? text.size() : nl) - pos;
-            std::string line = text.substr(pos, len);
-            pos = (nl == std::string::npos) ? text.size() : nl + 1;
-            if (line.empty())
-                continue;
-            std::optional<JsonValue> doc = parseJson(line);
-            if (doc && doc->isObject() && doc->find("format"))
-                continue; // header
-            std::optional<std::pair<uint64_t, RunResult>> rec =
-                parseJournalRecord(line);
-            if (!rec) {
-                ++local.corrupt;
-                warn("journal ", path,
-                     ": skipping malformed record line");
-                continue;
-            }
-            out[rec->first] = rec->second;
-            ++local.records;
-        }
+    // O_CLOEXEC (FD-1): the supervisor that calls this also forks
+    // workers.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd >= 0) {
+        auto corrupt = [&](const char *what) {
+            ++local.corrupt;
+            warn("journal ", path, ": skipping ", what);
+        };
+        const LineScan scan =
+            scanLines(fd, 0, [&](uint64_t, std::string_view line) {
+                if (line.empty())
+                    return;
+                std::optional<JsonValue> doc = parseJson(line);
+                if (doc && doc->isObject() && doc->find("format"))
+                    return; // header
+                std::optional<std::pair<uint64_t, RunResult>> rec =
+                    doc ? recordFromDoc(*doc) : std::nullopt;
+                if (!rec) {
+                    corrupt("malformed record line");
+                    return;
+                }
+                out[rec->first] = rec->second;
+                ++local.records;
+            });
+        if (!scan.ok)
+            warn("journal ", path, ": read failed: ", std::strerror(errno));
+        if (scan.eof > scan.end)
+            corrupt("torn final line");
+        ::close(fd);
     }
     if (stats)
         *stats = local;

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -45,10 +46,17 @@ namespace mcscope {
 constexpr const char *kJournalFormat = "mcscope-journal-1";
 
 /**
+ * The header line, '\n' included, that starts every journal and every
+ * result store file (core/runner.hh).
+ */
+std::string journalHeaderLine();
+
+/**
  * Append side of the journal.  Construction takes the lock and opens
- * the file for appending (creating it, with a header line, when
- * missing); destruction releases the lock.  fatal() when another live
- * process holds the lock.
+ * the file for appending (writing the header line into an empty
+ * file, and ending a torn final line so the next record starts on a
+ * line of its own); destruction releases the lock.  fatal() when
+ * another live process holds the lock.
  */
 class SweepJournal
 {
@@ -106,7 +114,7 @@ loadJournal(const std::string &path, JournalLoadStats *stats = nullptr);
  * (digest, result) pair, or nullopt for headers and malformed lines.
  */
 std::optional<std::pair<uint64_t, RunResult>>
-parseJournalRecord(const std::string &line);
+parseJournalRecord(std::string_view line);
 
 } // namespace mcscope
 

@@ -17,6 +17,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include "core/journal.hh"
@@ -35,6 +36,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** How every record line starts: runResultToJson() puts the digest first. */
+constexpr std::string_view kRecordPrefix = "{\"digest\":\"";
+
 /** Format stamp on shard manifests (supervisor -> worker). */
 constexpr const char *kShardManifestFormat = "mcscope-shard-1";
 
@@ -42,6 +46,62 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/**
+ * A record's counter as a uint64_t.  False unless it is a number in
+ * [0, 2^64): casting anything else (NaN, -1, 1e300) is undefined
+ * behaviour, so such a record is corrupt.
+ */
+bool
+toCount(const JsonValue &v, uint64_t &out)
+{
+    if (!v.isNumber())
+        return false;
+    const double x = v.asNumber();
+    if (!(x >= 0.0 && x < 0x1p64)) // NaN fails both
+        return false;
+    out = static_cast<uint64_t>(x);
+    return true;
+}
+
+/** flock(LOCK_EX) on a descriptor, held for the object's lifetime. */
+class FileLock
+{
+  public:
+    explicit FileLock(int fd) : fd_(fd)
+    {
+        int rc;
+        do {
+            rc = ::flock(fd, LOCK_EX);
+        } while (rc != 0 && errno == EINTR);
+        held_ = rc == 0;
+    }
+    ~FileLock()
+    {
+        if (held_)
+            ::flock(fd_, LOCK_UN);
+    }
+    FileLock(const FileLock &) = delete;
+    FileLock &operator=(const FileLock &) = delete;
+
+    bool held() const { return held_; }
+
+  private:
+    int fd_;
+    bool held_ = false;
+};
+
+/** pread(2) exactly out.size() bytes at `offset`; false otherwise. */
+bool
+preadFull(int fd, std::string &out, uint64_t offset)
+{
+    ssize_t n;
+    do {
+        n = ::pread(fd, out.data(), out.size(),
+                    static_cast<off_t>(offset));
+    } while (n < 0 && errno == EINTR);
+    return n == static_cast<ssize_t>(out.size());
 }
 
 } // namespace
@@ -56,7 +116,7 @@ digestHex(uint64_t digest)
 }
 
 std::optional<uint64_t>
-parseDigestHex(const std::string &s)
+parseDigestHex(std::string_view s)
 {
     if (s.size() != 16)
         return std::nullopt;
@@ -158,23 +218,15 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
             return std::nullopt;
         r.taggedSeconds[static_cast<int>(tag)] = v.asNumber();
     }
-    double ev = events->asNumber();
-    if (ev < 0.0 || !std::isfinite(ev))
+    if (!toCount(*events, r.events))
         return std::nullopt;
-    r.events = static_cast<uint64_t>(ev);
 
     // Engine-counter fields arrived after the cache/journal format
     // shipped; absent fields (old entries) default to zero.
     auto optionalCounter = [&doc](const char *key,
                                   uint64_t &out) -> bool {
         const JsonValue *v = doc.find(key);
-        if (!v)
-            return true;
-        if (!v->isNumber() || !std::isfinite(v->asNumber()) ||
-            v->asNumber() < 0.0)
-            return false;
-        out = static_cast<uint64_t>(v->asNumber());
-        return true;
+        return !v || toCount(*v, out);
     };
     if (!optionalCounter("incremental_solves", r.incrementalSolves) ||
         !optionalCounter("full_solves", r.fullSolves) ||
@@ -190,18 +242,18 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
     if (r.audited) {
         const JsonValue *ad = doc.find("audit_digest");
         const JsonValue *ac = doc.find("audit_checks");
-        if (!ad || !ad->isString() || !ac || !ac->isNumber())
+        if (!ad || !ad->isString() || !ac || !toCount(*ac, r.auditChecks))
             return std::nullopt;
         std::optional<uint64_t> adv = parseDigestHex(ad->asString());
         if (!adv)
             return std::nullopt;
         r.auditDigest = *adv;
-        r.auditChecks = static_cast<uint64_t>(ac->asNumber());
     }
     return r;
 }
 
-ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
+ResultCache::ResultCache(std::string dir)
+    : dir_(std::move(dir)), path_(dir_ + "/results.jsonl")
 {
     MCSCOPE_ASSERT(!dir_.empty(), "disk cache needs a directory");
     std::error_code ec;
@@ -210,11 +262,48 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
         fatal("cannot create cache directory '", dir_,
               "': ", ec.message());
     }
+    // O_CLOEXEC (FD-1): the descriptor stays open for the cache's
+    // lifetime, and supervisors fork workers meanwhile.
+    fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
+                 0644);
+    if (fd_ < 0) {
+        fatal("cannot open result store '", path_,
+              "': ", std::strerror(errno));
+    }
+    catchUp();
+}
+
+ResultCache::~ResultCache()
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+}
+
+LineScan
+ResultCache::catchUp()
+{
+    // Only the digest a record line starts with is read here; the
+    // record itself is parsed when a lookup hits it.  Other lines
+    // (the header, a sealed torn tail) index nothing.
+    const LineScan scan = scanLines(
+        fd_, scanned_, [this](uint64_t offset, std::string_view line) {
+            const size_t hex_end = kRecordPrefix.size() + 16;
+            if (line.size() <= hex_end || line[hex_end] != '"' ||
+                line.size() > std::numeric_limits<uint32_t>::max() ||
+                line.substr(0, kRecordPrefix.size()) != kRecordPrefix)
+                return;
+            if (std::optional<uint64_t> d =
+                    parseDigestHex(line.substr(kRecordPrefix.size(), 16)))
+                index_[*d] = {offset, static_cast<uint32_t>(line.size())};
+        });
+    scanned_ = scan.end;
+    return scan;
 }
 
 std::optional<ResultCache::Hit>
 ResultCache::lookup(uint64_t digest)
 {
+    Record rec;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = entries_.find(digest);
@@ -226,25 +315,31 @@ ResultCache::lookup(uint64_t digest)
             ++stats_.misses;
             return std::nullopt;
         }
+        auto at = index_.find(digest);
+        if (at == index_.end()) {
+            // Another instance or process may have stored it since.
+            catchUp();
+            at = index_.find(digest);
+        }
+        if (at == index_.end()) {
+            ++stats_.misses;
+            return std::nullopt;
+        }
+        rec = at->second;
     }
 
-    // Disk probe outside the lock: file I/O must not serialize the
-    // worker pool.  readWholeFile() opens with O_CLOEXEC, so the
-    // descriptor cannot leak into workers the supervisor forks while
-    // another thread sits in this read (FD-1).
-    std::string path = dir_ + "/" + digestHex(digest) + ".json";
-    std::string text;
-    if (!readWholeFile(path, text)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.misses;
-        return std::nullopt;
-    }
+    // Read and parse outside the lock: they must not serialize the
+    // worker pool.  The record's own digest field is checked against
+    // the one asked for, so a line can only ever serve its own spec.
+    std::string bytes(rec.length, '\0');
     std::optional<RunResult> r;
-    if (std::optional<JsonValue> doc = parseJson(text))
-        r = parseRunResult(*doc, digest);
+    if (preadFull(fd_, bytes, rec.offset)) {
+        if (std::optional<JsonValue> doc = parseJson(bytes))
+            r = parseRunResult(*doc, digest);
+    }
     std::lock_guard<std::mutex> lock(mu_);
     if (!r) {
-        warn("cache entry ", path,
+        warn("cache record ", digestHex(digest), " in ", path_,
              " is corrupt or stale; re-simulating");
         ++stats_.corrupt;
         ++stats_.misses;
@@ -252,7 +347,7 @@ ResultCache::lookup(uint64_t digest)
     }
     entries_.emplace(digest, *r);
     ++stats_.diskHits;
-    return Hit{*r, true};
+    return Hit{std::move(*r), true};
 }
 
 void
@@ -265,18 +360,40 @@ ResultCache::store(uint64_t digest, const RunResult &result)
     }
     if (dir_.empty())
         return;
-    // Atomic replace-by-rename keeps concurrent readers (and
-    // concurrent writers, in-process or cross-process) from ever
-    // seeing a torn file.  writeFileAtomic() draws a unique mkostemp
-    // temp per call -- the old shared ".tmp.<pid>" path let two
-    // threads storing the same digest interleave writes -- and its
-    // descriptor carries O_CLOEXEC (FD-1).
-    std::string final_path = dir_ + "/" + digestHex(digest) + ".json";
-    std::string payload = runResultToJson(digest, result).dump(2);
-    payload += "\n";
-    if (!writeFileAtomic(final_path, payload)) {
-        warn("cannot publish cache entry ", final_path, ": ",
+    const std::string line = runResultToJson(digest, result).dump();
+
+    // flock orders appends across instances and processes; mu_ orders
+    // this instance's threads, which share one open file description
+    // and so one flock.
+    std::lock_guard<std::mutex> lock(mu_);
+    const FileLock file_lock(fd_);
+    if (!file_lock.held()) {
+        warn("cannot lock result store ", path_, ": ",
              std::strerror(errno));
+        return;
+    }
+    const LineScan scan = catchUp();
+    auto at = index_.find(digest);
+    std::string have;
+    if (at != index_.end() && at->second.length == line.size()) {
+        have.resize(line.size());
+        if (!preadFull(fd_, have, at->second.offset))
+            have.clear();
+    }
+    if (have != line) {
+        std::string out;
+        if (scan.eof == 0)
+            out = journalHeaderLine();
+        else if (scan.eof > scan.end)
+            out = "\n"; // seal a torn tail so it cannot swallow this line
+        out += line;
+        out += '\n';
+        if (writeAll(fd_, out)) {
+            catchUp();
+        } else {
+            warn("cannot append to result store ", path_, ": ",
+                 std::strerror(errno));
+        }
     }
 }
 

@@ -48,12 +48,14 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/plan.hh"
 #include "core/telemetry.hh"
+#include "util/fdio.hh"
 
 namespace mcscope {
 
@@ -72,9 +74,20 @@ struct CacheStats
 /**
  * Content-addressed store of RunResults, keyed by scenario digest.
  * Always holds an in-memory map; when constructed with a directory it
- * also persists one JSON file per digest ("<16-hex-digest>.json"),
- * written atomically (temp file + rename) so concurrent processes can
- * share a cache directory.  Thread-safe.
+ * also persists every result in one append-only record file,
+ * `<dir>/results.jsonl` (DESIGN.md §9).
+ *
+ * The file is in the journal's format: the journal header line, then
+ * one compact runResultToJson() record per line.  Opening it indexes
+ * each complete line by the digest it starts with, as an offset and
+ * a length; records are neither parsed nor kept in memory until a
+ * lookup hits them.  A hit is one pread(2) and a parse; an index miss
+ * first indexes whatever other instances or processes appended since
+ * the last scan.  A store appends one line with one write(2) under
+ * flock(LOCK_EX), ending a torn final line first, and skips the write
+ * when the same digest already holds the same bytes.  A later record
+ * for a digest wins.  Thread-safe, and safe to share across
+ * processes.
  */
 class ResultCache
 {
@@ -82,8 +95,12 @@ class ResultCache
     /** Memory-only cache. */
     ResultCache() = default;
 
-    /** Memory + on-disk store under `dir` (created when missing). */
+    /** Memory + the record file under `dir` (both created when missing). */
     explicit ResultCache(std::string dir);
+    ~ResultCache();
+
+    ResultCache(const ResultCache &) = delete;
+    ResultCache &operator=(const ResultCache &) = delete;
 
     /** One lookup outcome. */
     struct Hit
@@ -104,15 +121,30 @@ class ResultCache
     CacheStats stats() const;
 
   private:
+    /** Where one record line sits in the record file. */
+    struct Record
+    {
+        uint64_t offset = 0;
+        uint32_t length = 0; ///< without the '\n'
+    };
+
+    /** Index the lines appended since the last scan (mu_ held). */
+    LineScan catchUp();
+
     mutable std::mutex mu_;
 
     /**
-     * Digest-keyed memory tier; accessed by .find()/operator[] only.
-     * Never iterate it -- hash order is implementation-defined and
-     * this unit feeds digest/serialization paths (lint rule DET-2).
+     * Digest-keyed memory tier and record index; accessed by
+     * .find()/operator[] only.  Never iterate them -- hash order is
+     * implementation-defined and this unit feeds
+     * digest/serialization paths (lint rule DET-2).
      */
     std::unordered_map<uint64_t, RunResult> entries_;
+    std::unordered_map<uint64_t, Record> index_;
     std::string dir_;
+    std::string path_;   ///< the record file, empty when memory-only
+    int fd_ = -1;        ///< read + append descriptor on path_
+    uint64_t scanned_ = 0; ///< bytes of path_ indexed so far
     CacheStats stats_;
 };
 
@@ -128,9 +160,9 @@ JsonValue runResultToJson(uint64_t digest, const RunResult &result);
 std::optional<RunResult> parseRunResult(const JsonValue &doc,
                                         uint64_t expect_digest);
 
-/** 16-hex-digit spelling shared by cache files and journal records. */
+/** 16-hex-digit spelling shared by cache and journal records. */
 std::string digestHex(uint64_t digest);
-std::optional<uint64_t> parseDigestHex(const std::string &s);
+std::optional<uint64_t> parseDigestHex(std::string_view s);
 
 /** How to execute a plan. */
 struct RunnerOptions

@@ -3,7 +3,6 @@
 #include <cerrno>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 namespace mcscope {
@@ -36,44 +35,58 @@ readWholeFile(const std::string &path, std::string &out)
 }
 
 bool
-writeFileAtomic(const std::string &path, const std::string &data)
+writeAll(int fd, std::string_view data)
 {
-    std::string tmpl = path + ".tmpXXXXXX";
-    const int fd = ::mkostemp(tmpl.data(), O_CLOEXEC);
-    if (fd < 0)
-        return false;
-    // mkostemp creates 0600; published files should be readable like
-    // any other artifact (cache directories are shared across runs).
-    ::fchmod(fd, 0644);
-
-    size_t off = 0;
-    while (off < data.size()) {
-        const ssize_t n =
-            ::write(fd, data.data() + off, data.size() - off);
+    while (!data.empty()) {
+        const ssize_t n = ::write(fd, data.data(), data.size());
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            const int saved = errno;
-            ::close(fd);
-            ::unlink(tmpl.c_str());
-            errno = saved;
             return false;
         }
-        off += static_cast<size_t>(n);
-    }
-    if (::close(fd) != 0) {
-        const int saved = errno;
-        ::unlink(tmpl.c_str());
-        errno = saved;
-        return false;
-    }
-    if (::rename(tmpl.c_str(), path.c_str()) != 0) {
-        const int saved = errno;
-        ::unlink(tmpl.c_str());
-        errno = saved;
-        return false;
+        data.remove_prefix(static_cast<size_t>(n));
     }
     return true;
+}
+
+LineScan
+scanLines(int fd, uint64_t from,
+          const std::function<void(uint64_t, std::string_view)> &line)
+{
+    LineScan scan;
+    scan.end = from;
+    scan.eof = from;
+    // Small on purpose: every page of this buffer a scan fills stays
+    // in the process's resident set, and store lines are short.
+    char chunk[16384];
+    std::string carry; // the start of a line that spans chunks
+    for (;;) {
+        const ssize_t n = ::pread(fd, chunk, sizeof(chunk),
+                                  static_cast<off_t>(scan.eof));
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            scan.ok = false;
+            return scan;
+        }
+        if (n == 0)
+            return scan;
+        scan.eof += static_cast<uint64_t>(n);
+        const std::string_view data(chunk, static_cast<size_t>(n));
+        size_t pos = 0;
+        for (size_t nl; (nl = data.find('\n', pos)) != data.npos;
+             pos = nl + 1) {
+            std::string_view text = data.substr(pos, nl - pos);
+            if (!carry.empty()) {
+                carry.append(text);
+                text = carry;
+            }
+            line(scan.end, text);
+            scan.end += text.size() + 1;
+            carry.clear();
+        }
+        carry.append(data.substr(pos));
+    }
 }
 
 } // namespace mcscope

@@ -1,27 +1,30 @@
 /**
  * @file
- * Raw-fd whole-file helpers with O_CLOEXEC hygiene.
+ * Raw-fd file helpers with O_CLOEXEC hygiene.
  *
  * std::ifstream / std::ofstream give no way to set O_CLOEXEC on the
  * descriptors they open, so any stream held open while another thread
  * forks a worker (the sharded-sweep supervisor does exactly that)
  * leaks the descriptor into the child across exec.  These helpers
- * cover the two patterns the result cache and journal need --
- * whole-file read, and atomic replace-by-rename write -- with
- * O_CLOEXEC set at open(2)/mkostemp(3) time, so there is no
- * fcntl(FD_CLOEXEC) window for a concurrent fork to exploit.
+ * cover what the journal and the result store need -- whole-file
+ * read, whole-buffer write, and a line scanner over an append-only
+ * file -- on descriptors the callers open with O_CLOEXEC, so there is
+ * no fcntl(FD_CLOEXEC) window for a concurrent fork to exploit.
  *
- * The atomic writer also fixes a same-process race the old
- * "<final>.tmp.<pid>" scheme had: two threads storing the same cache
- * digest shared one temp path and could interleave writes; mkostemp
- * draws a unique name per call, so each writer publishes a complete
- * file or nothing.
+ * The line scanner is the one reader of the JSON-lines files both
+ * keep (DESIGN.md §9, §10): it reports only complete,
+ * newline-terminated lines, with their byte offsets, and leaves a
+ * torn tail (a writer killed mid-line) for the caller to count or
+ * repair.
  */
 
 #ifndef MCSCOPE_UTIL_FDIO_HH
 #define MCSCOPE_UTIL_FDIO_HH
 
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 
 namespace mcscope {
 
@@ -35,16 +38,34 @@ namespace mcscope {
 bool readWholeFile(const std::string &path, std::string &out);
 
 /**
- * Atomically create or replace the file at `path` with `data`.
+ * write(2) all of `data` to `fd`, retrying on EINTR and short writes.
  *
- * Writes to a unique mkostemp sibling in the same directory, then
- * rename(2)s it over `path`, so concurrent readers (and concurrent
- * writers, in-process or cross-process) never observe a torn file.
- *
- * @return true on success; false on any failure (errno describes it;
- *         the temp file is unlinked).
+ * @return true on success; false on the first error (errno
+ *         describes it).
  */
-bool writeFileAtomic(const std::string &path, const std::string &data);
+bool writeAll(int fd, std::string_view data);
+
+/** Where a scanLines() pass stopped. */
+struct LineScan
+{
+    /** Offset just past the last complete line. */
+    uint64_t end = 0;
+    /** End of file as read; > end when the file ends in a torn line. */
+    uint64_t eof = 0;
+    /** False when a read failed (errno describes it). */
+    bool ok = true;
+};
+
+/**
+ * Call `line(offset, text)` for every complete line of the file open
+ * on `fd`, starting at byte `from` (which must be a line start).
+ * `text` excludes the '\n' and is valid only during the call.  Reads
+ * with pread(2), so the descriptor's file offset is untouched and
+ * several threads may scan one descriptor.
+ */
+LineScan scanLines(
+    int fd, uint64_t from,
+    const std::function<void(uint64_t, std::string_view)> &line);
 
 } // namespace mcscope
 

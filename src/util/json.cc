@@ -1,7 +1,6 @@
 #include "util/json.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -99,7 +98,7 @@ JsonValue::members() const
 }
 
 void
-JsonValue::set(const std::string &key, JsonValue v)
+JsonValue::set(std::string key, JsonValue v)
 {
     MCSCOPE_ASSERT(kind_ == Kind::Object, "JSON value is not an object");
     for (auto &[k, existing] : members_) {
@@ -108,11 +107,11 @@ JsonValue::set(const std::string &key, JsonValue v)
             return;
         }
     }
-    members_.emplace_back(key, std::move(v));
+    members_.emplace_back(std::move(key), std::move(v));
 }
 
 const JsonValue *
-JsonValue::find(const std::string &key) const
+JsonValue::find(std::string_view key) const
 {
     if (kind_ != Kind::Object)
         return nullptr;
@@ -289,7 +288,7 @@ dumpValue(const JsonValue &v, std::string &out, int indent, int depth,
 class Parser
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    explicit Parser(std::string_view text) : text_(text) {}
 
     std::optional<JsonValue>
     parse(std::string *error)
@@ -342,11 +341,10 @@ class Parser
     }
 
     bool
-    literal(const char *word)
+    literal(std::string_view word)
     {
-        size_t n = std::string(word).size();
-        if (text_.compare(pos_, n, word) == 0) {
-            pos_ += n;
+        if (text_.compare(pos_, word.size(), word) == 0) {
+            pos_ += word.size();
             return true;
         }
         return false;
@@ -387,23 +385,32 @@ class Parser
     std::optional<JsonValue>
     parseNumber()
     {
-        size_t start = pos_;
-        if (consume('-')) {
-        }
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
+        const size_t start = pos_;
+        while (pos_ < text_.size()) {
+            const char c = text_[pos_];
+            if (!(c >= '0' && c <= '9') && c != '.' && c != 'e' &&
+                c != 'E' && c != '+' && c != '-')
+                break;
             ++pos_;
+        }
         if (pos_ == start) {
             fail("expected a value");
             return std::nullopt;
         }
-        std::string token = text_.substr(start, pos_ - start);
+        // from_chars reads the token in place and rounds correctly,
+        // as strtod does.  A token it does not take whole or reports
+        // out of range ("+1", "1e-999", "1e999", "1e") goes through
+        // strtod, which stays the authority on what is accepted.
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        double v = 0.0;
+        const std::from_chars_result res = std::from_chars(first, last, v);
+        if (res.ec == std::errc() && res.ptr == last)
+            return JsonValue::number(v);
+        const std::string token(first, last);
         errno = 0;
         char *end = nullptr;
-        double v = std::strtod(token.c_str(), &end);
+        v = std::strtod(token.c_str(), &end);
         if (end != token.c_str() + token.size()) {
             pos_ = start;
             fail("malformed number '" + token + "'");
@@ -432,6 +439,17 @@ class Parser
         }
         std::string out;
         while (pos_ < text_.size()) {
+            // Copy the run up to the next quote, backslash or control
+            // character in one append.
+            size_t run = pos_;
+            while (run < text_.size() && text_[run] != '"' &&
+                   text_[run] != '\\' &&
+                   static_cast<unsigned char>(text_[run]) >= 0x20)
+                ++run;
+            out.append(text_.data() + pos_, run - pos_);
+            pos_ = run;
+            if (pos_ >= text_.size())
+                break;
             char c = text_[pos_++];
             if (c == '"')
                 return out;
@@ -439,10 +457,6 @@ class Parser
                 --pos_;
                 fail("unescaped control character in string");
                 return std::nullopt;
-            }
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
             }
             if (pos_ >= text_.size())
                 break;
@@ -477,7 +491,7 @@ class Parser
                     }
                 }
                 // Encode the code point as UTF-8 (surrogate halves
-                // are passed through as-is; specs and cache files
+                // are passed through as-is; specs and cache records
                 // never contain them).
                 if (code < 0x80) {
                     out.push_back(static_cast<char>(code));
@@ -547,7 +561,7 @@ class Parser
             std::optional<JsonValue> v = parseValue(depth + 1);
             if (!v)
                 return std::nullopt;
-            obj.set(*key, std::move(*v));
+            obj.set(std::move(*key), std::move(*v));
             skipWs();
             if (consume('}'))
                 return obj;
@@ -558,7 +572,7 @@ class Parser
         }
     }
 
-    const std::string &text_;
+    std::string_view text_;
     size_t pos_ = 0;
     std::string error_;
     size_t errorPos_ = 0;
@@ -575,7 +589,7 @@ JsonValue::dump(int indent, bool sort_keys) const
 }
 
 std::optional<JsonValue>
-parseJson(const std::string &text, std::string *error)
+parseJson(std::string_view text, std::string *error)
 {
     Parser p(text);
     return p.parse(error);

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -66,10 +67,10 @@ class JsonValue
     const std::vector<std::pair<std::string, JsonValue>> &members() const;
 
     /** Set (or replace) an object key. */
-    void set(const std::string &key, JsonValue v);
+    void set(std::string key, JsonValue v);
 
     /** Lookup an object key; nullptr when absent or not an object. */
-    const JsonValue *find(const std::string &key) const;
+    const JsonValue *find(std::string_view key) const;
 
     /**
      * Serialize.  indent < 0 gives a single line; indent >= 0 pretty-
@@ -93,9 +94,9 @@ class JsonValue
  * Parse a JSON document.  Returns nullopt on malformed input and, when
  * `error` is non-null, stores a one-line description with the byte
  * offset of the failure.  Trailing non-whitespace after the document
- * is an error (a truncated or concatenated cache file must not parse).
+ * is an error (a truncated or concatenated cache record must not parse).
  */
-std::optional<JsonValue> parseJson(const std::string &text,
+std::optional<JsonValue> parseJson(std::string_view text,
                                    std::string *error = nullptr);
 
 /** Escape a string for embedding in JSON (no surrounding quotes). */

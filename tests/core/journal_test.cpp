@@ -5,6 +5,7 @@
  * grammar.
  */
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -16,6 +17,7 @@
 
 #include "core/journal.hh"
 #include "core/runner.hh"
+#include "util/json.hh"
 
 using namespace mcscope;
 
@@ -123,6 +125,35 @@ TEST(Journal, ToleratesTornTail)
     EXPECT_DOUBLE_EQ(loaded.at(0xaaaa).seconds, 1.0);
 }
 
+TEST(Journal, AppendAfterTornTailIsKept)
+{
+    TempDir dir("journal_torn_append");
+    const std::string path = dir.file("sweep.journal");
+    {
+        SweepJournal journal(path);
+        journal.append(0xaaaa, sampleResult(1.0, 5));
+        journal.append(0xbbbb, sampleResult(2.0, 6));
+    }
+    std::string text = readFile(path);
+    ASSERT_GT(text.size(), 20u);
+    std::ofstream(path, std::ios::trunc)
+        << text.substr(0, text.size() - 20);
+
+    // The resumed supervisor's first record must not be glued onto
+    // the torn line and lost with it.
+    {
+        SweepJournal journal(path);
+        journal.append(0xcccc, sampleResult(3.0, 7));
+    }
+    JournalLoadStats stats;
+    auto loaded = loadJournal(path, &stats);
+    EXPECT_EQ(stats.records, 2u);
+    EXPECT_EQ(stats.corrupt, 1u);
+    ASSERT_EQ(loaded.size(), 2u);
+    EXPECT_DOUBLE_EQ(loaded.at(0xaaaa).seconds, 1.0);
+    EXPECT_DOUBLE_EQ(loaded.at(0xcccc).seconds, 3.0);
+}
+
 TEST(Journal, SkipsMalformedMiddleLines)
 {
     TempDir dir("journal_malformed");
@@ -209,6 +240,48 @@ TEST(Journal, PoisonedTaggedKeyReadsAsCorruptNotCrash)
     EXPECT_EQ(stats.corrupt, 1u);
     ASSERT_EQ(loaded.size(), 1u);
     EXPECT_TRUE(loaded.count(0xaaaa));
+}
+
+TEST(Journal, OutOfRangeCountersReadAsCorrupt)
+{
+    // Casting a counter outside [0, 2^64) to uint64_t is undefined
+    // behaviour; such a record is corrupt, never a bogus count.
+    const std::string good =
+        runResultToJson(0x77, sampleResult(3.0, 9)).dump();
+    ASSERT_TRUE(parseJournalRecord(good));
+    auto poisoned = [&](const std::string &from, const std::string &to) {
+        std::string line = good;
+        const size_t pos = line.find(from);
+        EXPECT_NE(pos, std::string::npos) << from;
+        return line.replace(pos, from.size(), to);
+    };
+    for (const char *events : {"1e300", "-1", "18446744073709551616"})
+        EXPECT_FALSE(parseJournalRecord(poisoned(
+            "\"events\":9", std::string("\"events\":") + events)))
+            << events;
+    EXPECT_FALSE(parseJournalRecord(
+        poisoned("\"calqueue_ops\":0", "\"calqueue_ops\":1e300")));
+    EXPECT_FALSE(parseJournalRecord(poisoned(
+        "\"incremental_solves\":0", "\"incremental_solves\":-1")));
+    EXPECT_TRUE(parseJournalRecord(
+        poisoned("\"events\":9", "\"events\":18446744073709549568")));
+
+    RunResult audited = sampleResult(3.0, 9);
+    audited.audited = true;
+    audited.auditDigest = 0xfeed;
+    audited.auditChecks = 4;
+    std::string line = runResultToJson(0x78, audited).dump();
+    ASSERT_TRUE(parseJournalRecord(line));
+    const size_t pos = line.find("\"audit_checks\":4");
+    ASSERT_NE(pos, std::string::npos) << line;
+    EXPECT_FALSE(parseJournalRecord(
+        line.replace(pos, 16, "\"audit_checks\":1e300")));
+
+    // NaN has no JSON spelling, so it can only arrive in a document.
+    JsonValue doc = runResultToJson(0x79, sampleResult(3.0, 9));
+    ASSERT_TRUE(parseRunResult(doc, 0x79));
+    doc.set("events", JsonValue::number(std::nan("")));
+    EXPECT_FALSE(parseRunResult(doc, 0x79));
 }
 
 TEST(JournalDeathTest, SecondSupervisorRefusesLiveJournal)

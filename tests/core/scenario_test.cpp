@@ -2,9 +2,11 @@
  * @file
  * Scenario pipeline tests: spec JSON round-trips, digest stability
  * and sensitivity, pinned canonical texts and digests, plan
- * deduplication and plan-digest parity across every executor, and the
+ * deduplication and plan-digest parity across every executor, the
  * result cache's correctness guarantees (poisoned entries
- * re-simulated, cached == fresh bit-for-bit).
+ * re-simulated, cached == fresh bit-for-bit), and the rules of its
+ * record file (a later record wins, identical records are written
+ * once, torn tails are sealed, old per-digest files are ignored).
  */
 
 #include <algorithm>
@@ -74,6 +76,50 @@ randomSpec(Rng &rng)
     s.latencyNoise = 1.0 + 0.25 * static_cast<double>(rng.below(3));
     s.canonicalize();
     return s;
+}
+
+/** The lines of the result store under `dir`, without their '\n'. */
+std::vector<std::string>
+storeLines(const std::string &dir)
+{
+    std::string text;
+    EXPECT_TRUE(readWholeFile(dir + "/results.jsonl", text));
+    std::vector<std::string> lines;
+    size_t pos = 0;
+    while (pos < text.size()) {
+        size_t nl = text.find('\n', pos);
+        if (nl == std::string::npos)
+            nl = text.size();
+        lines.push_back(text.substr(pos, nl - pos));
+        pos = nl + 1;
+    }
+    return lines;
+}
+
+/** Replace the result store under `dir` with `lines`. */
+void
+writeStoreLines(const std::string &dir,
+                const std::vector<std::string> &lines,
+                bool final_newline = true)
+{
+    std::ofstream out(dir + "/results.jsonl", std::ios::trunc);
+    for (size_t i = 0; i < lines.size(); ++i) {
+        out << lines[i];
+        if (final_newline || i + 1 < lines.size())
+            out << "\n";
+    }
+}
+
+/** A valid result with three events. */
+RunResult
+sampleRun(double seconds)
+{
+    RunResult r;
+    r.valid = true;
+    r.seconds = seconds;
+    r.taggedSeconds[1] = seconds / 2;
+    r.events = 3;
+    return r;
 }
 
 /** One-point plan for a cheap, cacheable registry workload. */
@@ -476,16 +522,12 @@ TEST(Runner, PoisonedDiskEntryIsDetectedAndResimulated)
         runPlan(plan, opts);
     }
 
-    // Poison every entry in the directory: truncated JSON simulating
-    // a crashed writer or a bad disk.
-    size_t poisoned = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir.path())) {
-        std::ofstream out(entry.path(), std::ios::trunc);
-        out << "{\"digest\": \"0000";
-        ++poisoned;
-    }
-    ASSERT_EQ(poisoned, 1u);
+    // Garble the record line, digest prefix intact, as a bad disk
+    // would: the index still files it, the parse must reject it.
+    std::vector<std::string> lines = storeLines(dir.path());
+    ASSERT_EQ(lines.size(), 2u); // header + one record
+    lines[1] = lines[1].substr(0, lines[1].size() / 2) + "#garbage";
+    writeStoreLines(dir.path(), lines);
 
     ResultCache reader(dir.path());
     RunnerOptions opts;
@@ -500,6 +542,14 @@ TEST(Runner, PoisonedDiskEntryIsDetectedAndResimulated)
     fresh_opts.noCache = true;
     PlanResults fresh = runPlan(plan, fresh_opts);
     EXPECT_EQ(recovered.bySpec[0].seconds, fresh.bySpec[0].seconds);
+
+    // ...and its record, appended after the bad one, now wins.
+    ResultCache later(dir.path());
+    auto hit = later.lookup(plan.digest(0, *makeWorkload("nas-ep-b")));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->fromDisk);
+    EXPECT_EQ(hit->result.seconds, fresh.bySpec[0].seconds);
+    EXPECT_EQ(later.stats().corrupt, 0u);
 }
 
 TEST(Runner, MisfiledEntryIsRejectedByDigest)
@@ -514,29 +564,123 @@ TEST(Runner, MisfiledEntryIsRejectedByDigest)
         runPlan(plan, opts);
     }
 
-    // Rename the entry to a different digest: the content is valid
-    // JSON but names the wrong experiment, so the embedded digest
-    // check must reject it.
-    std::filesystem::path original;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir.path()))
-        original = entry.path();
-    ScenarioSpec other = tinyPlan().specs()[0];
-    other.ranks = 4;
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.json",
-                  static_cast<unsigned long long>(other.digest()));
-    std::filesystem::rename(original, original.parent_path() / name);
-
+    // A line that the index files under another spec's digest but
+    // whose record names this spec (a second "digest" key replaces
+    // the first when parsed): valid JSON naming the wrong experiment,
+    // so the embedded digest check must reject it.
     SweepAxes axes = plan.axes();
     axes.rankCounts = {4};
     SweepPlan other_plan = SweepPlan::expand(axes);
+    const uint64_t other =
+        other_plan.digest(0, *makeWorkload(other_plan.specs()[0].workload));
+    std::vector<std::string> lines = storeLines(dir.path());
+    ASSERT_EQ(lines.size(), 2u);
+    lines.push_back("{\"digest\":\"" + digestHex(other) + "\"," +
+                    lines[1].substr(1));
+    writeStoreLines(dir.path(), lines);
+
     ResultCache reader(dir.path());
     RunnerOptions opts;
     opts.cache = &reader;
     PlanResults result = runPlan(other_plan, opts);
     EXPECT_EQ(result.stats.corrupt, 1u);
     EXPECT_EQ(result.stats.simulations, 1u);
+    EXPECT_NE(result.bySpec[0].seconds, 0.0);
+}
+
+TEST(ResultStore, LaterRecordWins)
+{
+    TempDir dir("store_later");
+    const uint64_t digest = 0xa11ce;
+    {
+        ResultCache first(dir.path());
+        first.store(digest, sampleRun(1.0));
+    }
+    {
+        ResultCache second(dir.path());
+        second.store(digest, sampleRun(2.0));
+    }
+    EXPECT_EQ(storeLines(dir.path()).size(), 3u);
+    ResultCache reader(dir.path());
+    auto hit = reader.lookup(digest);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->fromDisk);
+    EXPECT_EQ(hit->result.seconds, 2.0);
+}
+
+TEST(ResultStore, IdenticalRecordIsWrittenOnce)
+{
+    TempDir dir("store_identical");
+    ResultCache a(dir.path());
+    ResultCache b(dir.path());
+    a.store(0xb0b, sampleRun(1.5));
+    a.store(0xb0b, sampleRun(1.5));
+    b.store(0xb0b, sampleRun(1.5)); // b learns a's record at append
+    EXPECT_EQ(storeLines(dir.path()).size(), 2u);
+    EXPECT_EQ(a.stats().stores, 2u);
+    EXPECT_EQ(b.stats().stores, 1u);
+}
+
+TEST(ResultStore, AppendAfterTornTailIsKept)
+{
+    TempDir dir("store_torn");
+    {
+        ResultCache writer(dir.path());
+        writer.store(0x1, sampleRun(1.0));
+        writer.store(0x2, sampleRun(2.0));
+    }
+    // A writer killed mid-append leaves a torn final record.
+    std::vector<std::string> lines = storeLines(dir.path());
+    ASSERT_EQ(lines.size(), 3u);
+    lines[2] = lines[2].substr(0, lines[2].size() - 20);
+    writeStoreLines(dir.path(), lines, /*final_newline=*/false);
+    {
+        ResultCache writer(dir.path());
+        writer.store(0x3, sampleRun(3.0));
+    }
+    ResultCache reader(dir.path());
+    auto one = reader.lookup(0x1);
+    auto three = reader.lookup(0x3);
+    ASSERT_TRUE(one.has_value());
+    ASSERT_TRUE(three.has_value());
+    EXPECT_EQ(one->result.seconds, 1.0);
+    EXPECT_EQ(three->result.seconds, 3.0);
+    // The torn record is a line of its own now, and never served.
+    EXPECT_FALSE(reader.lookup(0x2).has_value());
+    EXPECT_EQ(reader.stats().corrupt, 1u);
+}
+
+TEST(ResultStore, PerDigestFilesReadAsMisses)
+{
+    // The old layout, one pretty-printed "<digest>.json" per record,
+    // is not read: such a directory is a cold cache.
+    TempDir dir("store_old_layout");
+    const uint64_t digest = 0xc0ffee;
+    std::ofstream(dir.path() + "/" + digestHex(digest) + ".json")
+        << runResultToJson(digest, sampleRun(1.0)).dump(2) << "\n";
+    ResultCache cache(dir.path());
+    EXPECT_FALSE(cache.lookup(digest).has_value());
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().corrupt, 0u);
+}
+
+TEST(ResultStore, OutOfRangeCounterIsCorrupt)
+{
+    TempDir dir("store_counter");
+    {
+        ResultCache writer(dir.path());
+        writer.store(0xd1, sampleRun(1.0));
+    }
+    std::vector<std::string> lines = storeLines(dir.path());
+    ASSERT_EQ(lines.size(), 2u);
+    const size_t pos = lines[1].find("\"events\":3");
+    ASSERT_NE(pos, std::string::npos) << lines[1];
+    lines[1].replace(pos, 10, "\"events\":1e300");
+    writeStoreLines(dir.path(), lines);
+
+    ResultCache reader(dir.path());
+    EXPECT_FALSE(reader.lookup(0xd1).has_value());
+    EXPECT_EQ(reader.stats().corrupt, 1u);
 }
 
 TEST(ScenarioDigestDeathTest, UnsignedWorkloadTripsTheAssertion)

@@ -6,6 +6,7 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -117,6 +118,73 @@ TEST(Json, DoublesRoundTripExactly)
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(parsed->asNumber(), v) << "value " << v;
     }
+}
+
+namespace {
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/** strtod's bits for a whole token (which must be consumed whole). */
+uint64_t
+strtodBits(const std::string &text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    EXPECT_EQ(end, text.c_str() + text.size()) << text;
+    return bitsOf(v);
+}
+
+} // namespace
+
+TEST(Json, NumbersMatchStrtodBitForBit)
+{
+    // Numbers are read with from_chars and, for tokens it does not
+    // take whole, strtod: either way a value must parse to exactly
+    // the bits strtod gives it.  Random bit patterns cover every
+    // exponent, subnormals included; each is printed as the
+    // serializer prints it and as "%.17g".
+    Rng rng(2006);
+    for (int i = 0; i < 20000; ++i) {
+        uint64_t raw = rng.next();
+        if (i % 8 == 0)
+            raw &= 0x800fffffffffffffULL; // subnormal or zero
+        double v = 0.0;
+        std::memcpy(&v, &raw, sizeof(v));
+        if (!std::isfinite(v))
+            continue;
+        char g17[64];
+        std::snprintf(g17, sizeof(g17), "%.17g", v);
+        for (const std::string &text :
+             {JsonValue::number(v).dump(), std::string(g17)}) {
+            auto parsed = parseJson(text);
+            ASSERT_TRUE(parsed.has_value()) << text;
+            EXPECT_EQ(bitsOf(parsed->asNumber()), strtodBits(text))
+                << text;
+        }
+    }
+
+    // Edge tokens keep their historical acceptance and value.
+    for (const char *text : {"+1", "1.", ".5", "-0", "1e-400"}) {
+        auto parsed = parseJson(text);
+        ASSERT_TRUE(parsed.has_value()) << text;
+        EXPECT_EQ(bitsOf(parsed->asNumber()), strtodBits(text)) << text;
+    }
+    EXPECT_EQ(parseJson("+1")->asNumber(), 1.0);
+    EXPECT_EQ(parseJson("1.")->asNumber(), 1.0);
+    EXPECT_EQ(parseJson(".5")->asNumber(), 0.5);
+    EXPECT_TRUE(std::signbit(parseJson("-0")->asNumber()));
+    EXPECT_EQ(parseJson("1e-400")->asNumber(), 0.0);
+    EXPECT_FALSE(parseJson("1e400").has_value());
+    EXPECT_FALSE(parseJson("0x10").has_value());
+    EXPECT_FALSE(parseJson("[0x10]").has_value());
+    EXPECT_FALSE(parseJson("1e").has_value());
+    EXPECT_FALSE(parseJson("--1").has_value());
 }
 
 // The historical number serialization: "%.0f" for integral values,
