@@ -1,16 +1,14 @@
 #include "core/journal.hh"
 
 #include <cerrno>
-#include <csignal>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include <fcntl.h>
-#include <sys/stat.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include "core/runner.hh" // runResultToJson / parseRunResult / digest hex
-#include "util/fdio.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -18,144 +16,201 @@ namespace mcscope {
 
 namespace {
 
-/** True when `pid` names a live process we could signal. */
-bool
-pidAlive(long pid)
+/** How every record line starts: runResultToJson() puts the digest first. */
+constexpr std::string_view kRecordPrefix = "{\"digest\":\"";
+
+/** The header line, '\n' included, that starts every record file. */
+std::string
+headerLine()
 {
-    if (pid <= 0)
-        return false;
-    if (::kill(static_cast<pid_t>(pid), 0) == 0)
-        return true;
-    return errno == EPERM; // alive, owned by someone else
+    JsonValue header = JsonValue::object();
+    header.set("format", JsonValue::str(kJournalFormat));
+    header.set("model", JsonValue::str(kScenarioModelVersion));
+    return header.dump() + "\n";
 }
 
-/** The pid recorded in a lock file, or -1 when unreadable. */
-long
-lockHolder(const std::string &lock_path)
+/** flock(LOCK_EX) on a descriptor, held for the object's lifetime. */
+class FileLock
 {
-    std::string text;
-    if (!readWholeFile(lock_path, text))
-        return -1;
-    errno = 0;
-    char *end = nullptr;
-    const long pid = std::strtol(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str())
-        return -1;
-    return pid;
-}
-
-/** write(2) the whole buffer; fatal on error (journal loss = data loss). */
-void
-writeAllOrDie(int fd, std::string_view data, const std::string &path)
-{
-    if (!writeAll(fd, data)) {
-        fatal("cannot append to journal '", path,
-              "': ", std::strerror(errno));
+  public:
+    explicit FileLock(int fd) : fd_(fd)
+    {
+        int rc;
+        do {
+            rc = ::flock(fd, LOCK_EX);
+        } while (rc != 0 && errno == EINTR);
+        held_ = rc == 0;
     }
+    ~FileLock()
+    {
+        if (held_)
+            ::flock(fd_, LOCK_UN);
+    }
+    FileLock(const FileLock &) = delete;
+    FileLock &operator=(const FileLock &) = delete;
+
+    bool held() const { return held_; }
+
+  private:
+    int fd_;
+    bool held_ = false;
+};
+
+/** pread(2) exactly out.size() bytes at `offset`; false otherwise. */
+bool
+preadFull(int fd, std::string &out, uint64_t offset)
+{
+    ssize_t n;
+    do {
+        n = ::pread(fd, out.data(), out.size(),
+                    static_cast<off_t>(offset));
+    } while (n < 0 && errno == EINTR);
+    return n == static_cast<ssize_t>(out.size());
 }
 
 } // namespace
 
-SweepJournal::SweepJournal(std::string path)
-    : path_(std::move(path)), lock_path_(path_ + ".lock")
+SweepJournal::SweepJournal(std::string path, Sync sync)
+    : path_(std::move(path)), sync_(sync)
 {
-    MCSCOPE_ASSERT(!path_.empty(), "journal needs a path");
-
-    // Take the lock: O_EXCL creation is the atomic claim.  One retry
-    // after clearing a stale (dead-pid) lock; losing the race twice
-    // means a live contender either way.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-        lock_fd_ = ::open(lock_path_.c_str(),
-                          O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC,
-                          0644);
-        if (lock_fd_ >= 0)
-            break;
-        if (errno != EEXIST) {
-            fatal("cannot create journal lock '", lock_path_,
-                  "': ", std::strerror(errno));
-        }
-        long holder = lockHolder(lock_path_);
-        if (pidAlive(holder)) {
-            // pidAlive treats EPERM as alive, so a recycled pid owned
-            // by another user also lands here; tell the user how to
-            // recover from that by hand.
-            fatal("journal '", path_,
-                  "' is locked by a live supervisor (pid ", holder,
-                  "); refusing to attach.  If pid ", holder,
-                  " is not an mcscope supervisor, remove '",
-                  lock_path_, "' and retry");
-        }
-        warn("removing stale journal lock ", lock_path_, " (pid ",
-             holder, " is gone)");
-        ::unlink(lock_path_.c_str());
+    MCSCOPE_ASSERT(!path_.empty(), "record file needs a path");
+    // O_CLOEXEC (FD-1): the descriptor stays open for the handle's
+    // lifetime, and supervisors fork workers meanwhile.  A file we
+    // may only read still serves lookups (a --resume source on
+    // read-only media); appending to it fails like any failed write.
+    fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
+                 0644);
+    if (fd_ < 0 && (errno == EACCES || errno == EROFS))
+        fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd_ < 0) {
+        fatal("cannot open record file '", path_,
+              "': ", std::strerror(errno));
     }
-    if (lock_fd_ < 0) {
-        fatal("journal '", path_, "' is locked (", lock_path_,
-              "); refusing to attach");
-    }
-    std::string pid_line =
-        std::to_string(static_cast<long>(::getpid())) + "\n";
-    writeAllOrDie(lock_fd_, pid_line, lock_path_);
-
-    // Read access too: the tail check below reads the last byte.
-    fd_ = ::open(path_.c_str(),
-                 O_CREAT | O_RDWR | O_APPEND | O_CLOEXEC, 0644);
-    struct stat st;
-    if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
-        int saved = errno;
-        ::close(lock_fd_);
-        ::unlink(lock_path_.c_str());
-        fatal("cannot open journal '", path_,
-              "': ", std::strerror(saved));
-    }
-    char last = '\n';
-    if (st.st_size > 0 && ::pread(fd_, &last, 1, st.st_size - 1) != 1)
-        fatal("cannot read journal '", path_, "': ", std::strerror(errno));
-    if (st.st_size == 0) {
-        writeAllOrDie(fd_, journalHeaderLine(), path_);
-        ::fsync(fd_);
-    } else if (last != '\n') {
-        // A torn tail from a killed supervisor: end it here, or the
-        // first record appended below would be glued onto it and
-        // lost with it.  The torn line still reads as corrupt.
-        writeAllOrDie(fd_, "\n", path_);
-        ::fsync(fd_);
-    }
+    catchUp();
 }
 
 SweepJournal::~SweepJournal()
 {
     if (fd_ >= 0)
         ::close(fd_);
-    if (lock_fd_ >= 0) {
-        ::close(lock_fd_);
-        ::unlink(lock_path_.c_str());
+}
+
+LineScan
+SweepJournal::catchUp()
+{
+    // Only the digest a record line starts with is read here; the
+    // record itself is parsed when a lookup hits it.  Other lines
+    // (the header, a sealed torn tail) index nothing.
+    const LineScan scan = scanLines(
+        fd_, scanned_, [this](uint64_t offset, std::string_view line) {
+            const size_t hex_end = kRecordPrefix.size() + 16;
+            if (line.size() <= hex_end || line[hex_end] != '"' ||
+                line.size() > std::numeric_limits<uint32_t>::max() ||
+                line.substr(0, kRecordPrefix.size()) != kRecordPrefix)
+                return;
+            if (std::optional<uint64_t> d =
+                    parseDigestHex(line.substr(kRecordPrefix.size(), 16)))
+                index_[*d] = {offset, static_cast<uint32_t>(line.size())};
+        });
+    scanned_ = scan.end;
+    return scan;
+}
+
+std::optional<RunResult>
+SweepJournal::lookup(uint64_t digest, bool *corrupt)
+{
+    if (corrupt)
+        *corrupt = false;
+    Record rec;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto at = index_.find(digest);
+        if (at == index_.end()) {
+            // Another handle or process may have appended it since.
+            catchUp();
+            at = index_.find(digest);
+        }
+        if (at == index_.end())
+            return std::nullopt;
+        rec = at->second;
     }
+
+    // Read and parse outside the lock: they must not serialize a
+    // worker pool.  The record's own digest field is checked against
+    // the one asked for, so a line can only ever serve its own spec.
+    std::string bytes(rec.length, '\0');
+    std::optional<RunResult> r;
+    if (preadFull(fd_, bytes, rec.offset)) {
+        if (std::optional<JsonValue> doc = parseJson(bytes))
+            r = parseRunResult(*doc, digest);
+    }
+    if (!r) {
+        warn("record ", digestHex(digest), " in ", path_,
+             " is corrupt or stale; re-simulating");
+        if (corrupt)
+            *corrupt = true;
+    }
+    return r;
+}
+
+void
+SweepJournal::appendFailed(const char *what)
+{
+    if (sync_ == Sync::PerAppend)
+        fatal("cannot ", what, " journal '", path_,
+              "': ", std::strerror(errno));
+    warn("cannot ", what, " result store ", path_, ": ",
+         std::strerror(errno));
 }
 
 void
 SweepJournal::append(uint64_t digest, const RunResult &result)
 {
-    // One line per record, fsync'd: the write-ahead guarantee.  A
-    // single write(2) of a short line is atomic enough in practice
-    // (O_APPEND, one writer enforced by the lock); the reader
-    // tolerates a torn tail regardless.
-    writeAllOrDie(fd_, runResultToJson(digest, result).dump() + "\n",
-                  path_);
-    if (::fsync(fd_) != 0) {
-        fatal("fsync failed on journal '", path_,
-              "': ", std::strerror(errno));
+    const std::string line = runResultToJson(digest, result).dump();
+
+    // flock orders appends across handles and processes; mu_ orders
+    // this handle's threads, which share one open file description
+    // and so one flock.
+    std::lock_guard<std::mutex> lock(mu_);
+    const FileLock file_lock(fd_);
+    if (!file_lock.held()) {
+        appendFailed("lock");
+        return;
     }
-    ++appended_;
+    const LineScan scan = catchUp();
+    auto at = index_.find(digest);
+    std::string have;
+    if (at != index_.end() && at->second.length == line.size()) {
+        have.resize(line.size());
+        if (!preadFull(fd_, have, at->second.offset))
+            have.clear();
+    }
+    if (have != line) {
+        std::string out;
+        if (scan.eof == 0)
+            out = headerLine();
+        else if (scan.eof > scan.end)
+            out = "\n"; // seal a torn tail so it cannot swallow this line
+        out += line;
+        out += '\n';
+        if (!writeAll(fd_, out)) {
+            appendFailed("append to");
+            return;
+        }
+        ++appended_;
+        catchUp();
+    }
+    // Also when skipping: the record found may be another writer's,
+    // not yet on disk.
+    if (sync_ == Sync::PerAppend && ::fsync(fd_) != 0)
+        appendFailed("fsync");
 }
 
-std::string
-journalHeaderLine()
+uint64_t
+SweepJournal::appended() const
 {
-    JsonValue header = JsonValue::object();
-    header.set("format", JsonValue::str(kJournalFormat));
-    header.set("model", JsonValue::str(kScenarioModelVersion));
-    return header.dump() + "\n";
+    std::lock_guard<std::mutex> lock(mu_);
+    return appended_;
 }
 
 namespace {
@@ -192,14 +247,13 @@ parseJournalRecord(std::string_view line)
 std::unordered_map<uint64_t, RunResult>
 loadJournal(const std::string &path, JournalLoadStats *stats)
 {
-    // Keyed by digest for O(1) resume lookups.  Callers only ever
-    // .find() into this map: iterating it would feed
-    // implementation-defined hash order into resume-path output,
-    // which mcscope-lint rule DET-2 forbids in this unit.
+    // Keyed by digest for O(1) lookups.  Callers only ever .find()
+    // into this map: iterating it would feed implementation-defined
+    // hash order into output, which mcscope-lint rule DET-2 forbids
+    // in this unit.
     std::unordered_map<uint64_t, RunResult> out;
     JournalLoadStats local;
-    // O_CLOEXEC (FD-1): the supervisor that calls this also forks
-    // workers.
+    // O_CLOEXEC (FD-1): a supervisor may fork workers meanwhile.
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd >= 0) {
         auto corrupt = [&](const char *what) {

@@ -311,13 +311,13 @@ SweepPlan::fromJson(const JsonValue &doc, std::string *error)
                 return std::nullopt;
             }
             for (const JsonValue &r : v.items()) {
-                if (!r.isNumber() || r.asNumber() < 1.0) {
+                std::optional<int> ranks = jsonInteger<int>(r);
+                if (!ranks || *ranks < 1) {
                     setError(error,
                              "ranks entries must be positive numbers");
                     return std::nullopt;
                 }
-                axes.rankCounts.push_back(
-                    static_cast<int>(r.asNumber()));
+                axes.rankCounts.push_back(*ranks);
             }
         } else if (key == "options") {
             if (!v.isArray() || v.items().empty()) {
@@ -327,8 +327,8 @@ SweepPlan::fromJson(const JsonValue &doc, std::string *error)
             for (const JsonValue &o : v.items()) {
                 std::optional<NumactlOption> option;
                 if (o.isNumber()) {
-                    option = resolveOptionSpec(
-                        std::to_string(static_cast<int>(o.asNumber())));
+                    if (std::optional<int> idx = jsonInteger<int>(o))
+                        option = resolveOptionSpec(std::to_string(*idx));
                 } else if (o.isString()) {
                     option = resolveOptionSpec(o.asString());
                 } else {

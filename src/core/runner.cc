@@ -17,14 +17,12 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include "core/journal.hh"
 #include "core/parallel_for.hh"
 #include "core/registry.hh"
 #include "sim/audit.hh"
-#include "util/fdio.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 #include "util/subprocess.hh"
@@ -36,9 +34,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** How every record line starts: runResultToJson() puts the digest first. */
-constexpr std::string_view kRecordPrefix = "{\"digest\":\"";
-
 /** Format stamp on shard manifests (supervisor -> worker). */
 constexpr const char *kShardManifestFormat = "mcscope-shard-1";
 
@@ -46,62 +41,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/**
- * A record's counter as a uint64_t.  False unless it is a number in
- * [0, 2^64): casting anything else (NaN, -1, 1e300) is undefined
- * behaviour, so such a record is corrupt.
- */
-bool
-toCount(const JsonValue &v, uint64_t &out)
-{
-    if (!v.isNumber())
-        return false;
-    const double x = v.asNumber();
-    if (!(x >= 0.0 && x < 0x1p64)) // NaN fails both
-        return false;
-    out = static_cast<uint64_t>(x);
-    return true;
-}
-
-/** flock(LOCK_EX) on a descriptor, held for the object's lifetime. */
-class FileLock
-{
-  public:
-    explicit FileLock(int fd) : fd_(fd)
-    {
-        int rc;
-        do {
-            rc = ::flock(fd, LOCK_EX);
-        } while (rc != 0 && errno == EINTR);
-        held_ = rc == 0;
-    }
-    ~FileLock()
-    {
-        if (held_)
-            ::flock(fd_, LOCK_UN);
-    }
-    FileLock(const FileLock &) = delete;
-    FileLock &operator=(const FileLock &) = delete;
-
-    bool held() const { return held_; }
-
-  private:
-    int fd_;
-    bool held_ = false;
-};
-
-/** pread(2) exactly out.size() bytes at `offset`; false otherwise. */
-bool
-preadFull(int fd, std::string &out, uint64_t offset)
-{
-    ssize_t n;
-    do {
-        n = ::pread(fd, out.data(), out.size(),
-                    static_cast<off_t>(offset));
-    } while (n < 0 && errno == EINTR);
-    return n == static_cast<ssize_t>(out.size());
 }
 
 } // namespace
@@ -218,7 +157,9 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
             return std::nullopt;
         r.taggedSeconds[static_cast<int>(tag)] = v.asNumber();
     }
-    if (!toCount(*events, r.events))
+    if (std::optional<uint64_t> e = jsonInteger<uint64_t>(*events))
+        r.events = *e;
+    else
         return std::nullopt;
 
     // Engine-counter fields arrived after the cache/journal format
@@ -226,7 +167,12 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
     auto optionalCounter = [&doc](const char *key,
                                   uint64_t &out) -> bool {
         const JsonValue *v = doc.find(key);
-        return !v || toCount(*v, out);
+        if (!v)
+            return true;
+        std::optional<uint64_t> n = jsonInteger<uint64_t>(*v);
+        if (n)
+            out = *n;
+        return n.has_value();
     };
     if (!optionalCounter("incremental_solves", r.incrementalSolves) ||
         !optionalCounter("full_solves", r.fullSolves) ||
@@ -242,8 +188,11 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
     if (r.audited) {
         const JsonValue *ad = doc.find("audit_digest");
         const JsonValue *ac = doc.find("audit_checks");
-        if (!ad || !ad->isString() || !ac || !toCount(*ac, r.auditChecks))
+        std::optional<uint64_t> checks =
+            ac ? jsonInteger<uint64_t>(*ac) : std::nullopt;
+        if (!ad || !ad->isString() || !checks)
             return std::nullopt;
+        r.auditChecks = *checks;
         std::optional<uint64_t> adv = parseDigestHex(ad->asString());
         if (!adv)
             return std::nullopt;
@@ -253,57 +202,26 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
 }
 
 ResultCache::ResultCache(std::string dir)
-    : dir_(std::move(dir)), path_(dir_ + "/results.jsonl")
 {
-    MCSCOPE_ASSERT(!dir_.empty(), "disk cache needs a directory");
+    MCSCOPE_ASSERT(!dir.empty(), "disk cache needs a directory");
     std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
+    std::filesystem::create_directories(dir, ec);
     if (ec) {
-        fatal("cannot create cache directory '", dir_,
+        fatal("cannot create cache directory '", dir,
               "': ", ec.message());
     }
-    // O_CLOEXEC (FD-1): the descriptor stays open for the cache's
-    // lifetime, and supervisors fork workers meanwhile.
-    fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
-                 0644);
-    if (fd_ < 0) {
-        fatal("cannot open result store '", path_,
-              "': ", std::strerror(errno));
-    }
-    catchUp();
+    file_ = std::make_unique<SweepJournal>(dir + "/results.jsonl",
+                                           SweepJournal::Sync::None);
 }
 
-ResultCache::~ResultCache()
+ResultCache::ResultCache(std::unique_ptr<SweepJournal> file)
+    : file_(std::move(file))
 {
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-LineScan
-ResultCache::catchUp()
-{
-    // Only the digest a record line starts with is read here; the
-    // record itself is parsed when a lookup hits it.  Other lines
-    // (the header, a sealed torn tail) index nothing.
-    const LineScan scan = scanLines(
-        fd_, scanned_, [this](uint64_t offset, std::string_view line) {
-            const size_t hex_end = kRecordPrefix.size() + 16;
-            if (line.size() <= hex_end || line[hex_end] != '"' ||
-                line.size() > std::numeric_limits<uint32_t>::max() ||
-                line.substr(0, kRecordPrefix.size()) != kRecordPrefix)
-                return;
-            if (std::optional<uint64_t> d =
-                    parseDigestHex(line.substr(kRecordPrefix.size(), 16)))
-                index_[*d] = {offset, static_cast<uint32_t>(line.size())};
-        });
-    scanned_ = scan.end;
-    return scan;
 }
 
 std::optional<ResultCache::Hit>
 ResultCache::lookup(uint64_t digest)
 {
-    Record rec;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = entries_.find(digest);
@@ -311,38 +229,17 @@ ResultCache::lookup(uint64_t digest)
             ++stats_.memoryHits;
             return Hit{it->second, false};
         }
-        if (dir_.empty()) {
-            ++stats_.misses;
-            return std::nullopt;
-        }
-        auto at = index_.find(digest);
-        if (at == index_.end()) {
-            // Another instance or process may have stored it since.
-            catchUp();
-            at = index_.find(digest);
-        }
-        if (at == index_.end()) {
-            ++stats_.misses;
-            return std::nullopt;
-        }
-        rec = at->second;
     }
-
-    // Read and parse outside the lock: they must not serialize the
-    // worker pool.  The record's own digest field is checked against
-    // the one asked for, so a line can only ever serve its own spec.
-    std::string bytes(rec.length, '\0');
-    std::optional<RunResult> r;
-    if (preadFull(fd_, bytes, rec.offset)) {
-        if (std::optional<JsonValue> doc = parseJson(bytes))
-            r = parseRunResult(*doc, digest);
-    }
+    // The file lookup runs outside mu_: it must not serialize the
+    // worker pool.
+    bool corrupt = false;
+    std::optional<RunResult> r =
+        file_ ? file_->lookup(digest, &corrupt) : std::nullopt;
     std::lock_guard<std::mutex> lock(mu_);
     if (!r) {
-        warn("cache record ", digestHex(digest), " in ", path_,
-             " is corrupt or stale; re-simulating");
-        ++stats_.corrupt;
         ++stats_.misses;
+        if (corrupt)
+            ++stats_.corrupt;
         return std::nullopt;
     }
     entries_.emplace(digest, *r);
@@ -358,43 +255,8 @@ ResultCache::store(uint64_t digest, const RunResult &result)
         entries_[digest] = result;
         ++stats_.stores;
     }
-    if (dir_.empty())
-        return;
-    const std::string line = runResultToJson(digest, result).dump();
-
-    // flock orders appends across instances and processes; mu_ orders
-    // this instance's threads, which share one open file description
-    // and so one flock.
-    std::lock_guard<std::mutex> lock(mu_);
-    const FileLock file_lock(fd_);
-    if (!file_lock.held()) {
-        warn("cannot lock result store ", path_, ": ",
-             std::strerror(errno));
-        return;
-    }
-    const LineScan scan = catchUp();
-    auto at = index_.find(digest);
-    std::string have;
-    if (at != index_.end() && at->second.length == line.size()) {
-        have.resize(line.size());
-        if (!preadFull(fd_, have, at->second.offset))
-            have.clear();
-    }
-    if (have != line) {
-        std::string out;
-        if (scan.eof == 0)
-            out = journalHeaderLine();
-        else if (scan.eof > scan.end)
-            out = "\n"; // seal a torn tail so it cannot swallow this line
-        out += line;
-        out += '\n';
-        if (writeAll(fd_, out)) {
-            catchUp();
-        } else {
-            warn("cannot append to result store ", path_, ": ",
-                 std::strerror(errno));
-        }
-    }
+    if (file_)
+        file_->append(digest, result);
 }
 
 CacheStats
@@ -669,12 +531,14 @@ parseShardManifest(const JsonValue &doc, std::string *error)
     for (const JsonValue &p : points->items()) {
         const JsonValue *idx = p.find("index");
         const JsonValue *spec_doc = p.find("spec");
-        if (!idx || !idx->isNumber() || !spec_doc) {
+        std::optional<uint64_t> index =
+            idx ? jsonInteger<uint64_t>(*idx) : std::nullopt;
+        if (!index || !spec_doc) {
             *error = "malformed manifest point";
             return std::nullopt;
         }
         ManifestPoint pt;
-        pt.index = static_cast<uint64_t>(idx->asNumber());
+        pt.index = *index;
         std::string spec_error;
         std::optional<ScenarioSpec> spec =
             parseScenarioSpec(*spec_doc, &spec_error);
@@ -892,8 +756,10 @@ struct ShardExecutor::Impl
     std::deque<size_t> pending; ///< not done, not assigned
     std::string exe;
     Clock::time_point planStart;
-    std::unique_ptr<SweepJournal> ownedJournal;
-    SweepJournal *journal = nullptr;
+    std::unique_ptr<ResultCache> ownedResume;
+    std::unique_ptr<ResultCache> ownedJournal;
+    ResultCache *resume = nullptr;  ///< where finished points are looked up
+    ResultCache *journal = nullptr; ///< where executed points are stored
     std::vector<Completion> completions;
     std::vector<std::unique_ptr<Channel>> channels;
     std::vector<ShardSample> retiredRemotes; ///< samples of gone remotes
@@ -901,9 +767,7 @@ struct ShardExecutor::Impl
     size_t remoteSeq = 0;
     bool taken = false;
 
-    Impl(const SweepPlan &p, const ShardOptions &o,
-         SweepJournal *shared_journal,
-         const std::unordered_map<uint64_t, RunResult> *known)
+    Impl(const SweepPlan &p, const ShardOptions &o, ResultCache *shared)
         : plan(p), opts(o)
     {
         n = plan.specs().size();
@@ -918,35 +782,37 @@ struct ShardExecutor::Impl
         // Content digests drive both the journal and resume matching.
         digests = plan.digests();
 
-        // Points the journal already vouches for complete instantly:
-        // either from the caller-shared known map (serve, where it
-        // spans clients and batches) or from a --resume load.
-        std::unordered_map<uint64_t, RunResult> resumed;
-        if (!known && !opts.resumeFrom.empty())
-            resumed = loadJournal(opts.resumeFrom);
-        const std::unordered_map<uint64_t, RunResult> *hits =
-            known ? known : &resumed;
-        for (size_t i = 0; i < n; ++i) {
-            auto it = hits->find(digests[i]);
-            if (it == hits->end())
+        if (shared) {
+            resume = journal = shared;
+        } else {
+            if (!opts.journalPath.empty()) {
+                ownedJournal = std::make_unique<ResultCache>(
+                    std::make_unique<SweepJournal>(opts.journalPath));
+                journal = ownedJournal.get();
+            }
+            if (opts.resumeFrom == opts.journalPath) {
+                resume = journal; // null when neither is set
+            } else if (std::error_code ec;
+                       std::filesystem::exists(opts.resumeFrom, ec)) {
+                // Resuming from nothing is a fresh run: a missing
+                // source is not created.
+                ownedResume = std::make_unique<ResultCache>(
+                    std::make_unique<SweepJournal>(opts.resumeFrom));
+                resume = ownedResume.get();
+            }
+        }
+
+        // Points the store already vouches for complete instantly.
+        for (size_t i = 0; resume && i < n; ++i) {
+            std::optional<ResultCache::Hit> hit =
+                resume->lookup(digests[i]);
+            if (!hit)
                 continue;
-            out.bySpec[i] = it->second;
+            out.bySpec[i] = std::move(hit->result);
             done[i] = true;
             ++doneCount;
             ++out.shard.journaled;
             completions.push_back({i, 0.0, true});
-        }
-
-        // The journal is opened (and the lock taken) after the resume
-        // load so resuming into the same file appends behind the
-        // records just read.  A shared journal is already open and
-        // stays the caller's.
-        if (shared_journal) {
-            journal = shared_journal;
-        } else if (!opts.journalPath.empty()) {
-            ownedJournal =
-                std::make_unique<SweepJournal>(opts.journalPath);
-            journal = ownedJournal.get();
         }
 
         for (size_t i = 0; i < n; ++i) {
@@ -1083,11 +949,13 @@ struct ShardExecutor::Impl
     {
         const JsonValue *idx = doc.find("index");
         const JsonValue *res = doc.find("result");
-        if (!idx || !idx->isNumber() || !res) {
+        std::optional<size_t> index =
+            idx ? jsonInteger<size_t>(*idx) : std::nullopt;
+        if (!index || !res) {
             warn("supervisor: malformed worker record ignored");
             return;
         }
-        const size_t i = static_cast<size_t>(idx->asNumber());
+        const size_t i = *index;
         if (i >= n || done[i]) {
             warn("supervisor: unexpected record for spec ", i);
             return;
@@ -1122,7 +990,7 @@ struct ShardExecutor::Impl
         // Write-ahead guarantee: the record is durable before the
         // sweep counts the point as complete.
         if (journal)
-            journal->append(digests[i], *r);
+            journal->store(digests[i], *r);
         completions.push_back({i, wall, false});
     }
 
@@ -1134,10 +1002,9 @@ struct ShardExecutor::Impl
             return;
         }
         if (doc->find("done")) {
-            if (const JsonValue *h = doc->find("cache_hits");
-                h && h->isNumber())
+            if (const JsonValue *h = doc->find("cache_hits"))
                 out.shard.workerCacheHits +=
-                    static_cast<uint64_t>(h->asNumber());
+                    jsonInteger<uint64_t>(*h).value_or(0);
             if (!ch.owed.empty()) {
                 // A done frame with points still owed means the
                 // worker skipped work; treat it like a death so the
@@ -1453,11 +1320,10 @@ struct ShardExecutor::Impl
     }
 };
 
-ShardExecutor::ShardExecutor(
-    const SweepPlan &plan, const ShardOptions &opts,
-    SweepJournal *shared_journal,
-    const std::unordered_map<uint64_t, RunResult> *known)
-    : impl_(std::make_unique<Impl>(plan, opts, shared_journal, known))
+ShardExecutor::ShardExecutor(const SweepPlan &plan,
+                             const ShardOptions &opts,
+                             ResultCache *shared)
+    : impl_(std::make_unique<Impl>(plan, opts, shared))
 {
     ignoreSigpipeOnce();
 }

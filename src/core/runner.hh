@@ -32,12 +32,14 @@
  *
  * runPlanSharded() layers fault tolerance on top: the plan's points
  * are partitioned across `mcscope worker` subprocesses, every
- * completed point is appended to a write-ahead journal
- * (core/journal.hh) before the sweep proceeds, crashed or hung
- * workers are respawned with exponential backoff, and a point that
- * repeatedly kills its worker degrades to a reported gap instead of
- * aborting the sweep.  `--resume <journal>` re-executes only what the
- * journal does not already vouch for.
+ * completed point is stored, fsync'd, in a ResultCache over the
+ * write-ahead journal (core/journal.hh) before the sweep proceeds,
+ * crashed or hung workers are respawned with exponential backoff, and
+ * a point that repeatedly kills its worker degrades to a reported gap
+ * instead of aborting the sweep.  `--resume <journal>` looks every
+ * point up in the journal the same way and re-executes only what it
+ * does not already vouch for.  The journal and the on-disk cache are
+ * one kind of file with one writer, SweepJournal.
  */
 
 #ifndef MCSCOPE_CORE_RUNNER_HH
@@ -53,9 +55,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/journal.hh"
 #include "core/plan.hh"
 #include "core/telemetry.hh"
-#include "util/fdio.hh"
 
 namespace mcscope {
 
@@ -72,22 +74,14 @@ struct CacheStats
 };
 
 /**
- * Content-addressed store of RunResults, keyed by scenario digest.
- * Always holds an in-memory map; when constructed with a directory it
- * also persists every result in one append-only record file,
- * `<dir>/results.jsonl` (DESIGN.md §9).
- *
- * The file is in the journal's format: the journal header line, then
- * one compact runResultToJson() record per line.  Opening it indexes
- * each complete line by the digest it starts with, as an offset and
- * a length; records are neither parsed nor kept in memory until a
- * lookup hits them.  A hit is one pread(2) and a parse; an index miss
- * first indexes whatever other instances or processes appended since
- * the last scan.  A store appends one line with one write(2) under
- * flock(LOCK_EX), ending a torn final line first, and skips the write
- * when the same digest already holds the same bytes.  A later record
- * for a digest wins.  Thread-safe, and safe to share across
- * processes.
+ * Content-addressed store of RunResults, keyed by scenario digest:
+ * an in-memory map in front of an optional record file
+ * (core/journal.hh), which every lookup that misses memory consults
+ * and every store appends to.  `ResultCache(dir)` keeps its file at
+ * `<dir>/results.jsonl` without an fsync per store (DESIGN.md §9);
+ * the sharded executor and the serve daemon put a ResultCache over
+ * their write-ahead journal (DESIGN.md §10, §14).  Thread-safe, and
+ * safe to share across processes.
  */
 class ResultCache
 {
@@ -97,7 +91,9 @@ class ResultCache
 
     /** Memory + the record file under `dir` (both created when missing). */
     explicit ResultCache(std::string dir);
-    ~ResultCache();
+
+    /** Memory + an open record file such as a journal (null: memory only). */
+    explicit ResultCache(std::unique_ptr<SweepJournal> file);
 
     ResultCache(const ResultCache &) = delete;
     ResultCache &operator=(const ResultCache &) = delete;
@@ -109,42 +105,24 @@ class ResultCache
         bool fromDisk = false;
     };
 
-    /** Find a digest; memory first, then disk. */
+    /** Find a digest; memory first, then the record file. */
     std::optional<Hit> lookup(uint64_t digest);
 
-    /** Record a result under a digest (memory, and disk when set). */
+    /** Record a result under a digest (memory, and the file when set). */
     void store(uint64_t digest, const RunResult &result);
-
-    /** Cache directory, empty when memory-only. */
-    const std::string &directory() const { return dir_; }
 
     CacheStats stats() const;
 
   private:
-    /** Where one record line sits in the record file. */
-    struct Record
-    {
-        uint64_t offset = 0;
-        uint32_t length = 0; ///< without the '\n'
-    };
-
-    /** Index the lines appended since the last scan (mu_ held). */
-    LineScan catchUp();
-
     mutable std::mutex mu_;
 
     /**
-     * Digest-keyed memory tier and record index; accessed by
-     * .find()/operator[] only.  Never iterate them -- hash order is
-     * implementation-defined and this unit feeds
-     * digest/serialization paths (lint rule DET-2).
+     * Digest-keyed memory tier; accessed by .find()/operator[] only.
+     * Never iterate it -- hash order is implementation-defined and
+     * this unit feeds digest/serialization paths (lint rule DET-2).
      */
     std::unordered_map<uint64_t, RunResult> entries_;
-    std::unordered_map<uint64_t, Record> index_;
-    std::string dir_;
-    std::string path_;   ///< the record file, empty when memory-only
-    int fd_ = -1;        ///< read + append descriptor on path_
-    uint64_t scanned_ = 0; ///< bytes of path_ indexed so far
+    std::unique_ptr<SweepJournal> file_;
     CacheStats stats_;
 };
 
@@ -343,7 +321,10 @@ struct ShardOptions
     /** Write-ahead journal path; empty journals nothing. */
     std::string journalPath;
 
-    /** Journal to preload; its points are skipped, not re-run. */
+    /**
+     * Journal to look points up in; the points it holds are served
+     * from it, not re-run.  May equal journalPath.
+     */
     std::string resumeFrom;
 
     /** Workers run every point under the invariant auditor. */
@@ -385,8 +366,6 @@ PlanResults runPlanSharded(const SweepPlan &plan,
  */
 int runFramedShardWorker(int in_fd, int out_fd);
 
-class SweepJournal;
-
 /**
  * Incremental supervisor behind runPlanSharded() and `mcscope serve`
  * (DESIGN.md §14).  Owns a work queue of not-yet-done plan points and
@@ -411,17 +390,15 @@ class ShardExecutor
 {
   public:
     /**
-     * Prepare a run.  `shared_journal`/`known` are for the serve
-     * daemon: a journal owned by the caller that outlives this batch,
-     * and the digest -> result map of everything it already vouches
-     * for (those points complete instantly as journal hits).  When
-     * both are null the executor manages its own journal per
-     * opts.journalPath/opts.resumeFrom, exactly like runPlanSharded().
+     * Prepare a run.  `shared` is for the serve daemon: a store owned
+     * by the caller that outlives this batch.  Every point it holds
+     * completes instantly as a journal hit, and every point a worker
+     * executes is stored into it.  When null, the executor looks
+     * points up in opts.resumeFrom and stores them into
+     * opts.journalPath, exactly like runPlanSharded().
      */
-    ShardExecutor(
-        const SweepPlan &plan, const ShardOptions &opts,
-        SweepJournal *shared_journal = nullptr,
-        const std::unordered_map<uint64_t, RunResult> *known = nullptr);
+    ShardExecutor(const SweepPlan &plan, const ShardOptions &opts,
+                  ResultCache *shared = nullptr);
     ~ShardExecutor();
 
     ShardExecutor(const ShardExecutor &) = delete;

@@ -494,17 +494,18 @@ parseScenarioSpec(const JsonValue &doc, std::string *error)
         } else if (key == "option") {
             if (v.isNumber()) {
                 auto options = table5Options();
-                int idx = static_cast<int>(v.asNumber());
-                if (idx < 0 ||
-                    static_cast<size_t>(idx) >= options.size()) {
+                std::optional<int> idx = jsonInteger<int>(v);
+                if (!idx || *idx < 0 ||
+                    static_cast<size_t>(*idx) >= options.size()) {
                     setError(error,
-                             "option index " + std::to_string(idx) +
+                             "option index " +
+                                 (idx ? std::to_string(*idx) : v.dump()) +
                                  " out of range [0, " +
                                  std::to_string(options.size() - 1) +
                                  "]");
                     return std::nullopt;
                 }
-                s.option = options[static_cast<size_t>(idx)];
+                s.option = options[static_cast<size_t>(*idx)];
             } else if (v.isString()) {
                 auto o = resolveOptionSpec(v.asString());
                 if (!o) {
@@ -520,11 +521,12 @@ parseScenarioSpec(const JsonValue &doc, std::string *error)
                 s.option = *o;
             }
         } else if (key == "ranks") {
-            if (!v.isNumber() || v.asNumber() < 1.0) {
+            std::optional<int> ranks = jsonInteger<int>(v);
+            if (!ranks || *ranks < 1) {
                 setError(error, "ranks must be a positive number");
                 return std::nullopt;
             }
-            s.ranks = static_cast<int>(v.asNumber());
+            s.ranks = *ranks;
         } else if (key == "impl") {
             if (!v.isString()) {
                 setError(error, "impl must be a string");

@@ -8,7 +8,6 @@
 #include <iterator>
 #include <memory>
 #include <ostream>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -134,14 +133,13 @@ runServe(const ServeOptions &opts, std::ostream &out)
         return 2;
     }
 
-    // The journal doubles as the cross-restart dedup store: everything
-    // it vouches for is preloaded so a resubmitted batch costs nothing.
-    std::unordered_map<uint64_t, RunResult> known;
-    std::unique_ptr<SweepJournal> journal;
-    if (!opts.journalPath.empty()) {
-        known = loadJournal(opts.journalPath);
-        journal = std::make_unique<SweepJournal>(opts.journalPath);
-    }
+    // One store spans every batch: it answers resubmitted points and
+    // keeps every executed one.  With --journal it is the journal, so
+    // the dedup also survives a restart.
+    ResultCache store(
+        opts.journalPath.empty()
+            ? nullptr
+            : std::make_unique<SweepJournal>(opts.journalPath));
 
     out << "mcscope serve: listening on " << opts.host << ":"
         << listener->port << "\n";
@@ -178,8 +176,8 @@ runServe(const ServeOptions &opts, std::ostream &out)
         batch->plan = std::move(next.plan);
         batch->clientFd = next.clientFd;
         batch->streamed.assign(batch->plan->specs().size(), false);
-        batch->ex = std::make_unique<ShardExecutor>(
-            *batch->plan, shard_opts, journal.get(), &known);
+        batch->ex =
+            std::make_unique<ShardExecutor>(*batch->plan, shard_opts, &store);
         // Every parked worker joins the new batch's pool.
         for (ParkedWorker &w : parked)
             batch->ex->attachRemote(w.fd, w.peer);
@@ -389,14 +387,10 @@ runServe(const ServeOptions &opts, std::ostream &out)
         active->ex->pollOnce(20);
         for (const ShardExecutor::Completion &c :
              active->ex->drainCompletions()) {
-            const RunResult &r = active->ex->resultFor(c.spec);
-            const uint64_t digest = active->ex->digests()[c.spec];
-            // Infeasible cells (valid=false) dedup like any other
-            // completed point -- the journal stores them, --resume
-            // serves them, and the service must agree.
-            known[digest] = r;
             if (active->clientFd < 0)
                 continue;
+            const RunResult &r = active->ex->resultFor(c.spec);
+            const uint64_t digest = active->ex->digests()[c.spec];
             JsonValue record = JsonValue::object();
             record.set("type", JsonValue::str("record"));
             record.set("point", JsonValue::number(
@@ -510,11 +504,13 @@ runSubmit(const SubmitOptions &opts, std::ostream &out)
         if (kind == "record") {
             const JsonValue *point = msg->find("point");
             const JsonValue *result = msg->find("result");
-            if (!point || !point->isNumber() || !result) {
+            std::optional<size_t> index =
+                point ? jsonInteger<size_t>(*point) : std::nullopt;
+            if (!index || !result) {
                 warn("submit: malformed record frame ignored");
                 continue;
             }
-            const size_t i = static_cast<size_t>(point->asNumber());
+            const size_t i = *index;
             if (i >= n) {
                 warn("submit: record for unknown point ", i);
                 continue;
@@ -538,9 +534,7 @@ runSubmit(const SubmitOptions &opts, std::ostream &out)
                 stats && stats->isObject()) {
                 auto num = [&](const char *key) -> uint64_t {
                     const JsonValue *v = stats->find(key);
-                    return v && v->isNumber()
-                               ? static_cast<uint64_t>(v->asNumber())
-                               : 0;
+                    return v ? jsonInteger<uint64_t>(*v).value_or(0) : 0;
                 };
                 results.shard.journaled = num("journaled");
                 results.shard.executed = num("executed");

@@ -15,10 +15,10 @@
  *    workers -- a killed TCP worker degrades the same way a crashed
  *    subprocess does (requeue, retry, backoff, gap).
  *
- * All clients share one write-ahead journal and one content-addressed
- * digest map: a point any client ever completed is served from memory
- * to every later submitter, and the journal makes that dedup durable
- * across daemon restarts.
+ * All clients share one content-addressed result store (a ResultCache,
+ * core/runner.hh): a point any client ever completed is served from
+ * it to every later submitter.  With a journal the store's record
+ * file is the journal, so that dedup survives daemon restarts.
  */
 
 #ifndef MCSCOPE_CORE_SERVE_HH
@@ -43,7 +43,10 @@ struct ServeOptions
     /** Local worker subprocesses; 0 relies on connected workers only. */
     int shards = 1;
 
-    /** Shared write-ahead journal; empty disables durability. */
+    /**
+     * Shared write-ahead journal, also the dedup store's record file;
+     * empty keeps the store in memory only.
+     */
     std::string journalPath;
 
     /** On-disk result cache directory handed to workers. */

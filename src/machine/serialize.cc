@@ -220,16 +220,18 @@ parseMachineConfig(const JsonValue &doc, std::string *error)
                 return std::nullopt;
             }
             for (const JsonValue &link : v.items()) {
-                if (!link.isArray() || link.items().size() != 2 ||
-                    !link.items()[0].isNumber() ||
-                    !link.items()[1].isNumber()) {
+                std::optional<int> first, second;
+                if (link.isArray() && link.items().size() == 2) {
+                    first = jsonInteger<int>(link.items()[0]);
+                    second = jsonInteger<int>(link.items()[1]);
+                }
+                if (!first || !second) {
                     setError(error,
                              "machine.ht_links entries must be "
                              "[socket, socket] pairs");
                     return std::nullopt;
                 }
-                int a = static_cast<int>(link.items()[0].asNumber());
-                int b = static_cast<int>(link.items()[1].asNumber());
+                const int a = *first, b = *second;
                 if (a == b) {
                     setError(error,
                              "machine.ht_links has self-link " +

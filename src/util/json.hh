@@ -21,7 +21,9 @@
 #ifndef MCSCOPE_UTIL_JSON_HH
 #define MCSCOPE_UTIL_JSON_HH
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -98,6 +100,29 @@ class JsonValue
  */
 std::optional<JsonValue> parseJson(std::string_view text,
                                    std::string *error = nullptr);
+
+/**
+ * A JSON number as integer type T, its fraction truncated as by
+ * static_cast.  nullopt when `v` is not a number or is outside T's
+ * range (NaN included): casting such a double is undefined
+ * behaviour, so every parsed number that becomes an integer goes
+ * through here.
+ */
+template <typename T>
+std::optional<T>
+jsonInteger(const JsonValue &v)
+{
+    static_assert(std::numeric_limits<T>::is_integer);
+    if (!v.isNumber())
+        return std::nullopt;
+    const double x = v.asNumber();
+    // [min, 2^digits) holds every double whose cast is defined (both
+    // bounds are exact doubles); NaN fails both tests.
+    if (!(x >= static_cast<double>(std::numeric_limits<T>::min()) &&
+          x < std::ldexp(1.0, std::numeric_limits<T>::digits)))
+        return std::nullopt;
+    return static_cast<T>(x);
+}
 
 /** Escape a string for embedding in JSON (no surrounding quotes). */
 std::string jsonEscapeString(const std::string &s);

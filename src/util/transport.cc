@@ -94,8 +94,11 @@ readExact(int fd, char *out, size_t len, bool *eof_at_start)
         if (n < 0) {
             if (errno == EINTR)
                 continue;
+            // A peer that closes with our last bytes unread resets
+            // the connection instead of ending it; at a frame
+            // boundary that is still its orderly goodbye.
             if (eof_at_start)
-                *eof_at_start = false;
+                *eof_at_start = off == 0 && errno == ECONNRESET;
             return false;
         }
         off += static_cast<size_t>(n);

@@ -68,7 +68,8 @@ bool writeFrame(int fd, const std::string &payload);
  * Read exactly one frame from a blocking fd.  Returns nullopt on a
  * clean EOF at a frame boundary, a truncated frame, a read error, or
  * an oversized/garbage length prefix.  `eof` (when non-null) is set
- * true only for the clean-EOF case, so callers can tell an orderly
+ * true only for the clean-EOF case -- an EOF or a connection reset
+ * before the first byte of a frame -- so callers can tell an orderly
  * shutdown from a torn stream.
  */
 std::optional<std::string> readFrame(int fd, bool *eof = nullptr);

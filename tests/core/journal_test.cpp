@@ -1,16 +1,25 @@
 /**
  * @file
- * Write-ahead journal tests: append/load round trips, corrupt-tail
- * tolerance, the one-supervisor lock, and the fault-injection
- * grammar.
+ * Record file and sharded-executor protocol tests: append/load round
+ * trips, corrupt-tail tolerance, concurrent appenders across threads
+ * and processes, resume lookups, hostile numbers in manifests and
+ * worker records, and the fault-injection grammar.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -18,6 +27,7 @@
 #include "core/journal.hh"
 #include "core/runner.hh"
 #include "util/json.hh"
+#include "util/transport.hh"
 
 using namespace mcscope;
 
@@ -284,32 +294,253 @@ TEST(Journal, OutOfRangeCountersReadAsCorrupt)
     EXPECT_FALSE(parseRunResult(doc, 0x79));
 }
 
-TEST(JournalDeathTest, SecondSupervisorRefusesLiveJournal)
+/** Lines in a file, the header included. */
+size_t
+lineCount(const std::string &path)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    TempDir dir("journal_lock");
-    const std::string path = dir.file("sweep.journal");
-    SweepJournal held(path);
-    // fatal() exits with code 1 after printing the refusal; the lock
-    // holder above is this very process, which is certainly alive.
-    EXPECT_EXIT({ SweepJournal second(path); },
-                ::testing::ExitedWithCode(1),
-                "locked by a live supervisor");
+    const std::string text = readFile(path);
+    return static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
 }
 
-TEST(Journal, StaleLockFromDeadPidIsReplaced)
+/**
+ * What one concurrent appender writes: 100 points every appender
+ * shares, with the same results, then 20 of its own.
+ */
+void
+appendOverlapping(SweepJournal &journal, uint64_t own)
 {
-    TempDir dir("journal_stale");
+    for (uint64_t d = 1; d <= 100; ++d)
+        journal.append(d, sampleResult(static_cast<double>(d), d));
+    for (uint64_t d = 0; d < 20; ++d)
+        journal.append(own + d, sampleResult(0.5, own + d));
+}
+
+/** Every appender's points are there, once each, and nothing is torn. */
+void
+expectAllAppendedOnce(const std::string &path)
+{
+    JournalLoadStats stats;
+    auto loaded = loadJournal(path, &stats);
+    EXPECT_EQ(stats.corrupt, 0u);
+    EXPECT_EQ(stats.records, 140u);
+    ASSERT_EQ(loaded.size(), 140u);
+    for (uint64_t d = 1; d <= 100; ++d)
+        EXPECT_DOUBLE_EQ(loaded.at(d).seconds, static_cast<double>(d));
+    for (uint64_t d = 0; d < 20; ++d) {
+        EXPECT_TRUE(loaded.count(0x1000 + d));
+        EXPECT_TRUE(loaded.count(0x2000 + d));
+    }
+    // The header, then each distinct record once.
+    EXPECT_EQ(lineCount(path), 141u);
+}
+
+TEST(Journal, TwoHandlesAppendFromTwoThreads)
+{
+    TempDir dir("journal_threads");
     const std::string path = dir.file("sweep.journal");
-    // A pid that cannot be alive: pid_max on Linux caps below 2^22
-    // by default, and 999999999 far exceeds any configured maximum.
-    std::ofstream(path + ".lock") << 999999999 << "\n";
-    {
+    SweepJournal a(path);
+    SweepJournal b(path);
+    std::thread ta([&] { appendOverlapping(a, 0x1000); });
+    std::thread tb([&] { appendOverlapping(b, 0x2000); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(a.appended() + b.appended(), 140u);
+    expectAllAppendedOnce(path);
+}
+
+TEST(Journal, TwoProcessesAppendOverlappingDigests)
+{
+    TempDir dir("journal_processes");
+    const std::string path = dir.file("sweep.journal");
+    pid_t kids[2];
+    for (int k = 0; k < 2; ++k) {
+        // The child only appends and _exits: it execs nothing, so no
+        // descriptor can leak.
+        // MCSCOPE_LINT_ALLOW(FD-1): a test child that never execs.
+        kids[k] = ::fork();
+        ASSERT_GE(kids[k], 0);
+        if (kids[k] == 0) {
+            {
+                SweepJournal journal(path);
+                appendOverlapping(journal, 0x1000u * (k + 1));
+            }
+            ::_exit(0);
+        }
+    }
+    for (pid_t kid : kids) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(kid, &status, 0), kid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+    expectAllAppendedOnce(path);
+}
+
+TEST(Journal, KilledAppenderLeavesNothingBehind)
+{
+    TempDir dir("journal_killed");
+    const std::string path = dir.file("sweep.journal");
+    // The child only appends and dies: it execs nothing, so no
+    // descriptor can leak.
+    // MCSCOPE_LINT_ALLOW(FD-1): a test child that never execs.
+    const pid_t kid = ::fork();
+    ASSERT_GE(kid, 0);
+    if (kid == 0) {
         SweepJournal journal(path);
         journal.append(0x1, sampleResult(1.0, 1));
+        // Die holding the append lock, as a writer killed mid-append
+        // would.
+        const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+        if (fd < 0 || ::flock(fd, LOCK_EX) != 0)
+            ::_exit(1);
+        ::raise(SIGKILL);
     }
-    EXPECT_EQ(loadJournal(path).size(), 1u);
-    EXPECT_FALSE(std::filesystem::exists(path + ".lock"));
+    int status = 0;
+    ASSERT_EQ(::waitpid(kid, &status, 0), kid);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+
+    // No lock or pid file beside the journal, and the kernel dropped
+    // the dead writer's lock: the next appender goes straight on.
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path()))
+        names.push_back(entry.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{"sweep.journal"});
+    {
+        SweepJournal journal(path);
+        journal.append(0x2, sampleResult(2.0, 2));
+    }
+    EXPECT_EQ(loadJournal(path).size(), 2u);
+}
+
+/** The one-point plan the executor tests run. */
+SweepPlan
+onePointPlan()
+{
+    std::string error;
+    std::optional<SweepPlan> plan = SweepPlan::fromJson(
+        *parseJson(R"({"machine": "dmz", "workloads": ["nas-ep-b"],
+                       "ranks": [2], "options": [0]})"),
+        &error);
+    EXPECT_TRUE(plan.has_value()) << error;
+    return std::move(*plan);
+}
+
+TEST(Journal, CorruptLaterRecordIsResimulatedNotFallenBackFrom)
+{
+    TempDir dir("journal_corrupt_later");
+    const std::string path = dir.file("sweep.journal");
+    const SweepPlan plan = onePointPlan();
+    const uint64_t digest = plan.digests()[0];
+    {
+        SweepJournal journal(path);
+        journal.append(digest, sampleResult(1.0, 5));
+    }
+    // A later record for the same point, corrupt.
+    std::string later = runResultToJson(digest, sampleResult(2.0, 6)).dump();
+    const size_t pos = later.find("\"events\":6");
+    ASSERT_NE(pos, std::string::npos) << later;
+    later.replace(pos, 10, "\"events\":1e300");
+    std::ofstream(path, std::ios::app) << later << "\n";
+
+    // --resume: the point is not served from the earlier record; it
+    // is left to run (no shards here, so it stays pending).
+    ShardOptions opts;
+    opts.shards = 0;
+    opts.resumeFrom = path;
+    opts.journalPath = path;
+    ::testing::internal::CaptureStderr();
+    ShardExecutor ex(plan, opts);
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(ex.finished());
+    EXPECT_TRUE(ex.drainCompletions().empty());
+    EXPECT_NE(warnings.find("corrupt or stale; re-simulating"),
+              std::string::npos)
+        << warnings;
+}
+
+TEST(ShardWorker, ManifestWithOutOfRangeIndexIsRejected)
+{
+    // Casting a number outside uint64_t's range is undefined
+    // behaviour; the worker refuses the manifest instead of running
+    // the point under a garbage index.
+    const SweepPlan plan = onePointPlan();
+    for (double index : {1e300, -1.0}) {
+        JsonValue point = JsonValue::object();
+        point.set("index", JsonValue::number(index));
+        point.set("spec", plan.specs()[0].toJson());
+        JsonValue points = JsonValue::array();
+        points.append(std::move(point));
+        JsonValue manifest = JsonValue::object();
+        manifest.set("format", JsonValue::str("mcscope-shard-1"));
+        manifest.set("points", std::move(points));
+
+        int in[2], out[2];
+        ASSERT_EQ(::pipe(in), 0);
+        ASSERT_EQ(::pipe(out), 0);
+        ASSERT_TRUE(writeFrame(in[1], manifest.dump()));
+        ::close(in[1]);
+        ::testing::internal::CaptureStderr();
+        const int rc = runFramedShardWorker(in[0], out[1]);
+        const std::string warnings =
+            ::testing::internal::GetCapturedStderr();
+        ::close(in[0]);
+        ::close(out[1]);
+        EXPECT_EQ(rc, 2) << index;
+        EXPECT_NE(warnings.find("malformed manifest point"),
+                  std::string::npos)
+            << warnings;
+        bool eof = false;
+        EXPECT_FALSE(readFrame(out[0], &eof)) << "a point ran at " << index;
+        EXPECT_TRUE(eof);
+        ::close(out[0]);
+    }
+}
+
+TEST(ShardExecutor, OutOfRangeRecordNumbersAreIgnored)
+{
+    const SweepPlan plan = onePointPlan();
+    ShardOptions opts;
+    opts.shards = 0; // fake remote workers only
+    opts.backoffSeconds = 0.0;
+    ShardExecutor ex(plan, opts);
+    RunResult result = sampleResult(1.0, 5);
+    const std::string record =
+        runResultToJson(ex.digests()[0], result).dump();
+
+    // One fake remote worker takes the manifest and answers point 0
+    // under `index`, then reports `cache_hits`.
+    auto serve = [&](const char *index, const char *cache_hits) {
+        int sv[2];
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv),
+                  0);
+        ex.attachRemote(sv[0], "fake");
+        ex.pollOnce(10);
+        ASSERT_TRUE(readFrame(sv[1])); // the manifest
+        ASSERT_TRUE(writeFrame(sv[1], std::string("{\"index\":") + index +
+                                          ",\"result\":" + record + "}"));
+        ASSERT_TRUE(writeFrame(sv[1], std::string("{\"done\":true,"
+                                                  "\"cache_hits\":") +
+                                          cache_hits + "}"));
+        for (int k = 0; k < 20 && !ex.finished(); ++k)
+            ex.pollOnce(10);
+        ::close(sv[1]);
+    };
+
+    // A record index that does not fit size_t names no point.
+    ::testing::internal::CaptureStderr();
+    serve("1e300", "0");
+    std::string warnings = ::testing::internal::GetCapturedStderr();
+    ASSERT_FALSE(ex.finished());
+    EXPECT_NE(warnings.find("malformed worker record"), std::string::npos)
+        << warnings;
+
+    // A cache-hit count that does not fit uint64_t counts nothing.
+    ::testing::internal::CaptureStderr();
+    serve("0", "-1");
+    ::testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(ex.finished());
+    PlanResults got = ex.take();
+    EXPECT_EQ(got.shard.workerCacheHits, 0u);
+    EXPECT_EQ(got.bySpec[0].seconds, 1.0);
 }
 
 TEST(FaultPlan, ParsesGrammar)

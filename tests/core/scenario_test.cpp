@@ -278,6 +278,26 @@ TEST(ScenarioSpec, ParserRejectsBadHtLinks)
     EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
 }
 
+TEST(ScenarioSpec, ParserRejectsOutOfRangeNumbers)
+{
+    // Casting a double outside int's range is undefined behaviour;
+    // such a spec is rejected, never run with a garbage count.
+    std::string error;
+    EXPECT_FALSE(parseScenarioSpec(
+        *parseJson(R"({"workload": "stream", "ranks": 1e300})"), &error));
+    EXPECT_NE(error.find("ranks must be a positive number"),
+              std::string::npos)
+        << error;
+
+    error.clear();
+    EXPECT_FALSE(parseScenarioSpec(
+        *parseJson(R"({"workload": "stream", "option": -1e300})"),
+        &error));
+    EXPECT_NE(error.find("option index -1e+300 out of range"),
+              std::string::npos)
+        << error;
+}
+
 TEST(ScenarioSpec, ParserRejectsBadCoherenceBlocks)
 {
     std::string error;
@@ -404,6 +424,23 @@ TEST(SweepPlan, FromJsonRejectsUnknownKeysAndWorkloads)
         *parseJson(R"({"workloads": ["streem"]})"), &error);
     EXPECT_FALSE(bad_workload.has_value());
     EXPECT_NE(error.find("stream"), std::string::npos) << error;
+}
+
+TEST(SweepPlan, FromJsonRejectsOutOfRangeNumbers)
+{
+    std::string error;
+    EXPECT_FALSE(SweepPlan::fromJson(
+        *parseJson(R"({"workloads": ["stream"], "ranks": [2, 1e300]})"),
+        &error));
+    EXPECT_NE(error.find("ranks entries must be positive numbers"),
+              std::string::npos)
+        << error;
+
+    error.clear();
+    EXPECT_FALSE(SweepPlan::fromJson(
+        *parseJson(R"({"workloads": ["stream"], "options": [1e300]})"),
+        &error));
+    EXPECT_NE(error.find("unknown option"), std::string::npos) << error;
 }
 
 TEST(SweepPlanDeathTest, ExpandRejectsUnknownWorkloadWithHint)
@@ -913,17 +950,15 @@ TEST(SweepPlan, PlanDigestsMatchSpecDigestsOnEveryExample)
         // Every executor keys results by the plan's digests.  Distinct
         // stand-in results (seconds = spec index + 1) stored under the
         // specs' own digests must come back for exactly their specs.
-        std::unordered_map<uint64_t, RunResult> known;
+        std::vector<RunResult> stand_ins(n);
         TempDir dir("plan_digests");
         const std::string journal_path = dir.path() + "/sweep.journal";
         {
             SweepJournal journal(journal_path);
             for (size_t i = 0; i < n; ++i) {
-                RunResult r;
-                r.valid = true;
-                r.seconds = static_cast<double>(i + 1);
-                known[want[i]] = r;
-                journal.append(want[i], r);
+                stand_ins[i].valid = true;
+                stand_ins[i].seconds = static_cast<double>(i + 1);
+                journal.append(want[i], stand_ins[i]);
             }
         }
         auto expectStandIns = [&](const PlanResults &got,
@@ -939,8 +974,8 @@ TEST(SweepPlan, PlanDigestsMatchSpecDigestsOnEveryExample)
         // must equal the cache, which stand-ins cannot).
         if (!auditRequestedByEnv()) {
             ResultCache cache;
-            for (const auto &[digest, r] : known)
-                cache.store(digest, r);
+            for (size_t i = 0; i < n; ++i)
+                cache.store(want[i], stand_ins[i]);
             RunnerOptions opts;
             opts.cache = &cache;
             PlanResults got = runPlan(shuffled, opts);
@@ -962,11 +997,11 @@ TEST(SweepPlan, PlanDigestsMatchSpecDigestsOnEveryExample)
             expectStandIns(got, "journal resume");
         }
 
-        // serve's dedup map: the daemon hands its digest -> result map
-        // to a fresh executor per batch.
+        // serve's dedup store: the daemon hands one store over its
+        // journal to a fresh executor per batch.
         {
-            SweepJournal shared(dir.path() + "/serve.journal");
-            ShardExecutor ex(shuffled, ShardOptions{}, &shared, &known);
+            ResultCache shared(std::make_unique<SweepJournal>(journal_path));
+            ShardExecutor ex(shuffled, ShardOptions{}, &shared);
             EXPECT_TRUE(ex.finished()) << file;
             expectStandIns(ex.take(), "serve dedup");
         }

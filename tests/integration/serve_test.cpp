@@ -16,7 +16,10 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/serve.hh"
+#include "util/json.hh"
 #include "util/subprocess.hh"
 #include "util/transport.hh"
 
@@ -214,6 +219,81 @@ TEST(Serve, SubmitMatchesBatchByteIdenticalAndDedups)
 
     ToolRun served = serve.wait();
     EXPECT_EQ(served.exit, 0) << served.out;
+
+    // The dedup outlives the daemon: a new one on the same journal
+    // answers the spec from it.
+    BackgroundTool again({"serve", "--port", "0", "--shards", "2",
+                          "--journal", dir.file("serve.journal"),
+                          "--max-batches", "1"});
+    ASSERT_TRUE(again.waitForOutput("listening on", 30000))
+        << again.out();
+    const int again_port = listeningPort(again.out());
+    ASSERT_GT(again_port, 0) << again.out();
+    ToolRun third = runTool({"submit", spec, "--connect",
+                             "127.0.0.1:" + std::to_string(again_port),
+                             "--csv", "--cache-stats"});
+    ASSERT_EQ(third.exit, 0) << third.out;
+    EXPECT_NE(third.out.find("4 from journal, 0 executed"),
+              std::string::npos)
+        << third.out;
+    EXPECT_EQ(third.out.substr(0, golden.out.size()), golden.out);
+    EXPECT_EQ(again.wait().exit, 0);
+}
+
+TEST(Serve, SubmitIgnoresOutOfRangeFrameNumbers)
+{
+    // Casting a number outside size_t's or uint64_t's range is
+    // undefined behaviour; the client must treat such a point index
+    // as malformed and such a counter as absent.
+    TempDir dir("serve_submit_numbers");
+    const std::string spec = writeSpec(dir);
+    std::ifstream in(spec);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::string error;
+    std::optional<SweepPlan> plan =
+        SweepPlan::fromJson(*parseJson(text), &error);
+    ASSERT_TRUE(plan.has_value()) << error;
+    RunResult result;
+    result.valid = true;
+    result.seconds = 1.0;
+    const std::string record =
+        runResultToJson(plan->digests()[0], result).dump();
+
+    // A fake daemon: one record for point 0 spelled 1e300, then a
+    // done frame with a negative count.
+    std::optional<TcpListener> listener =
+        tcpListen("127.0.0.1", 0, &error);
+    ASSERT_TRUE(listener.has_value()) << error;
+    std::thread daemon([&] {
+        const int fd = tcpAccept(listener->fd);
+        if (fd < 0)
+            return;
+        readFrame(fd); // the hello
+        writeFrame(fd, "{\"type\":\"record\",\"point\":1e300,"
+                       "\"result\":" + record + "}");
+        writeFrame(fd, "{\"type\":\"done\",\"stats\":"
+                       "{\"executed\":-1,\"journaled\":1e300}}");
+        ::close(fd);
+    });
+    SubmitOptions opts;
+    opts.port = listener->port;
+    opts.specPath = spec;
+    opts.csv = true;
+    opts.cacheStats = true;
+    std::ostringstream out;
+    ::testing::internal::CaptureStderr();
+    const int rc = runSubmit(opts, out);
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    daemon.join();
+    ::close(listener->fd);
+
+    EXPECT_EQ(rc, 0) << out.str();
+    EXPECT_NE(warnings.find("malformed record frame"), std::string::npos)
+        << warnings;
+    EXPECT_NE(out.str().find("journal: 0 from journal, 0 executed"),
+              std::string::npos)
+        << out.str();
 }
 
 TEST(Serve, HumanTableMatchesBatchToo)

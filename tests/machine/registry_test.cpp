@@ -237,6 +237,23 @@ TEST(MachineSerialize, RejectsBadSmtWidths)
         &error));
 }
 
+TEST(MachineSerialize, RejectsOutOfRangeHtLinkSockets)
+{
+    // Casting a double outside int's range is undefined behaviour;
+    // such a link is not a socket pair at all.
+    for (const char *link : {"[1e300,0]", "[0,-1e300]", "[1e300,1e300]"}) {
+        std::string error;
+        EXPECT_FALSE(parseText(
+            std::string(R"({"name":"x","sockets":2,"cores_per_socket":2,)"
+                        R"("ht_links":[)") +
+                link + "]}",
+            &error))
+            << link;
+        EXPECT_NE(error.find("[socket, socket] pairs"), std::string::npos)
+            << link << ": " << error;
+    }
+}
+
 TEST(MachineSerialize, RejectsOrphanFabricAndBadNodeCounts)
 {
     std::string error;

@@ -6,6 +6,7 @@
 
 #include "util/transport.hh"
 
+#include <cerrno>
 #include <cstring>
 #include <random>
 #include <string>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -221,6 +223,35 @@ TEST(TransportTest, TcpLoopbackRoundTrip)
     EXPECT_FALSE(readFrame(conn, &eof).has_value());
     EXPECT_TRUE(eof);
     ::close(conn);
+    ::close(listener->fd);
+}
+
+TEST(TransportTest, ResetAtFrameBoundaryIsCleanEof)
+{
+    // A peer that closes with bytes we sent still unread resets the
+    // connection instead of ending it, as the serve daemon does when
+    // it exits before reading a worker's last done frame.  Between
+    // frames that is still an orderly goodbye.
+    std::string error;
+    std::optional<TcpListener> listener =
+        tcpListen("127.0.0.1", 0, &error);
+    ASSERT_TRUE(listener.has_value()) << error;
+    const int fd = tcpConnect("127.0.0.1", listener->port, &error);
+    ASSERT_GE(fd, 0) << error;
+    const int conn = tcpAccept(listener->fd);
+    ASSERT_GE(conn, 0);
+    ASSERT_TRUE(writeFrame(fd, "never read"));
+    struct pollfd pfd = {conn, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+    ::close(conn);
+
+    bool eof = false;
+    const std::optional<std::string> got = readFrame(fd, &eof);
+    const int err = errno;
+    EXPECT_FALSE(got.has_value());
+    EXPECT_EQ(err, ECONNRESET) << "the close did not reset";
+    EXPECT_TRUE(eof);
+    ::close(fd);
     ::close(listener->fd);
 }
 
