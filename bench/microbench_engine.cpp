@@ -25,7 +25,6 @@
 #include "machine/config.hh"
 #include "machine/machine.hh"
 #include "machine/registry.hh"
-#include "sim/calqueue.hh"
 #include "sim/fairshare.hh"
 #include "sim/task.hh"
 #include "util/fdio.hh"
@@ -162,36 +161,6 @@ BM_EngineEventThroughputTimeline(benchmark::State &state)
 BENCHMARK(BM_EngineEventThroughputTimeline)->Arg(1000);
 
 void
-BM_CalQueueChurn(benchmark::State &state)
-{
-    // Steady-state calendar-queue load: keep nf finish times live,
-    // repeatedly pop the earliest and re-insert it a deterministic
-    // pseudo-random span later (exactly what a completing flow whose
-    // rate changes does).  Per-op cost should stay flat as nf grows;
-    // a binary heap would drift up as log(nf).
-    const int nf = static_cast<int>(state.range(0));
-    CalendarQueue q;
-    q.reserveSlots(nf);
-    Rng rng(0x5eedULL);
-    double now = 0.0;
-    for (int s = 0; s < nf; ++s)
-        q.insert(s, now + rng.uniform(0.5, 1.5));
-    for (auto _ : state) {
-        // minTime() never returns infinity here: the queue stays at
-        // nf live entries throughout.
-        benchmark::DoNotOptimize(q.minTime());
-        // Rate change on a random survivor: remove + re-insert later.
-        // `now` advances ~1/nf per op so each slot turns over about
-        // once per nf ops and the live density stays constant.
-        now += 1.0 / nf;
-        const int moved = static_cast<int>(rng.below(nf));
-        q.update(moved, now + rng.uniform(0.5, 1.5));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CalQueueChurn)->Arg(64)->Arg(1024)->Arg(16384);
-
-void
 BM_FairShareComponentSolve(benchmark::State &state)
 {
     // The incremental-solve primitive: re-solve a 4-flow component out
@@ -250,7 +219,7 @@ BM_EngineManyComponents(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * iters *
                             static_cast<uint64_t>(nt));
 }
-BENCHMARK(BM_EngineManyComponents)->Arg(4)->Arg(32)->Arg(256);
+BENCHMARK(BM_EngineManyComponents)->Arg(4)->Arg(32)->Arg(256)->Arg(2048);
 
 void
 BM_StreamExperiment(benchmark::State &state)

@@ -78,10 +78,10 @@ struct RunResult
      */
     uint64_t memoHits = 0;
 
-    /** Calendar-queue operations (inserts + removes). */
+    /** Finish-time operations (Engine::Stats::calqueueOps). */
     uint64_t calqueueOps = 0;
 
-    /** Calendar-queue bucket resizes / width retunes. */
+    /** 0 for every new run (Engine::Stats::calqueueResizes). */
     uint64_t calqueueResizes = 0;
 
     /** True when the run executed under an invariant auditor. */

@@ -93,6 +93,7 @@ struct PendingPeer
 {
     int fd = -1;
     FrameBuffer frames;
+    std::chrono::steady_clock::time_point acceptedAt;
 };
 
 /** An idle connected worker waiting for the next batch. */
@@ -336,6 +337,7 @@ runServe(const ServeOptions &opts, std::ostream &out)
                     setNonBlocking(fd);
                     PendingPeer peer;
                     peer.fd = fd;
+                    peer.acceptedAt = std::chrono::steady_clock::now();
                     pending.push_back(std::move(peer));
                 }
                 break;
@@ -369,6 +371,15 @@ runServe(const ServeOptions &opts, std::ostream &out)
                     closeClient(active->clientFd);
                 break;
               }
+            }
+        }
+        // A peer still without a hello at the deadline is dropped.
+        const auto now = std::chrono::steady_clock::now();
+        for (PendingPeer &peer : pending) {
+            if (peer.fd >= 0 &&
+                now - peer.acceptedAt > kServeHelloDeadline) {
+                ::close(peer.fd);
+                peer.fd = -1;
             }
         }
         pending.erase(std::remove_if(pending.begin(), pending.end(),

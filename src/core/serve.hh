@@ -24,6 +24,7 @@
 #ifndef MCSCOPE_CORE_SERVE_HH
 #define MCSCOPE_CORE_SERVE_HH
 
+#include <chrono>
 #include <iosfwd>
 #include <string>
 
@@ -33,6 +34,14 @@ namespace mcscope {
 
 /** Format stamp on every serve-protocol frame. */
 constexpr const char *kServeFormat = "mcscope-serve-1";
+
+/**
+ * How long an accepted connection may take to complete its hello
+ * before the daemon closes it.  Real peers send the hello right after
+ * connecting; a silent one would otherwise hold a descriptor and a
+ * poll slot forever.
+ */
+constexpr std::chrono::seconds kServeHelloDeadline{3};
 
 /** Daemon configuration (`mcscope serve` flags). */
 struct ServeOptions

@@ -55,10 +55,10 @@ struct GridPointSample
      */
     uint64_t memoHits = 0;
 
-    /** Calendar-queue operations (inserts + removes). */
+    /** Finish-time operations (Engine::Stats::calqueueOps). */
     uint64_t calqueueOps = 0;
 
-    /** Calendar-queue bucket resizes / width retunes. */
+    /** 0 for every new run (Engine::Stats::calqueueResizes). */
     uint64_t calqueueResizes = 0;
 };
 

@@ -300,7 +300,6 @@ Engine::startFlow(uint32_t flow, double amount, OwnerVec owners,
         flowAlive_.push_back(0);
         flowPosInRes_.emplace_back();
         flowInClosure_.push_back(0);
-        calq_.reserveSlots(slot + 1);
     }
 
     flowRemaining_[slot] = amount;
@@ -398,8 +397,12 @@ Engine::removeFlow(FlowSlot slot)
         markResourceDirty(r);
     }
 
+    // A flow that was ever rated had a finish time to drop.
+    if (flowRate_[slot] != 0.0)
+        ++counters_.calqueueOps;
     // Neutralize the slot for the flat hot-loop scans: zero rate moves
-    // nothing, infinite remaining never crosses a negative threshold.
+    // nothing, infinite remaining never crosses a negative threshold,
+    // and an infinite finish is never the next one.
     flowAlive_[slot] = 0;
     flowRemaining_[slot] = kInf;
     flowRate_[slot] = 0.0;
@@ -408,8 +411,6 @@ Engine::removeFlow(FlowSlot slot)
     flowPath_[slot].clear();
     flowOwners_[slot].clear();
     flowPosInRes_[slot].clear();
-    if (calq_.contains(slot))
-        calq_.remove(slot);
     // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
     freeSlots_.push_back(slot);
     --activeFlows_;
@@ -430,14 +431,11 @@ Engine::applyRates(const FlowSlot *slots, size_t count,
         // actually changed: both allocator paths then derive identical
         // finish-time bit patterns from identical rate bit patterns,
         // which is what keeps their event sequences -- and hence the
-        // determinism digests -- bit-identical.
+        // determinism digests -- bit-identical.  A first finish time
+        // counts one operation, a re-key two (Stats::calqueueOps).
+        counters_.calqueueOps += flowRate_[s] == 0.0 ? 1 : 2;
         flowRate_[s] = rate;
-        const double finish = now_ + flowRemaining_[s] / rate;
-        flowFinish_[s] = finish;
-        if (calq_.contains(s))
-            calq_.update(s, finish);
-        else
-            calq_.insert(s, finish);
+        flowFinish_[s] = now_ + flowRemaining_[s] / rate;
     }
 }
 
@@ -455,7 +453,9 @@ Engine::solveOptimized()
     closureRes_.clear();
     closureFlows_.clear();
     for (ResourceId seed : dirtyRes_) {
-        if (resInClosure_[seed])
+        // A dirty resource no flow crosses any more has nothing to
+        // solve; one that some flow crosses seeds a non-empty walk.
+        if (resInClosure_[seed] || resFlows_[seed].empty())
             continue;
         const size_t resBegin = closureRes_.size();
         const size_t flowBegin = closureFlows_.size();
@@ -517,8 +517,6 @@ Engine::solveComponent(size_t flowBegin, size_t resBegin)
 {
     const size_t n = closureFlows_.size() - flowBegin;
     const FlowSlot *slots = closureFlows_.data() + flowBegin;
-    if (n == 0)
-        return; // a dirty resource no flow crosses any more
 
     // The entry this solve fills; larger components bypass the memo.
     MemoEntry *fill = nullptr;
@@ -745,7 +743,7 @@ Engine::allocGuardCapacitySum(const std::vector<int> &to_advance) const
            freeSlots_.capacity() + newFlows_.capacity() +
            dirtyRes_.capacity() + closureRes_.capacity() +
            closureFlows_.capacity() + completedScratch_.capacity() +
-           delayHeap_.capacity() + incidence + calq_.capacitySum();
+           delayHeap_.capacity() + incidence;
 }
 
 void
@@ -812,13 +810,19 @@ Engine::run()
         if (ratesDirty_)
             recomputeRates();
 
-        // Earliest flow completion, from the calendar queue of
-        // absolute finish times.  Absolute finish times are invariant
-        // while rates are unchanged (each flow drains at a constant
-        // rate), so entries are only re-keyed on rate changes.
+        // Earliest flow completion: one branch-free min over the
+        // absolute finish times.  Those are invariant while rates are
+        // unchanged (each flow drains at a constant rate), so only a
+        // rate change rewrites one; dead and not-yet-rated slots hold
+        // +inf.
         double dt_flow = kInf;
         if (activeFlows_ > 0) {
-            dt_flow = calq_.minTime() - now_;
+            const size_t n = slotCount();
+            const double *finish = flowFinish_.data();
+            double next = kInf;
+            for (size_t s = 0; s < n; ++s)
+                next = finish[s] < next ? finish[s] : next;
+            dt_flow = next - now_;
             if (dt_flow <= 0.0) {
                 // now_ accumulates dt with different round-off than
                 // remaining accumulates rate*dt, so now_ can reach the
@@ -854,7 +858,8 @@ Engine::run()
         if (dt < 0.0)
             dt = 0.0;
 
-        // Advance time and integrate resource statistics.
+        // Advance time.  The timeline reads each flow's pre-drain
+        // remaining work, so it accrues before the step pass.
         SimTime prev = now_;
         now_ += dt;
         ++counters_.timeSteps;
@@ -862,30 +867,27 @@ Engine::run()
             alloc_guard::Pause pause;
             auditor_->onTimeAdvance(prev, now_);
         }
-        for (size_t s = 0; s < slotCount(); ++s) {
-            double moved = flowRate_[s] * dt;
-            if (moved > flowRemaining_[s])
-                moved = flowRemaining_[s];
-            for (ResourceId r : flowPath_[s])
-                stats_[r].unitsMoved += moved;
-        }
         if (timelineTarget_ > 0 && dt > 0.0)
             accrueTimeline(prev, now_);
 
-        // Drain and complete flows.  The structure-of-arrays layout
-        // splits this into a branch-free vectorizable drain pass and a
-        // comparison scan; dead slots are inert (rate 0, remaining
-        // +inf, threshold -1), so neither pass needs an alive test.
+        // One pass over the slots, in slot order: credit each path
+        // resource with the units moved, drain, and collect the flows
+        // that crossed their completion tolerance.  Dead slots are
+        // inert (rate 0, remaining +inf, threshold -1, empty path), so
+        // the pass needs no alive test.
         to_advance.clear();
         completedScratch_.clear();
         {
             const size_t n = slotCount();
             double *rem = flowRemaining_.data();
             const double *rate = flowRate_.data();
-            for (size_t s = 0; s < n; ++s)
-                rem[s] -= rate[s] * dt;
             const double *thresh = flowThresh_.data();
             for (size_t s = 0; s < n; ++s) {
+                const double step = rate[s] * dt;
+                const double moved = step > rem[s] ? rem[s] : step;
+                for (ResourceId r : flowPath_[s])
+                    stats_[r].unitsMoved += moved;
+                rem[s] -= step;
                 if (rem[s] <= thresh[s]) {
                     // MCSCOPE_LINT_ALLOW(HOT-1): amortized reuse.
                     completedScratch_.push_back(

@@ -17,13 +17,13 @@
  * cycle-accurate modeling.
  *
  * Steady-state complexity (DESIGN §13): flow state is a structure of
- * arrays over stable slots, the next flow finish comes from a calendar
- * queue, and a flow arrival/departure re-solves only the connected
- * components of flows reachable from the resources it touched (the
- * dirty set) -- so per-event cost is proportional to the affected
- * components, not the whole flow population.  A component whose
- * ordered input was solved before takes its rates from a per-engine
- * memo instead of being solved again.
+ * arrays over stable slots, and each time step is flat scans of it:
+ * one min over the absolute finish times finds the next flow finish,
+ * and one fused pass moves units, drains and detects completions.  A
+ * flow arrival/departure re-solves only the connected components of
+ * flows reachable from the resources it touched (the dirty set), and
+ * a component whose ordered input was solved before takes its rates
+ * from a per-engine memo instead of being solved again.
  */
 
 #ifndef MCSCOPE_SIM_ENGINE_HH
@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/calqueue.hh"
 #include "sim/fairshare.hh"
 #include "sim/prim.hh"
 #include "sim/task.hh"
@@ -219,10 +218,24 @@ class Engine
          */
         uint64_t componentSolves = 0;
 
-        /** Calendar-queue operations (inserts + removes). */
+        /**
+         * Finish-time operations, counted the way the calendar queue
+         * that once held the finish times counted its inserts and
+         * removes: +1 when a flow first gets a finish time, +2 when a
+         * rate change re-keys it, +1 when a flow that had one is
+         * removed.  Result records and telemetry carry it as
+         * `calqueue_ops`.
+         */
         uint64_t calqueueOps = 0;
 
-        /** Calendar-queue bucket resizes / width retunes. */
+        /**
+         * Calendar-queue resizes.  Always 0: the next finish is one
+         * scan of the slot array, so there is no queue to resize.
+         * Kept because result records and telemetry carry it as
+         * `calqueue_resizes`; records written while the engine still
+         * had a calendar queue carry its non-zero count for runs with
+         * more than 32 concurrent flows.
+         */
         uint64_t calqueueResizes = 0;
 
         /** Peak size of the active-flow set. */
@@ -234,8 +247,6 @@ class Engine
     {
         Stats s = counters_;
         s.events = events_;
-        s.calqueueOps = calq_.stats().ops;
-        s.calqueueResizes = calq_.stats().resizes;
         return s;
     }
 
@@ -457,10 +468,10 @@ class Engine
     void solveOptimized();
 
     /**
-     * Rates for the component in closureFlows_[flowBegin..] (sorted by
-     * slot) over closureRes_[resBegin..]: from the memo when its key
-     * was solved before, else from a component solve whose result is
-     * then memoized.
+     * Rates for the component in closureFlows_[flowBegin..] (at least
+     * one flow, sorted by slot) over closureRes_[resBegin..]: from the
+     * memo when its key was solved before, else from a component solve
+     * whose result is then memoized.
      */
     void solveComponent(size_t flowBegin, size_t resBegin);
 
@@ -469,10 +480,10 @@ class Engine
 
     /**
      * Adopt freshly solved rates for `slots[0..count)`; rates[k]
-     * belongs to slots[k].  A flow's absolute finish time (and its
-     * calendar-queue entry) is updated only when its assigned rate
-     * actually changes, so the time sequence does not depend on how
-     * much of the flow set a rerun solved (DESIGN §13).
+     * belongs to slots[k].  A flow's absolute finish time is updated
+     * only when its assigned rate actually changes, so the time
+     * sequence does not depend on how much of the flow set a rerun
+     * solved (DESIGN §13).
      */
     void applyRates(const FlowSlot *slots, size_t count,
                     const double *rates);
@@ -507,7 +518,7 @@ class Engine
     /**
      * Sum of the capacities of every buffer the steady-state loop may
      * legitimately grow (hot-path scratch, the ready/advance queues,
-     * the calendar queue, and the timeline).  Capacities are monotone,
+     * the flow slots, and the timeline).  Capacities are monotone,
      * so the sum grows iff some buffer grew; the alloc-guard check in
      * run() excuses an iteration's allocations only when it did.
      */
@@ -526,7 +537,9 @@ class Engine
     // --- Structure-of-arrays flow state ------------------------------
     // One entry per slot; a slot is recycled through freeSlots_ after
     // its flow completes.  Dead slots are inert for the hot loop's flat
-    // scans: rate 0, remaining +inf, threshold -1, empty path.
+    // scans: rate 0, remaining +inf, finish +inf, threshold -1, empty
+    // path.  A live flow has rate 0 and finish +inf until its first
+    // solve.
     std::vector<double> flowRemaining_; ///< units left to move
     std::vector<double> flowRate_;      ///< current fair-share rate
     std::vector<double> flowFinish_;    ///< absolute finish estimate
@@ -590,9 +603,6 @@ class Engine
     std::unique_ptr<MemoEntry[]> memo_;
     std::unique_ptr<MemoTag[]> memoTags_;
     uint32_t memoClock_ = 0;
-
-    /** Calendar queue of absolute flow-finish times, keyed by slot. */
-    CalendarQueue calq_;
 
     /** Slots whose remaining work crossed the completion tolerance. */
     std::vector<FlowSlot> completedScratch_;

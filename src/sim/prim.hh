@@ -39,8 +39,7 @@ using ResourceId = int;
  * (structure of arrays); a slot id stays valid for a flow's whole
  * lifetime and is recycled through a free list afterwards, so
  * cross-referencing structures -- per-resource incidence lists, the
- * calendar queue of finish times -- hold slot ids instead of
- * pointers.
+ * dirty-set closure -- hold slot ids instead of pointers.
  */
 using FlowSlot = int;
 

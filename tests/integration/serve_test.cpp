@@ -9,7 +9,9 @@
  *    spec, and a resubmission is served entirely from the journal;
  *  - a TCP worker SIGKILLed at every point index degrades exactly
  *    like a crashed local subprocess: a clean worker finishes the
- *    batch and the client still gets the byte-identical table.
+ *    batch and the client still gets the byte-identical table;
+ *  - a peer that connects and never sends its hello is closed at the
+ *    hello deadline while other clients are served normally.
  */
 
 #include <chrono>
@@ -379,6 +381,58 @@ TEST(Serve, RemoteWorkerKilledAtEveryPointIsRecovered)
         ToolRun doomed_run = doomed.wait();
         EXPECT_EQ(doomed_run.signal, SIGKILL);
     }
+}
+
+TEST(Serve, SilentPeerIsDroppedAtHelloDeadline)
+{
+    TempDir dir("serve_silent");
+    const std::string spec = writeSpec(dir);
+
+    ToolRun golden = runTool({"batch", spec, "--csv"});
+    ASSERT_EQ(golden.exit, 0) << golden.out;
+
+    // --max-batches 0 serves forever, so only the hello deadline can
+    // close the silent peer; the daemon is killed at the end.
+    BackgroundTool serve({"serve", "--port", "0", "--shards", "1",
+                          "--max-batches", "0"});
+    ASSERT_TRUE(serve.waitForOutput("listening on", 30000))
+        << serve.out();
+    const int port = listeningPort(serve.out());
+    ASSERT_GT(port, 0) << serve.out();
+    const std::string addr = "127.0.0.1:" + std::to_string(port);
+
+    // A peer that connects and never says a word.
+    std::string error;
+    const auto connected = std::chrono::steady_clock::now();
+    const int silent = tcpConnect("127.0.0.1", port, &error);
+    ASSERT_GE(silent, 0) << error;
+
+    // A well-behaved submitter on the same daemon meanwhile.
+    BackgroundTool submit({"submit", spec, "--connect", addr, "--csv"});
+
+    // The daemon closes the silent peer once the deadline passes:
+    // read() sees EOF no earlier than the deadline and no later than
+    // a second after it.
+    const auto limit = connected + kServeHelloDeadline +
+                       std::chrono::seconds(1);
+    bool eof = false;
+    while (!eof && std::chrono::steady_clock::now() < limit) {
+        struct pollfd pfd = {silent, POLLIN, 0};
+        if (::poll(&pfd, 1, 50) <= 0)
+            continue;
+        char byte;
+        eof = ::read(silent, &byte, 1) <= 0;
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - connected;
+    ::close(silent);
+    EXPECT_TRUE(eof) << "silent peer still open after the hello deadline";
+    EXPECT_GE(elapsed, kServeHelloDeadline);
+
+    ToolRun submitted = submit.wait();
+    EXPECT_EQ(submitted.exit, 0) << submitted.out;
+    EXPECT_EQ(submitted.out, golden.out);
+
+    serve.kill();
 }
 
 TEST(Serve, BadSpecsAreRejectedAtBothEnds)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -280,6 +281,27 @@ TEST(ZooShapes, Cluster12FabricVsBandwidthShapes)
                    MemPolicy::LocalAlloc, 4);
     EXPECT_LT(st_spread, st_packed)
         << "STREAM must gain from spreading over more controllers";
+}
+
+// One fixed zoo point -- nas-cg-b, 16 ranks, the first Table 5
+// option on T3-4 -- pinned to recorded bits: the simulated seconds,
+// the program steps, and the finish-time operation count that result
+// records carry as `calqueue_ops`.  An event-loop change that alters
+// any of them changes published numbers and cached records.
+TEST(ZooPin, T34NasCgPointKeepsItsBits)
+{
+    ExperimentConfig c;
+    c.machine = zooMachine("t3-4");
+    c.option = table5Options()[0];
+    c.ranks = 16;
+    RunResult r = runExperiment(c, *makeWorkload("nas-cg-b"));
+    ASSERT_TRUE(r.valid);
+    uint64_t seconds_bits;
+    std::memcpy(&seconds_bits, &r.seconds, sizeof seconds_bits);
+    EXPECT_EQ(seconds_bits, 0x404bd7759f478d63ULL); // 55.683277044236796
+    EXPECT_EQ(r.events, 24032u);
+    EXPECT_EQ(r.calqueueOps, 27600u);
+    EXPECT_EQ(r.calqueueResizes, 0u);
 }
 
 } // namespace

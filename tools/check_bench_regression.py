@@ -38,14 +38,13 @@ import sys
 
 # Benchmarks on the engine's per-event hot path: tracing and timeline
 # hooks are compiled in but disabled here, so any slowdown is pure
-# observability overhead.  The calendar-queue and incremental-solve
-# benches are steady-state per-event machinery too, and the two
-# real-scenario points (Longs and T3-4 nas-cg-b) time the closure solve
-# and its memo end to end, so they all share the strict cap.  Matched
-# on the name before the '/'.
+# observability overhead.  The incremental-solve benches are
+# steady-state per-event machinery too, and the two real-scenario
+# points (Longs and T3-4 nas-cg-b) time the closure solve and its memo
+# end to end, so they all share the strict cap.  Matched on the name
+# before the '/'.
 HOT_PATH_BENCHES = {
     "BM_EngineEventThroughput",
-    "BM_CalQueueChurn",
     "BM_FairShareComponentSolve",
     "BM_EngineManyComponents",
     "BM_CoherenceProbe",
