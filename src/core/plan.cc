@@ -50,6 +50,26 @@ withDefaults(SweepAxes axes)
     return axes;
 }
 
+/**
+ * Grid points `full` (withDefaults() applied) expands to, or
+ * kMaxPlanPoints + 1 for any count above the limit: computed from the
+ * axis lengths alone, so it neither expands nor overflows.
+ */
+size_t
+cappedPointCount(const SweepAxes &full)
+{
+    size_t points = 1;
+    for (size_t axis :
+         {full.machineVariants(), full.workloads.size(), full.impls.size(),
+          full.sublayers.size(), full.rankCounts.size(),
+          full.options.size()}) {
+        if (axis > kMaxPlanPoints || points * axis > kMaxPlanPoints)
+            return kMaxPlanPoints + 1;
+        points *= axis;
+    }
+    return points;
+}
+
 } // namespace
 
 MachineConfig
@@ -421,6 +441,13 @@ SweepPlan::fromJson(const JsonValue &doc, std::string *error)
         setError(error, "\"machines\" and \"directory_entries\" are "
                         "mutually exclusive (sweep one outermost axis "
                         "at a time)");
+        return std::nullopt;
+    }
+    if (cappedPointCount(withDefaults(axes)) > kMaxPlanPoints) {
+        setError(error, "batch spec names more than " +
+                            std::to_string(kMaxPlanPoints) +
+                            " grid points (the product of its axes); "
+                            "split it into smaller batches");
         return std::nullopt;
     }
     return expand(axes);

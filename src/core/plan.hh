@@ -38,6 +38,15 @@
 
 namespace mcscope {
 
+/**
+ * Most grid points one batch spec may name (SweepPlan::fromJson).  The
+ * axis product is checked before anything is expanded, so a spec of a
+ * few kilobytes cannot make the parser -- or the serve daemon's loop
+ * -- try to allocate ~10^12 points.  The largest shipped spec names a
+ * few hundred.
+ */
+constexpr size_t kMaxPlanPoints = 65536;
+
 /** Axis lists a plan expands; empty axes get the documented default. */
 struct SweepAxes
 {
@@ -141,7 +150,8 @@ class SweepPlan
      *
      * Returns nullopt and sets `error` on malformed input; unknown
      * keys and unknown workload names are errors (with a nearest-name
-     * suggestion).
+     * suggestion), and so is a grid of more than kMaxPlanPoints
+     * points.
      */
     static std::optional<SweepPlan> fromJson(const JsonValue &doc,
                                             std::string *error);

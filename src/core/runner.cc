@@ -1162,28 +1162,25 @@ struct ShardExecutor::Impl
         retiredRemotes.push_back(sample);
     }
 
-    void pollOnce(int max_wait_ms)
+    void pollOnce(int max_wait_ms, std::vector<pollfd> &fds)
     {
         Clock::time_point now = Clock::now();
         dispatch(now);
 
-        std::vector<struct pollfd> fds;
-        std::vector<Channel *> fd_channel;
+        const size_t caller_fds = fds.size();
         for (auto &ch : channels) {
-            if (ch->live() && ch->readFd() >= 0) {
+            if (ch->live() && ch->readFd() >= 0)
                 fds.push_back({ch->readFd(), POLLIN, 0});
-                fd_channel.push_back(ch.get());
-            }
         }
-        // Wake early enough for the nearest watchdog or backoff
-        // deadline; max_wait_ms bounds the idle re-check either way.
-        int timeout_ms = std::max(1, max_wait_ms);
+        // Completions nobody drained yet (the store's hits, found in
+        // the constructor) and a finished plan must not wait at all.
+        // Otherwise sleep until a channel or caller fd is ready, the
+        // nearest watchdog or backoff deadline, or the caller's cap.
+        int timeout_ms = doneCount == n || !completions.empty()
+                             ? 0
+                             : std::max(0, max_wait_ms);
         auto considerDeadline = [&](Clock::time_point when) {
-            double ms = std::chrono::duration<double, std::milli>(
-                            when - now)
-                            .count();
-            timeout_ms = std::max(
-                1, std::min(timeout_ms, static_cast<int>(ms) + 1));
+            timeout_ms = pollTimeoutBefore(timeout_ms, now, when);
         };
         for (auto &ch : channels) {
             if (ch->live() && ch->busy &&
@@ -1195,14 +1192,12 @@ struct ShardExecutor::Impl
                             opts.pointTimeoutSeconds)));
             }
         }
-        if (!pending.empty()) {
-            for (size_t i : pending) {
-                if (notBefore[i] > now)
-                    considerDeadline(notBefore[i]);
-            }
+        for (size_t i : pending) {
+            if (notBefore[i] > now)
+                considerDeadline(notBefore[i]);
         }
-        ::poll(fds.empty() ? nullptr : fds.data(), fds.size(),
-               timeout_ms);
+        ::poll(fds.data(), fds.size(), timeout_ms);
+        fds.resize(caller_fds);
 
         now = Clock::now();
         for (auto &chp : channels) {
@@ -1354,9 +1349,9 @@ ShardExecutor::finished() const
 }
 
 void
-ShardExecutor::pollOnce(int max_wait_ms)
+ShardExecutor::pollOnce(int max_wait_ms, std::vector<pollfd> &fds)
 {
-    impl_->pollOnce(max_wait_ms);
+    impl_->pollOnce(max_wait_ms, fds);
 }
 
 std::vector<ShardExecutor::Completion>
@@ -1424,8 +1419,13 @@ runPlanSharded(const SweepPlan &plan, const ShardOptions &sopts,
     ShardOptions opts = sopts;
     opts.shards = std::max(1, sopts.shards);
     ShardExecutor executor(plan, opts);
-    while (!executor.finished())
-        executor.pollOnce(200);
+    std::vector<pollfd> no_fds;
+    while (!executor.finished()) {
+        executor.pollOnce(200, no_fds);
+        // Nothing streams completions here; draining them keeps the
+        // next poll from returning at once.
+        executor.drainCompletions();
+    }
     return executor.take(telemetry);
 }
 

@@ -55,6 +55,8 @@
 #include <utility>
 #include <vector>
 
+#include <poll.h>
+
 #include "core/journal.hh"
 #include "core/plan.hh"
 #include "core/telemetry.hh"
@@ -372,12 +374,17 @@ int runFramedShardWorker(int in_fd, int out_fd);
  * a set of worker channels -- local fork/exec subprocesses and/or
  * remote TCP workers attached with attachRemote() -- all speaking the
  * same framed manifest/record protocol.  Callers drive it one poll
- * iteration at a time, which lets the serve daemon multiplex its own
- * listening socket and client connections between iterations:
+ * iteration at a time.  Each iteration is one poll(2) over the
+ * caller's own fds and the executor's channels together, so the serve
+ * daemon's listener, peers and clients wake it as promptly as a
+ * worker's record does:
  *
  *   ShardExecutor ex(plan, opts);
- *   while (!ex.finished())
- *       ex.pollOnce(200);
+ *   std::vector<pollfd> fds; // the caller's fds, if any
+ *   while (!ex.finished()) {
+ *       ex.pollOnce(200, fds);
+ *       ex.drainCompletions();
+ *   }
  *   PlanResults results = ex.take(telemetry);
  *
  * Crash recovery is channel-agnostic: a dead TCP worker degrades
@@ -415,11 +422,17 @@ class ShardExecutor
 
     /**
      * One supervisor iteration: dispatch manifests to idle channels,
-     * poll channel fds (bounded by `max_wait_ms` and the nearest
-     * watchdog/backoff deadline), consume records, and run the
-     * death/retry protocol for dead channels.
+     * then make one poll(2) over `fds` (the caller's entries) with the
+     * live channels appended after them, consume records, and run the
+     * death/retry protocol for dead channels.  `fds` comes back with
+     * the caller's entries only, their revents set by that poll.
+     *
+     * The poll does not wait when completions are waiting to be
+     * drained or the plan is finished; otherwise it waits for
+     * readiness, for at most `max_wait_ms` (>= 0) and no later than
+     * the nearest watchdog or backoff deadline.
      */
-    void pollOnce(int max_wait_ms);
+    void pollOnce(int max_wait_ms, std::vector<pollfd> &fds);
 
     /** One point that completed since the last drain. */
     struct Completion

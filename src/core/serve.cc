@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -13,6 +14,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "core/journal.hh"
@@ -88,12 +90,17 @@ errorFrame(const std::string &message)
     return doc;
 }
 
+using Clock = std::chrono::steady_clock;
+
+/** Longest sleep of an idle daemon before it re-checks its loop. */
+constexpr int kIdleRecheckMs = 200;
+
 /** A freshly accepted connection whose hello has not arrived yet. */
 struct PendingPeer
 {
     int fd = -1;
     FrameBuffer frames;
-    std::chrono::steady_clock::time_point acceptedAt;
+    Clock::time_point acceptedAt;
 };
 
 /** An idle connected worker waiting for the next batch. */
@@ -102,6 +109,87 @@ struct ParkedWorker
     int fd = -1;
     std::string peer;
 };
+
+/**
+ * A submit client and the frames it has not taken yet.  Frames queue
+ * in the outbox and leave as the socket accepts them, so the daemon
+ * never blocks on a client.
+ */
+struct Client
+{
+    int fd = -1;        ///< -1 once closed or dropped
+    std::string outbox; ///< encoded frames; bytes before `sent` left
+    size_t sent = 0;
+    Clock::time_point lastProgress; ///< socket last took bytes
+
+    size_t unsent() const { return outbox.size() - sent; }
+};
+
+void
+closeClient(Client &c)
+{
+    if (c.fd >= 0)
+        ::close(c.fd);
+    c.fd = -1;
+    c.outbox.clear();
+    c.sent = 0;
+}
+
+/** Queue one frame for the client (a closed client takes nothing). */
+void
+queueFrame(Client &c, const std::string &payload, Clock::time_point now)
+{
+    if (c.fd < 0)
+        return;
+    if (c.unsent() == 0)
+        c.lastProgress = now; // the stall clock starts with a backlog
+    if (!appendFrame(c.outbox, payload)) {
+        warn("serve: frame too large for a submit client; dropping it");
+        closeClient(c);
+    }
+}
+
+/**
+ * Send what the client's socket takes of its outbox, without
+ * blocking.  Drops the client when its peer is gone, when it owes more
+ * than kServeClientBacklogBytes, or when its socket took nothing for
+ * kServeClientStallDeadline.
+ */
+void
+flushClient(Client &c, Clock::time_point now)
+{
+    while (c.fd >= 0 && c.unsent() > 0) {
+        const ssize_t w = ::send(c.fd, c.outbox.data() + c.sent,
+                                 c.unsent(), MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (w > 0) {
+            c.sent += static_cast<size_t>(w);
+            c.lastProgress = now;
+        } else if (w < 0 && errno == EINTR) {
+            continue;
+        } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            break;
+        } else {
+            warn("serve: submit client went away with ", c.unsent(),
+                 " bytes unsent");
+            closeClient(c);
+        }
+    }
+    if (c.unsent() == 0) {
+        c.outbox.clear();
+        c.sent = 0;
+        return;
+    }
+    if (c.sent > c.outbox.size() / 2) {
+        c.outbox.erase(0, c.sent);
+        c.sent = 0;
+    }
+    if (c.unsent() > kServeClientBacklogBytes ||
+        now - c.lastProgress > kServeClientStallDeadline) {
+        warn("serve: submit client stopped reading with ", c.unsent(),
+             " bytes unsent; dropping it");
+        closeClient(c);
+    }
+}
 
 /** One spec document queued behind the currently running batch. */
 struct QueuedBatch
@@ -115,7 +203,7 @@ struct ActiveBatch
 {
     std::unique_ptr<SweepPlan> plan; ///< must outlive the executor
     std::unique_ptr<ShardExecutor> ex;
-    int clientFd = -1; ///< -1 once the submitter went away
+    Client client; ///< closed once the submitter went away
     std::vector<bool> streamed;
 };
 
@@ -158,15 +246,9 @@ runServe(const ServeOptions &opts, std::ostream &out)
     std::vector<ParkedWorker> parked;
     std::deque<QueuedBatch> queue;
     std::unique_ptr<ActiveBatch> active;
+    std::vector<Client> closing; ///< finished batches' clients still owed bytes
     uint64_t served = 0;
     uint64_t peer_seq = 0;
-
-    auto closeClient = [&](int &fd) {
-        if (fd >= 0) {
-            ::close(fd);
-            fd = -1;
-        }
-    };
 
     auto startNextBatch = [&]() {
         if (active || queue.empty())
@@ -175,7 +257,7 @@ runServe(const ServeOptions &opts, std::ostream &out)
         queue.pop_front();
         auto batch = std::make_unique<ActiveBatch>();
         batch->plan = std::move(next.plan);
-        batch->clientFd = next.clientFd;
+        batch->client.fd = next.clientFd;
         batch->streamed.assign(batch->plan->specs().size(), false);
         batch->ex =
             std::make_unique<ShardExecutor>(*batch->plan, shard_opts, &store);
@@ -186,26 +268,24 @@ runServe(const ServeOptions &opts, std::ostream &out)
         active = std::move(batch);
     };
 
-    auto finishBatch = [&]() {
+    auto finishBatch = [&](Clock::time_point now) {
         // Idle remotes outlive the batch: park them for the next one.
         for (auto &[fd, peer] : active->ex->releaseRemotes())
             parked.push_back({fd, peer});
         PlanResults results = active->ex->take();
-        if (active->clientFd >= 0) {
-            // Gaps never produced a record frame; tell the client
-            // explicitly so it can render the "-" cells.
-            for (size_t i = 0; i < results.bySpec.size(); ++i) {
-                if (active->streamed[i])
-                    continue;
-                JsonValue gap = JsonValue::object();
-                gap.set("type", JsonValue::str("gap"));
-                gap.set("point", JsonValue::number(
-                                     static_cast<double>(i)));
-                if (!writeFrame(active->clientFd, gap.dump()))
-                    closeClient(active->clientFd);
-            }
+        Client &client = active->client;
+        // Gaps never produced a record frame; tell the client
+        // explicitly so it can render the "-" cells.
+        for (size_t i = 0; client.fd >= 0 && i < results.bySpec.size();
+             ++i) {
+            if (active->streamed[i])
+                continue;
+            JsonValue gap = JsonValue::object();
+            gap.set("type", JsonValue::str("gap"));
+            gap.set("point", JsonValue::number(static_cast<double>(i)));
+            queueFrame(client, gap.dump(), now);
         }
-        if (active->clientFd >= 0) {
+        if (client.fd >= 0) {
             JsonValue stats = JsonValue::object();
             stats.set("journaled", JsonValue::number(static_cast<double>(
                                        results.shard.journaled)));
@@ -227,9 +307,9 @@ runServe(const ServeOptions &opts, std::ostream &out)
             done.set("stats", std::move(stats));
             done.set("wall_seconds",
                      JsonValue::number(results.wallSeconds));
-            if (!writeFrame(active->clientFd, done.dump()))
-                warn("serve: client went away before the done frame");
-            closeClient(active->clientFd);
+            queueFrame(client, done.dump(), now);
+            // Closed once the done frame has left (flushClient).
+            closing.push_back(std::move(client));
         }
         ++served;
         out << "serve: batch " << served << ": "
@@ -294,38 +374,60 @@ runServe(const ServeOptions &opts, std::ostream &out)
         peer.fd = -1;
     };
 
-    enum class Kind { Listener, Pending, Parked, Client };
+    enum class Kind { Listener, Pending, Parked, Client, Closing };
     struct PollRef
     {
         Kind kind;
         size_t index;
     };
+    std::vector<pollfd> fds;
+    std::vector<PollRef> refs;
 
     for (;;) {
         if (opts.maxBatches > 0 && served >= opts.maxBatches &&
-            !active)
+            !active && closing.empty())
             break;
         startNextBatch();
 
-        std::vector<struct pollfd> fds;
-        std::vector<PollRef> refs;
-        fds.push_back({listener->fd, POLLIN, 0});
-        refs.push_back({Kind::Listener, 0});
+        // One poll(2) per iteration: the daemon's fds here, and with a
+        // batch running the executor appends its worker channels to
+        // the same set.  It sleeps until something is ready, the
+        // nearest deadline, or the idle re-check.
+        Clock::time_point now = Clock::now();
+        int timeout_ms = kIdleRecheckMs;
+        auto considerDeadline = [&](Clock::time_point when) {
+            timeout_ms = pollTimeoutBefore(timeout_ms, now, when);
+        };
+        auto watch = [&](int fd, short events, Kind kind, size_t i) {
+            fds.push_back({fd, events, 0});
+            refs.push_back({kind, i});
+        };
+        fds.clear();
+        refs.clear();
+        watch(listener->fd, POLLIN, Kind::Listener, 0);
         for (size_t i = 0; i < pending.size(); ++i) {
-            fds.push_back({pending[i].fd, POLLIN, 0});
-            refs.push_back({Kind::Pending, i});
+            watch(pending[i].fd, POLLIN, Kind::Pending, i);
+            considerDeadline(pending[i].acceptedAt + kServeHelloDeadline);
         }
-        for (size_t i = 0; i < parked.size(); ++i) {
-            fds.push_back({parked[i].fd, POLLIN, 0});
-            refs.push_back({Kind::Parked, i});
+        for (size_t i = 0; i < parked.size(); ++i)
+            watch(parked[i].fd, POLLIN, Kind::Parked, i);
+        if (active && active->client.fd >= 0) {
+            const Client &c = active->client;
+            watch(c.fd, c.unsent() > 0 ? POLLIN | POLLOUT : POLLIN,
+                  Kind::Client, 0);
+            if (c.unsent() > 0)
+                considerDeadline(c.lastProgress +
+                                 kServeClientStallDeadline);
         }
-        if (active && active->clientFd >= 0) {
-            fds.push_back({active->clientFd, POLLIN, 0});
-            refs.push_back({Kind::Client, 0});
+        for (size_t i = 0; i < closing.size(); ++i) {
+            watch(closing[i].fd, POLLOUT, Kind::Closing, i);
+            considerDeadline(closing[i].lastProgress +
+                             kServeClientStallDeadline);
         }
-        // With a batch running the executor's own poll provides the
-        // pacing; without one this poll is the only sleep.
-        ::poll(fds.data(), fds.size(), active ? 10 : 200);
+        if (active)
+            active->ex->pollOnce(timeout_ms, fds);
+        else
+            ::poll(fds.data(), fds.size(), timeout_ms);
 
         for (size_t k = 0; k < fds.size(); ++k) {
             if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR)))
@@ -337,7 +439,7 @@ runServe(const ServeOptions &opts, std::ostream &out)
                     setNonBlocking(fd);
                     PendingPeer peer;
                     peer.fd = fd;
-                    peer.acceptedAt = std::chrono::steady_clock::now();
+                    peer.acceptedAt = Clock::now();
                     pending.push_back(std::move(peer));
                 }
                 break;
@@ -367,14 +469,16 @@ runServe(const ServeOptions &opts, std::ostream &out)
                 // are discarded, EOF means it lost interest.  The
                 // batch keeps running either way -- its results feed
                 // the shared journal.
-                if (!drainIgnore(active->clientFd))
-                    closeClient(active->clientFd);
+                if (!drainIgnore(active->client.fd))
+                    closeClient(active->client);
                 break;
               }
+              case Kind::Closing:
+                break; // flushClient below sees the error or hang-up
             }
         }
         // A peer still without a hello at the deadline is dropped.
-        const auto now = std::chrono::steady_clock::now();
+        now = Clock::now();
         for (PendingPeer &peer : pending) {
             if (peer.fd >= 0 &&
                 now - peer.acceptedAt > kServeHelloDeadline) {
@@ -393,31 +497,40 @@ runServe(const ServeOptions &opts, std::ostream &out)
                                     }),
                      parked.end());
 
-        if (!active)
-            continue;
-        active->ex->pollOnce(20);
-        for (const ShardExecutor::Completion &c :
-             active->ex->drainCompletions()) {
-            if (active->clientFd < 0)
-                continue;
-            const RunResult &r = active->ex->resultFor(c.spec);
-            const uint64_t digest = active->ex->digests()[c.spec];
-            JsonValue record = JsonValue::object();
-            record.set("type", JsonValue::str("record"));
-            record.set("point", JsonValue::number(
-                                    static_cast<double>(c.spec)));
-            record.set("journal_hit",
-                       JsonValue::boolean(c.fromJournal));
-            record.set("wall_seconds",
-                       JsonValue::number(c.wallSeconds));
-            record.set("result", runResultToJson(digest, r));
-            if (writeFrame(active->clientFd, record.dump()))
+        if (active) {
+            for (const ShardExecutor::Completion &c :
+                 active->ex->drainCompletions()) {
+                if (active->client.fd < 0)
+                    continue;
+                const RunResult &r = active->ex->resultFor(c.spec);
+                const uint64_t digest = active->ex->digests()[c.spec];
+                JsonValue record = JsonValue::object();
+                record.set("type", JsonValue::str("record"));
+                record.set("point", JsonValue::number(
+                                        static_cast<double>(c.spec)));
+                record.set("journal_hit",
+                           JsonValue::boolean(c.fromJournal));
+                record.set("wall_seconds",
+                           JsonValue::number(c.wallSeconds));
+                record.set("result", runResultToJson(digest, r));
+                queueFrame(active->client, record.dump(), now);
                 active->streamed[c.spec] = true;
+            }
+            if (active->ex->finished())
+                finishBatch(now);
             else
-                closeClient(active->clientFd);
+                flushClient(active->client, now);
         }
-        if (active->ex->finished())
-            finishBatch();
+        for (Client &c : closing) {
+            flushClient(c, now);
+            if (c.unsent() == 0)
+                closeClient(c); // the done frame has left
+        }
+        closing.erase(std::remove_if(closing.begin(), closing.end(),
+                                     [](const Client &c) {
+                                         return c.fd < 0;
+                                     }),
+                      closing.end());
     }
 
     for (ParkedWorker &w : parked)

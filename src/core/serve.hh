@@ -25,6 +25,7 @@
 #define MCSCOPE_CORE_SERVE_HH
 
 #include <chrono>
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -42,6 +43,25 @@ constexpr const char *kServeFormat = "mcscope-serve-1";
  * poll slot forever.
  */
 constexpr std::chrono::seconds kServeHelloDeadline{3};
+
+/**
+ * Unsent bytes a submit client may owe before the daemon drops it.
+ * The daemon never blocks on a client: its frames queue in an outbox
+ * and leave as the socket takes them, so a submitter that stops
+ * reading costs memory, never the loop's time.  A reader that keeps
+ * up owes at most one batch's records, and the largest admissible
+ * batch (kMaxPlanPoints records of a few hundred bytes each) stays
+ * well below this.  Dropping a client leaves its batch running: every
+ * point still reaches the store.
+ */
+constexpr size_t kServeClientBacklogBytes = size_t{64} << 20;
+
+/**
+ * How long a client may owe bytes without its socket taking any
+ * before the daemon drops it -- the bound for a stalled submitter
+ * whose batch has finished, so that its backlog no longer grows.
+ */
+constexpr std::chrono::seconds kServeClientStallDeadline{3};
 
 /** Daemon configuration (`mcscope serve` flags). */
 struct ServeOptions

@@ -1,5 +1,6 @@
 #include "util/transport.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -120,7 +121,7 @@ ignoreSigpipeOnce()
 }
 
 bool
-writeFrame(int fd, const std::string &payload)
+appendFrame(std::string &out, const std::string &payload)
 {
     if (payload.size() > kMaxFrameBytes) {
         errno = EMSGSIZE;
@@ -128,14 +129,21 @@ writeFrame(int fd, const std::string &payload)
     }
     char prefix[4];
     encodeLength(static_cast<uint32_t>(payload.size()), prefix);
+    out.append(prefix, sizeof(prefix));
+    out.append(payload);
+    return true;
+}
+
+bool
+writeFrame(int fd, const std::string &payload)
+{
     // One buffer, one writev-shaped write: the prefix and a small
     // payload usually leave in a single segment, and a reader never
     // observes a prefix with no payload behind it on a pipe.
     std::string frame;
-    frame.reserve(sizeof(prefix) + payload.size());
-    frame.append(prefix, sizeof(prefix));
-    frame.append(payload);
-    return writeAllFd(fd, frame.data(), frame.size());
+    frame.reserve(4 + payload.size());
+    return appendFrame(frame, payload) &&
+           writeAllFd(fd, frame.data(), frame.size());
 }
 
 std::optional<std::string>
@@ -188,6 +196,17 @@ FrameBuffer::next()
     std::string payload = buf_.substr(4, len);
     buf_.erase(0, 4 + static_cast<size_t>(len));
     return payload;
+}
+
+int
+pollTimeoutBefore(int timeout_ms, std::chrono::steady_clock::time_point now,
+                  std::chrono::steady_clock::time_point when)
+{
+    const double ms =
+        std::chrono::duration<double, std::milli>(when - now).count();
+    if (ms >= timeout_ms)
+        return timeout_ms;
+    return ms < 1.0 ? std::min(timeout_ms, 1) : static_cast<int>(ms) + 1;
 }
 
 std::optional<TcpListener>

@@ -31,6 +31,7 @@
 #ifndef MCSCOPE_UTIL_TRANSPORT_HH
 #define MCSCOPE_UTIL_TRANSPORT_HH
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -63,6 +64,14 @@ void ignoreSigpipeOnce();
  *         kMaxFrameBytes.
  */
 bool writeFrame(int fd, const std::string &payload);
+
+/**
+ * Append one encoded frame (length prefix + payload) to `out`, for a
+ * writer that sends on its own schedule (the serve daemon's client
+ * outbox).  Returns false, leaving `out` as it was, when the payload
+ * exceeds kMaxFrameBytes.
+ */
+bool appendFrame(std::string &out, const std::string &payload);
 
 /**
  * Read exactly one frame from a blocking fd.  Returns nullopt on a
@@ -104,6 +113,15 @@ class FrameBuffer
     std::string buf_;
     bool malformed_ = false;
 };
+
+/**
+ * A poll(2) timeout that also ends the wait by `when`: the smaller of
+ * `timeout_ms` and the milliseconds from `now` to `when`, rounded up
+ * (at least 1, so a deadline never turns the poll into a spin).
+ */
+int pollTimeoutBefore(int timeout_ms,
+                      std::chrono::steady_clock::time_point now,
+                      std::chrono::steady_clock::time_point when);
 
 /** A listening TCP socket and the port it actually bound. */
 struct TcpListener

@@ -502,6 +502,7 @@ TEST(ShardExecutor, OutOfRangeRecordNumbersAreIgnored)
     opts.shards = 0; // fake remote workers only
     opts.backoffSeconds = 0.0;
     ShardExecutor ex(plan, opts);
+    std::vector<pollfd> no_fds;
     RunResult result = sampleResult(1.0, 5);
     const std::string record =
         runResultToJson(ex.digests()[0], result).dump();
@@ -513,7 +514,7 @@ TEST(ShardExecutor, OutOfRangeRecordNumbersAreIgnored)
         ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv),
                   0);
         ex.attachRemote(sv[0], "fake");
-        ex.pollOnce(10);
+        ex.pollOnce(10, no_fds);
         ASSERT_TRUE(readFrame(sv[1])); // the manifest
         ASSERT_TRUE(writeFrame(sv[1], std::string("{\"index\":") + index +
                                           ",\"result\":" + record + "}"));
@@ -521,7 +522,7 @@ TEST(ShardExecutor, OutOfRangeRecordNumbersAreIgnored)
                                                   "\"cache_hits\":") +
                                           cache_hits + "}"));
         for (int k = 0; k < 20 && !ex.finished(); ++k)
-            ex.pollOnce(10);
+            ex.pollOnce(10, no_fds);
         ::close(sv[1]);
     };
 

@@ -443,6 +443,38 @@ TEST(SweepPlan, FromJsonRejectsOutOfRangeNumbers)
     EXPECT_NE(error.find("unknown option"), std::string::npos) << error;
 }
 
+TEST(SweepPlan, FromJsonRejectsGridsAboveThePointLimit)
+{
+    auto repeated = [](const std::string &item, int count) {
+        std::string out = "[";
+        for (int i = 0; i < count; ++i)
+            out += (i ? ", " : "") + item;
+        return out + "]";
+    };
+    // ~25 KB naming 10^12 points is refused before anything expands.
+    std::string error;
+    EXPECT_FALSE(SweepPlan::fromJson(
+        *parseJson("{\"machine\": \"dmz\", \"directory_entries\": " +
+                   repeated("2", 1000) +
+                   ", \"workloads\": " + repeated("\"stream\"", 1000) +
+                   ", \"ranks\": " + repeated("2", 1000) +
+                   ", \"options\": " + repeated("0", 1000) + "}"),
+        &error));
+    EXPECT_NE(error.find("more than " + std::to_string(kMaxPlanPoints) +
+                         " grid points"),
+              std::string::npos)
+        << error;
+
+    // Defaulted axes count too: longs defaults to 4 rank counts and 6
+    // options, so 2731 workloads name 65544 points, just over the limit.
+    error.clear();
+    EXPECT_FALSE(SweepPlan::fromJson(
+        *parseJson("{\"machine\": \"longs\", \"workloads\": " +
+                   repeated("\"stream\"", 2731) + "}"),
+        &error));
+    EXPECT_NE(error.find("grid points"), std::string::npos) << error;
+}
+
 TEST(SweepPlanDeathTest, ExpandRejectsUnknownWorkloadWithHint)
 {
     SweepAxes axes;

@@ -11,7 +11,11 @@
  *    like a crashed local subprocess: a clean worker finishes the
  *    batch and the client still gets the byte-identical table;
  *  - a peer that connects and never sends its hello is closed at the
- *    hello deadline while other clients are served normally.
+ *    hello deadline while other clients are served normally;
+ *  - a submitter that never reads its records, and a spec naming more
+ *    than kMaxPlanPoints points, cost the daemon nothing: the next
+ *    submitter is served byte-identically;
+ *  - resubmissions served from the journal wait on no timer.
  */
 
 #include <chrono>
@@ -26,11 +30,15 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "core/journal.hh"
 #include "core/serve.hh"
 #include "util/json.hh"
 #include "util/subprocess.hh"
@@ -39,6 +47,20 @@
 using namespace mcscope;
 
 namespace {
+
+// Timing bounds stretch under ThreadSanitizer, which slows the test
+// and every tool process it starts several-fold.
+#if defined(__SANITIZE_THREAD__)
+constexpr int kTimingScale = 10;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr int kTimingScale = 10;
+#else
+constexpr int kTimingScale = 1;
+#endif
+#else
+constexpr int kTimingScale = 1;
+#endif
 
 /** Fresh empty directory under the system temp dir. */
 class TempDir
@@ -490,6 +512,213 @@ TEST(Serve, BadSpecsAreRejectedAtBothEnds)
     EXPECT_EQ(good.exit, 0) << good.out;
 
     serve.kill();
+}
+
+/** A raw submit hello carrying `spec`. */
+std::string
+submitHello(const JsonValue &spec)
+{
+    JsonValue hello = JsonValue::object();
+    hello.set("format", JsonValue::str(kServeFormat));
+    hello.set("role", JsonValue::str("submit"));
+    hello.set("spec", spec);
+    return hello.dump();
+}
+
+/** Connect to the daemon with the smallest receive buffer allowed. */
+int
+connectSmallWindow(int port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0)
+        return -1;
+    const int tiny = 1; // the kernel rounds up to its minimum
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+TEST(Serve, StalledReaderIsDroppedNotTheDaemon)
+{
+    TempDir dir("serve_stalled");
+    const std::string spec = writeSpec(dir);
+    ToolRun golden = runTool({"batch", spec, "--csv"});
+    ASSERT_EQ(golden.exit, 0) << golden.out;
+
+    // 2880 points the journal already holds, with records of ~3 KB
+    // each: ~8 MB of frames, more than both ends' socket buffers take,
+    // and no simulation time spent.
+    std::string ranks;
+    for (int r = 1; r <= 48; ++r)
+        ranks += (r > 1 ? ", " : "") + std::to_string(r);
+    const std::optional<JsonValue> big = parseJson(
+        "{\"machine\": \"longs\", \"workloads\": [\"stream\","
+        " \"daxpy-acml\", \"dgemm-acml\", \"hpcc-fft\", \"ptrans\","
+        " \"hpl\", \"nas-cg-b\", \"nas-ft-b\", \"nas-ep-b\","
+        " \"nas-mg-b\"], \"ranks\": [" + ranks +
+        "], \"options\": [0, 1, 2, 3, 4, 5]}");
+    ASSERT_TRUE(big.has_value());
+    std::string error;
+    std::optional<SweepPlan> big_plan = SweepPlan::fromJson(*big, &error);
+    ASSERT_TRUE(big_plan.has_value()) << error;
+    ASSERT_EQ(big_plan->specs().size(), 2880u);
+    const std::string journal = dir.file("serve.journal");
+    {
+        RunResult fat;
+        fat.valid = true;
+        fat.seconds = 1.0;
+        for (int tag = 0; tag < 100; ++tag)
+            fat.taggedSeconds[tag] = 1.0 / (tag + 3);
+        ResultCache store(std::make_unique<SweepJournal>(
+            journal, SweepJournal::Sync::None));
+        for (uint64_t digest : big_plan->digests())
+            store.store(digest, fat);
+    }
+
+    BackgroundTool serve({"serve", "--port", "0", "--shards", "1",
+                          "--journal", journal, "--max-batches", "2"});
+    ASSERT_TRUE(serve.waitForOutput("listening on", 30000))
+        << serve.out();
+    const int port = listeningPort(serve.out());
+    ASSERT_GT(port, 0) << serve.out();
+
+    // The stalled submitter sends its hello and never reads.  Its
+    // batch still completes: the daemon queues the records instead of
+    // blocking on the full socket.
+    const int stalled = connectSmallWindow(port);
+    ASSERT_GE(stalled, 0);
+    ASSERT_TRUE(writeFrame(stalled, submitHello(*big)));
+    ASSERT_TRUE(serve.waitForOutput("serve: batch 1:", 30000))
+        << "the stalled reader's batch never finished: " << serve.out();
+
+    // A well-behaved submitter behind it is served in full, at once.
+    const auto started = std::chrono::steady_clock::now();
+    ToolRun next = runTool({"submit", spec, "--connect",
+                            "127.0.0.1:" + std::to_string(port), "--csv"});
+    const auto elapsed = std::chrono::steady_clock::now() - started;
+    ASSERT_EQ(next.exit, 0) << next.out;
+    EXPECT_EQ(next.out, golden.out);
+    EXPECT_LT(elapsed, std::chrono::seconds(10 * kTimingScale));
+
+    // The daemon waits for no reader forever: it drops the stalled one
+    // at the stall deadline and exits after its two batches.
+    ToolRun served = serve.wait();
+    EXPECT_EQ(served.exit, 0) << served.out;
+    ::close(stalled);
+}
+
+TEST(Serve, OversizedSpecGetsErrorFrame)
+{
+    TempDir dir("serve_oversized");
+    const std::string spec = writeSpec(dir);
+    ToolRun golden = runTool({"batch", spec, "--csv"});
+    ASSERT_EQ(golden.exit, 0) << golden.out;
+
+    // ~25 KB of JSON naming 10^12 points: 1000 machine variants x 1000
+    // workloads x 1000 rank counts x 1000 options.
+    std::string text = "{\"machine\": \"dmz\", \"directory_entries\": [";
+    auto list = [&](const std::string &item) {
+        for (int i = 0; i < 1000; ++i)
+            text += (i ? ", " : "") + item;
+    };
+    list("2");
+    text += "], \"workloads\": [";
+    list("\"nas-ep-b\"");
+    text += "], \"ranks\": [";
+    list("2");
+    text += "], \"options\": [";
+    list("0");
+    text += "]}";
+    const std::string oversized = dir.file("oversized.json");
+    std::ofstream(oversized) << text;
+
+    // Both local parsers refuse it with the usual error.
+    ToolRun batch = runTool({"batch", oversized, "--csv"});
+    EXPECT_EQ(batch.exit, 2);
+    EXPECT_NE(batch.out.find("grid points"), std::string::npos)
+        << batch.out;
+
+    BackgroundTool serve({"serve", "--port", "0", "--shards", "1",
+                          "--max-batches", "1"});
+    ASSERT_TRUE(serve.waitForOutput("listening on", 30000))
+        << serve.out();
+    const int port = listeningPort(serve.out());
+    ASSERT_GT(port, 0) << serve.out();
+    const std::string addr = "127.0.0.1:" + std::to_string(port);
+
+    ToolRun submit = runTool({"submit", oversized, "--connect", addr});
+    EXPECT_EQ(submit.exit, 2);
+    EXPECT_NE(submit.out.find("grid points"), std::string::npos)
+        << submit.out;
+
+    // A hand-rolled client gets the daemon's error frame and a close.
+    std::string error;
+    const int fd = tcpConnect("127.0.0.1", port, &error);
+    ASSERT_GE(fd, 0) << error;
+    ASSERT_TRUE(writeFrame(fd, submitHello(*parseJson(text))));
+    std::optional<std::string> reply = readFrame(fd);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_NE(reply->find("\"error\""), std::string::npos) << *reply;
+    EXPECT_NE(reply->find("grid points"), std::string::npos) << *reply;
+    bool eof = false;
+    EXPECT_FALSE(readFrame(fd, &eof).has_value());
+    EXPECT_TRUE(eof) << "daemon must close after the error frame";
+    ::close(fd);
+
+    // The daemon then serves a valid batch as usual.
+    ToolRun good = runTool({"submit", spec, "--connect", addr, "--csv"});
+    ASSERT_EQ(good.exit, 0) << good.out;
+    EXPECT_EQ(good.out, golden.out);
+    EXPECT_EQ(serve.wait().exit, 0);
+}
+
+TEST(Serve, JournaledResubmitsDoNotWaitOnTimers)
+{
+    TempDir dir("serve_resubmit_timers");
+    const std::string spec = writeSpec(dir);
+    ToolRun golden = runTool({"batch", spec, "--csv"});
+    ASSERT_EQ(golden.exit, 0) << golden.out;
+
+    constexpr int kResubmits = 20;
+    BackgroundTool serve({"serve", "--port", "0", "--shards", "1",
+                          "--journal", dir.file("serve.journal"),
+                          "--max-batches",
+                          std::to_string(kResubmits + 1)});
+    ASSERT_TRUE(serve.waitForOutput("listening on", 30000))
+        << serve.out();
+    SubmitOptions opts;
+    opts.port = listeningPort(serve.out());
+    ASSERT_GT(opts.port, 0) << serve.out();
+    opts.specPath = spec;
+    opts.csv = true;
+
+    std::ostringstream first;
+    ASSERT_EQ(runSubmit(opts, first), 0) << first.str();
+    EXPECT_EQ(first.str(), golden.out);
+
+    // Every point of a resubmission is a dedup hit, so nothing but
+    // frames stands between the hello and the done frame.  A daemon
+    // that sleeps a fixed 10 ms or 20 ms per batch needs >= 600 ms for
+    // these twenty; one that wakes on readiness needs a few ms each.
+    const auto started = std::chrono::steady_clock::now();
+    for (int i = 0; i < kResubmits; ++i) {
+        std::ostringstream again;
+        ASSERT_EQ(runSubmit(opts, again), 0) << again.str();
+        EXPECT_EQ(again.str(), golden.out);
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - started;
+    EXPECT_LE(elapsed, std::chrono::milliseconds(300 * kTimingScale))
+        << std::chrono::duration<double, std::milli>(elapsed).count()
+        << " ms for " << kResubmits << " journaled resubmissions";
+    EXPECT_EQ(serve.wait().exit, 0);
 }
 
 } // namespace

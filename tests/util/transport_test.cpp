@@ -7,6 +7,7 @@
 #include "util/transport.hh"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <random>
 #include <string>
@@ -135,6 +136,27 @@ TEST(TransportTest, WriteFrameRejectsOversizedPayload)
     std::string jumbo(kMaxFrameBytes + 1, 'x');
     EXPECT_FALSE(writeFrame(p.writeFd(), jumbo));
     EXPECT_EQ(errno, EMSGSIZE);
+}
+
+TEST(TransportTest, AppendFrameEncodesLikeWriteFrame)
+{
+    std::string out = "x";
+    ASSERT_TRUE(appendFrame(out, "alpha"));
+    ASSERT_TRUE(appendFrame(out, ""));
+    EXPECT_EQ(out, "x" + encodePrefix(5) + "alpha" + encodePrefix(0));
+}
+
+TEST(TransportTest, PollTimeoutEndsByTheDeadline)
+{
+    using std::chrono::milliseconds;
+    const auto now = std::chrono::steady_clock::now();
+    EXPECT_EQ(pollTimeoutBefore(200, now, now + milliseconds(500)), 200);
+    EXPECT_EQ(pollTimeoutBefore(200, now, now + milliseconds(50)), 51);
+    // A due or passed deadline still waits 1 ms, never 0 (no spin),
+    // but a caller's 0 stays 0.
+    EXPECT_EQ(pollTimeoutBefore(200, now, now - milliseconds(5)), 1);
+    EXPECT_EQ(pollTimeoutBefore(0, now, now - milliseconds(5)), 0);
+    EXPECT_EQ(pollTimeoutBefore(0, now, now + milliseconds(5)), 0);
 }
 
 TEST(TransportTest, FrameBufferIncrementalDecode)
