@@ -60,8 +60,8 @@ const char *kUsage =
     "       --coherence snoopy|directory|legacy-alpha\n"
     "                override the machine's coherence mode (default:\n"
     "                legacy-alpha scalar tax; see DESIGN.md §15)\n"
-    "       --audit  run under the simulation invariant auditor\n"
-    "                (run/batch; batch also validates cache hits)\n"
+    "       --audit  run under the simulation invariant auditor;\n"
+    "                sweep/scaling/batch also validate cache hits\n"
     "       --jobs N run sweep/scaling/batch grid points on N threads\n"
     "                (default: MCSCOPE_JOBS, else 1)\n"
     "       --cache-dir D    persist results under D and reuse them\n"
@@ -314,17 +314,33 @@ resolveOption(const std::string &spec)
     return resolveOptionSpec(spec);
 }
 
-/**
- * Open the cache the flags ask for: an owned on-disk cache for
- * --cache-dir, otherwise nullptr (the runner then uses processCache,
- * which itself honors MCSCOPE_CACHE_DIR).
- */
-std::unique_ptr<ResultCache>
-openFlagCache(const CliFlags &f)
+/** True when the flags ask for sweep telemetry. */
+bool
+wantsTelemetry(const CliFlags &f)
 {
-    if (f.cacheDir.empty())
-        return nullptr;
-    return std::make_unique<ResultCache>(f.cacheDir);
+    return !f.telemetryOut.empty() || f.detail;
+}
+
+/**
+ * runPlan() as the flags configure it: --jobs, --audit, an owned
+ * on-disk cache for --cache-dir (otherwise processCache(), which
+ * itself honors MCSCOPE_CACHE_DIR), and `telemetry` filled when the
+ * flags ask for it.
+ */
+PlanResults
+runFlagPlan(const SweepPlan &plan, const CliFlags &f,
+            SweepTelemetry &telemetry)
+{
+    RunnerOptions opts;
+    opts.jobs = f.jobs;
+    opts.audit = f.audit;
+    opts.telemetry = wantsTelemetry(f) ? &telemetry : nullptr;
+    std::unique_ptr<ResultCache> disk_cache;
+    if (!f.cacheDir.empty()) {
+        disk_cache = std::make_unique<ResultCache>(f.cacheDir);
+        opts.cache = disk_cache.get();
+    }
+    return runPlan(plan, opts);
 }
 
 /**
@@ -613,13 +629,16 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out)
 }
 
 /**
- * Print the telemetry summary line and, when --telemetry-out was
- * given, dump the JSON.  Returns false on an unwritable file.
+ * When the flags ask for telemetry, print its summary line and, when
+ * --telemetry-out was given, dump the JSON.  Returns false on an
+ * unwritable file.
  */
 bool
 writeTelemetry(std::ostream &out, const char *cmd, const CliFlags &f,
                const SweepTelemetry &telemetry)
 {
+    if (!wantsTelemetry(f))
+        return true;
     out << "telemetry: " << telemetry.summary() << "\n";
     if (f.telemetryOut.empty())
         return true;
@@ -674,15 +693,9 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out)
     }
     SweepPlan plan = SweepPlan::expand(axes);
     SweepTelemetry telemetry;
-    RunnerOptions opts;
-    opts.jobs = f.jobs;
-    opts.telemetry =
-        (!f.telemetryOut.empty() || f.detail) ? &telemetry : nullptr;
-    std::unique_ptr<ResultCache> disk_cache = openFlagCache(f);
-    opts.cache = disk_cache.get();
-    PlanResults results = runPlan(plan, opts);
+    PlanResults results = runFlagPlan(plan, f, telemetry);
     OptionSweepResult sweep = optionSweepSlice(plan, results, 0, 0, 0);
-    if (opts.telemetry && !writeTelemetry(out, "sweep", f, telemetry))
+    if (!writeTelemetry(out, "sweep", f, telemetry))
         return 2;
     if (f.cacheStats)
         out << "cache: " << results.stats.summary() << "\n";
@@ -752,13 +765,7 @@ cmdScaling(const std::vector<std::string> &args, std::ostream &out)
     }
     SweepPlan plan = SweepPlan::expand(axes);
     SweepTelemetry telemetry;
-    RunnerOptions opts;
-    opts.jobs = f.jobs;
-    opts.telemetry =
-        (!f.telemetryOut.empty() || f.detail) ? &telemetry : nullptr;
-    std::unique_ptr<ResultCache> disk_cache = openFlagCache(f);
-    opts.cache = disk_cache.get();
-    PlanResults results = runPlan(plan, opts);
+    PlanResults results = runFlagPlan(plan, f, telemetry);
     std::vector<double> t(ranks.size(), 0.0);
     for (size_t i = 0; i < ranks.size(); ++i) {
         const RunResult &r =
@@ -770,7 +777,7 @@ cmdScaling(const std::vector<std::string> &args, std::ostream &out)
     // Scaling telemetry keeps its historical "default" label.
     for (GridPointSample &sample : telemetry.points)
         sample.label = "default";
-    if (opts.telemetry && !writeTelemetry(out, "scaling", f, telemetry))
+    if (!writeTelemetry(out, "scaling", f, telemetry))
         return 2;
     if (f.cacheStats)
         out << "cache: " << results.stats.summary() << "\n";
@@ -830,8 +837,6 @@ cmdBatch(const std::vector<std::string> &args, std::ostream &out)
     }
 
     SweepTelemetry telemetry;
-    SweepTelemetry *want_telemetry =
-        (!f.telemetryOut.empty() || f.detail) ? &telemetry : nullptr;
     const bool sharded =
         f.shards > 0 || !f.journal.empty() || !f.resume.empty();
     PlanResults results;
@@ -861,17 +866,12 @@ cmdBatch(const std::vector<std::string> &args, std::ostream &out)
                 return 2;
             }
         }
-        results = runPlanSharded(*plan, sh, want_telemetry);
+        results = runPlanSharded(
+            *plan, sh, wantsTelemetry(f) ? &telemetry : nullptr);
     } else {
-        RunnerOptions opts;
-        opts.jobs = f.jobs;
-        opts.audit = f.audit;
-        opts.telemetry = want_telemetry;
-        std::unique_ptr<ResultCache> disk_cache = openFlagCache(f);
-        opts.cache = disk_cache.get();
-        results = runPlan(*plan, opts);
+        results = runFlagPlan(*plan, f, telemetry);
     }
-    if (want_telemetry && !writeTelemetry(out, "batch", f, telemetry))
+    if (!writeTelemetry(out, "batch", f, telemetry))
         return 2;
 
     renderBatchResults(*plan, results, f.csv, out);

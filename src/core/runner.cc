@@ -80,10 +80,11 @@ runResultToJson(uint64_t digest, const RunResult &result)
     o.set("model_version", JsonValue::str(kScenarioModelVersion));
     o.set("valid", JsonValue::boolean(result.valid));
     o.set("seconds", JsonValue::number(result.seconds));
-    JsonValue tagged = JsonValue::object();
+    std::vector<std::pair<std::string, JsonValue>> tagged;
+    tagged.reserve(result.taggedSeconds.size());
     for (const auto &[tag, t] : result.taggedSeconds)
-        tagged.set(std::to_string(tag), JsonValue::number(t));
-    o.set("tagged", std::move(tagged));
+        tagged.emplace_back(std::to_string(tag), JsonValue::number(t));
+    o.set("tagged", JsonValue::object(std::move(tagged)));
     o.set("events",
           JsonValue::number(static_cast<double>(result.events)));
     o.set("incremental_solves",
@@ -315,11 +316,114 @@ PlanResults::at(const SweepPlan &plan, size_t point) const
     return bySpec[plan.specIndex(point)];
 }
 
+namespace {
+
+/** How resolvePoint() obtained a result. */
+enum class PointSource { MemoryHit, DiskHit, Simulated };
+
+/** One resolved point. */
+struct ResolvedPoint
+{
+    RunResult result;
+    PointSource source = PointSource::Simulated;
+
+    /** A hit re-simulated under audit; `result` is the fresh run. */
+    bool validated = false;
+
+    /** True when the engine ran for this point. */
+    bool simulated() const
+    {
+        return source == PointSource::Simulated || validated;
+    }
+};
+
+/**
+ * The one point executor behind runPlan() and the shard worker: look
+ * `digest` up in `cache` (null: no cache), simulate on a miss, and
+ * store the fresh result.  Under audit (`audit` or MCSCOPE_AUDIT) a
+ * hit is re-simulated and must agree with the fresh run bit for bit,
+ * or the process panics.
+ */
+ResolvedPoint
+resolvePoint(const ScenarioSpec &spec, const Workload &workload,
+             uint64_t digest, ResultCache *cache, bool audit)
+{
+    audit = audit || auditRequestedByEnv();
+    ResolvedPoint point;
+    std::optional<ResultCache::Hit> hit;
+    if (cache)
+        hit = cache->lookup(digest);
+    if (hit) {
+        point.source = hit->fromDisk ? PointSource::DiskHit
+                                     : PointSource::MemoryHit;
+        if (!audit) {
+            point.result = std::move(hit->result);
+            return point;
+        }
+    }
+    ExperimentConfig cfg = spec.toExperiment();
+    cfg.audit = audit;
+    point.result = runExperiment(cfg, workload);
+    if (hit) {
+        // Audit mode validates every hit end-to-end: the cached
+        // numbers must equal a fresh simulation's.
+        const RunResult &fresh = point.result;
+        point.validated = true;
+        MCSCOPE_ASSERT(
+            hit->result.valid == fresh.valid &&
+                hit->result.seconds == fresh.seconds,
+            "cache entry disagrees with fresh simulation for ",
+            spec.canonicalText(), ": cached ", hit->result.seconds,
+            " s vs fresh ", fresh.seconds, " s");
+        MCSCOPE_ASSERT(
+            !(hit->result.audited && fresh.audited) ||
+                hit->result.auditDigest == fresh.auditDigest,
+            "cached audit digest ", digestHex(hit->result.auditDigest),
+            " != fresh audit digest ", digestHex(fresh.auditDigest),
+            " for ", spec.canonicalText());
+    }
+    if (cache)
+        cache->store(digest, point.result);
+    return point;
+}
+
+/**
+ * Telemetry of an executed plan: the run's wall time and one sample
+ * per grid point (duplicate points repeat their spec's numbers).
+ */
+void
+fillPointTelemetry(const SweepPlan &plan, const PlanResults &results,
+                   int jobs, SweepTelemetry &telemetry)
+{
+    telemetry.jobs = jobs;
+    telemetry.wallSeconds = results.wallSeconds;
+    telemetry.points.assign(plan.pointCount(), {});
+    for (size_t p = 0; p < plan.pointCount(); ++p) {
+        const size_t si = plan.specIndex(p);
+        const ScenarioSpec &spec = plan.specs()[si];
+        const RunResult &r = results.bySpec[si];
+        GridPointSample &sample = telemetry.points[p];
+        sample.ranks = spec.ranks;
+        sample.label = spec.option.label;
+        sample.valid = r.valid;
+        sample.wallSeconds = results.specWallSeconds[si];
+        sample.simSeconds = r.valid ? r.seconds : 0.0;
+        sample.events = r.events;
+        sample.incrementalSolves = r.incrementalSolves;
+        sample.fullSolves = r.fullSolves;
+        sample.memoHits = r.memoHits;
+        sample.calqueueOps = r.calqueueOps;
+        sample.calqueueResizes = r.calqueueResizes;
+    }
+}
+
+} // namespace
+
 PlanResults
 runPlan(const SweepPlan &plan, const RunnerOptions &opts)
 {
     ResultCache &cache = opts.cache ? *opts.cache : processCache();
-    const bool audit_active = opts.audit || auditRequestedByEnv();
+    ResultCache *const lookup_cache = opts.noCache ? nullptr : &cache;
     const size_t n = plan.specs().size();
 
     PlanResults out;
@@ -339,53 +443,19 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
 
         const std::unique_ptr<Workload> workload =
             makeWorkload(spec.workload);
-        const uint64_t digest = plan.digest(i, *workload);
-
-        std::optional<ResultCache::Hit> hit;
-        if (!opts.noCache)
-            hit = cache.lookup(digest);
-
-        if (hit && !audit_active) {
-            if (hit->fromDisk)
-                ++disk_hits;
-            else
-                ++memory_hits;
-            out.bySpec[i] = hit->result;
-        } else {
-            ExperimentConfig cfg = spec.toExperiment();
-            cfg.audit = opts.audit;
-            RunResult fresh = runExperiment(cfg, *workload);
-            ++simulations;
-            if (hit) {
-                // Audit mode validates every hit end-to-end: the
-                // cached numbers must equal a fresh simulation's.
-                if (hit->fromDisk)
-                    ++disk_hits;
-                else
-                    ++memory_hits;
-                ++validated;
-                MCSCOPE_ASSERT(
-                    hit->result.valid == fresh.valid &&
-                        hit->result.seconds == fresh.seconds,
-                    "cache entry disagrees with fresh simulation for ",
-                    spec.canonicalText(), ": cached ",
-                    hit->result.seconds, " s vs fresh ", fresh.seconds,
-                    " s");
-                MCSCOPE_ASSERT(
-                    !(hit->result.audited && fresh.audited) ||
-                        hit->result.auditDigest == fresh.auditDigest,
-                    "cached audit digest ",
-                    digestHex(hit->result.auditDigest),
-                    " != fresh audit digest ",
-                    digestHex(fresh.auditDigest), " for ",
-                    spec.canonicalText());
-            } else {
-                ++misses;
-            }
-            if (!opts.noCache)
-                cache.store(digest, fresh);
-            out.bySpec[i] = fresh;
+        ResolvedPoint point =
+            resolvePoint(spec, *workload, plan.digest(i, *workload),
+                         lookup_cache, opts.audit);
+        switch (point.source) {
+          case PointSource::MemoryHit: ++memory_hits; break;
+          case PointSource::DiskHit: ++disk_hits; break;
+          case PointSource::Simulated: ++misses; break;
         }
+        if (point.validated)
+            ++validated;
+        if (point.simulated())
+            ++simulations;
+        out.bySpec[i] = std::move(point.result);
         out.specWallSeconds[i] = secondsSince(spec_start);
     });
     out.wallSeconds = secondsSince(plan_start);
@@ -397,28 +467,9 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
     out.stats.simulations = simulations.load();
     out.stats.corrupt = cache.stats().corrupt - cache_before.corrupt;
 
-    if (SweepTelemetry *telemetry = opts.telemetry) {
-        telemetry->jobs = opts.jobs < 1 ? 1 : opts.jobs;
-        telemetry->wallSeconds = out.wallSeconds;
-        telemetry->points.assign(plan.pointCount(), {});
-        for (size_t p = 0; p < plan.pointCount(); ++p) {
-            const size_t si = plan.specIndex(p);
-            const ScenarioSpec &spec = plan.specs()[si];
-            const RunResult &r = out.bySpec[si];
-            GridPointSample &sample = telemetry->points[p];
-            sample.ranks = spec.ranks;
-            sample.label = spec.option.label;
-            sample.valid = r.valid;
-            sample.wallSeconds = out.specWallSeconds[si];
-            sample.simSeconds = r.valid ? r.seconds : 0.0;
-            sample.events = r.events;
-            sample.incrementalSolves = r.incrementalSolves;
-            sample.fullSolves = r.fullSolves;
-            sample.memoHits = r.memoHits;
-            sample.calqueueOps = r.calqueueOps;
-            sample.calqueueResizes = r.calqueueResizes;
-        }
-    }
+    if (opts.telemetry)
+        fillPointTelemetry(plan, out, std::max(1, opts.jobs),
+                           *opts.telemetry);
     return out;
 }
 
@@ -584,8 +635,8 @@ class ShardWorkerContext
     }
 
     /**
-     * Execute one point (fault hooks first, cache in front unless
-     * auditing) and build its record document.  May not return at all
+     * Execute one point (fault hooks first, then resolvePoint()) and
+     * build its record document.  May not return at all
      * when a crash/hang fault matches -- that is the point.
      */
     JsonValue executePoint(const ManifestPoint &pt, bool audit)
@@ -608,36 +659,24 @@ class ShardWorkerContext
             makeWorkload(pt.spec.workload);
         const uint64_t digest = pt.spec.digestWith(*workload);
         const Clock::time_point start = Clock::now();
-        RunResult result;
-        bool hit = false;
-        // Audit mode always simulates (the auditor must see the run);
-        // plain mode may serve the point from the shared disk cache.
-        if (cache_ && !audit) {
-            if (std::optional<ResultCache::Hit> h =
-                    cache_->lookup(digest)) {
-                result = h->result;
-                hit = true;
-                ++cacheHits_;
-            }
-        }
-        if (!hit) {
-            ExperimentConfig cfg = pt.spec.toExperiment();
-            cfg.audit = audit;
-            result = runExperiment(cfg, *workload);
-            if (cache_)
-                cache_->store(digest, result);
-        }
+        const ResolvedPoint point =
+            resolvePoint(pt.spec, *workload, digest, cache_.get(), audit);
+        if (!point.simulated())
+            ++cacheHits_;
 
         JsonValue rec = JsonValue::object();
         rec.set("index",
                 JsonValue::number(static_cast<double>(pt.index)));
         rec.set("wall_seconds",
                 JsonValue::number(secondsSince(start)));
-        rec.set("result", runResultToJson(digest, result));
+        rec.set("result", runResultToJson(digest, point.result));
         return rec;
     }
 
-    /** Per-manifest cache-hit counter (reset on read). */
+    /**
+     * Points of this manifest served without simulating (reset on
+     * read).
+     */
     uint64_t takeCacheHits()
     {
         uint64_t n = cacheHits_;
@@ -741,6 +780,17 @@ struct ShardExecutor::Impl
         bool live() const
         {
             return !dead && (proc || (isRemote && fd >= 0));
+        }
+        ShardSample sample(size_t shard) const
+        {
+            ShardSample s;
+            s.shard = static_cast<int>(shard);
+            s.peer = peer;
+            s.remote = isRemote;
+            s.points = points;
+            s.busySeconds = busySeconds;
+            s.respawns = respawns;
+            return s;
         }
     };
 
@@ -1151,15 +1201,8 @@ struct ShardExecutor::Impl
 
     void retireRemote(const Channel &ch)
     {
-        ShardSample sample;
-        sample.shard = static_cast<int>(localCount +
-                                        retiredRemotes.size());
-        sample.peer = ch.peer;
-        sample.remote = true;
-        sample.points = ch.points;
-        sample.busySeconds = ch.busySeconds;
-        sample.respawns = ch.respawns;
-        retiredRemotes.push_back(sample);
+        retiredRemotes.push_back(
+            ch.sample(localCount + retiredRemotes.size()));
     }
 
     void pollOnce(int max_wait_ms, std::vector<pollfd> &fds)
@@ -1236,6 +1279,10 @@ struct ShardExecutor::Impl
             if (ch->proc) {
                 ch->proc->closeStdin();
                 ch->proc->wait();
+                // The last manifest's done frame may trail its final
+                // record; read it, or its cache-hit count is lost.
+                drainChannel(*ch);
+                processFrames(*ch);
                 ch->proc.reset();
             } else if (ch->fd >= 0) {
                 ::close(ch->fd);
@@ -1260,57 +1307,25 @@ struct ShardExecutor::Impl
 
     void fillTelemetry(SweepTelemetry &telemetry)
     {
-        telemetry.jobs = static_cast<int>(
-            std::max<size_t>(1, localCount));
-        telemetry.wallSeconds = out.wallSeconds;
+        fillPointTelemetry(plan, out,
+                           static_cast<int>(
+                               std::max<size_t>(1, localCount)),
+                           telemetry);
         telemetry.journaled = out.shard.journaled;
         telemetry.retries = out.shard.retries;
         telemetry.gaps = out.shard.gaps;
-        telemetry.points.assign(plan.pointCount(), {});
-        for (size_t p = 0; p < plan.pointCount(); ++p) {
-            const size_t si = plan.specIndex(p);
-            const ScenarioSpec &spec = plan.specs()[si];
-            const RunResult &r = out.bySpec[si];
-            GridPointSample &sample = telemetry.points[p];
-            sample.ranks = spec.ranks;
-            sample.label = spec.option.label;
-            sample.valid = r.valid;
-            sample.wallSeconds = out.specWallSeconds[si];
-            sample.simSeconds = r.valid ? r.seconds : 0.0;
-            sample.events = r.events;
-            sample.incrementalSolves = r.incrementalSolves;
-            sample.fullSolves = r.fullSolves;
-            sample.memoHits = r.memoHits;
-            sample.calqueueOps = r.calqueueOps;
-            sample.calqueueResizes = r.calqueueResizes;
-        }
         telemetry.shards.clear();
-        size_t shard_index = 0;
         for (auto &ch : channels) {
-            if (ch->isRemote)
-                continue;
-            ShardSample sample;
-            sample.shard = static_cast<int>(shard_index++);
-            sample.peer = ch->peer;
-            sample.points = ch->points;
-            sample.busySeconds = ch->busySeconds;
-            sample.respawns = ch->respawns;
-            telemetry.shards.push_back(sample);
+            if (!ch->isRemote)
+                telemetry.shards.push_back(
+                    ch->sample(telemetry.shards.size()));
         }
         for (const ShardSample &s : retiredRemotes)
             telemetry.shards.push_back(s);
         for (auto &ch : channels) {
-            if (!ch->isRemote)
-                continue;
-            ShardSample sample;
-            sample.shard =
-                static_cast<int>(telemetry.shards.size());
-            sample.peer = ch->peer;
-            sample.remote = true;
-            sample.points = ch->points;
-            sample.busySeconds = ch->busySeconds;
-            sample.respawns = ch->respawns;
-            telemetry.shards.push_back(sample);
+            if (ch->isRemote)
+                telemetry.shards.push_back(
+                    ch->sample(telemetry.shards.size()));
         }
     }
 };

@@ -55,6 +55,77 @@ JsonValue::object()
     return v;
 }
 
+namespace {
+
+/** Objects up to this size merge repeated keys by a pairwise scan. */
+constexpr size_t kScanMembers = 16;
+
+/**
+ * Merge repeated keys in place: each keeps its first position and its
+ * last value.  The short objects specs and records hold are scanned
+ * without allocating; a wide one is grouped by a stable sort of its
+ * keys, so a hostile document with 10^5 keys costs O(n log n).
+ */
+void
+mergeRepeatedKeys(std::vector<std::pair<std::string, JsonValue>> &m)
+{
+    const size_t n = m.size();
+    size_t kept = 0;
+    if (n <= kScanMembers) {
+        for (size_t i = 0; i < n; ++i) {
+            size_t j = 0;
+            while (j < kept && m[j].first != m[i].first)
+                ++j;
+            if (j < kept) {
+                m[j].second = std::move(m[i].second);
+            } else {
+                if (j != i)
+                    m[j] = std::move(m[i]);
+                ++kept;
+            }
+        }
+    } else {
+        std::vector<size_t> order(n);
+        for (size_t i = 0; i < n; ++i)
+            order[i] = i;
+        std::stable_sort(order.begin(), order.end(),
+                         [&m](size_t a, size_t b) {
+                             return m[a].first < m[b].first;
+                         });
+        // first[i]: position of the first member sharing m[i]'s key.
+        std::vector<size_t> first(n);
+        for (size_t k = 0; k < n; ++k) {
+            const size_t i = order[k];
+            first[i] = k > 0 && m[i].first == m[order[k - 1]].first
+                           ? first[order[k - 1]]
+                           : i;
+        }
+        for (size_t i = 0; i < n; ++i) {
+            if (first[i] != i)
+                m[first[i]].second = std::move(m[i].second);
+        }
+        for (size_t i = 0; i < n; ++i) {
+            if (first[i] != i)
+                continue;
+            if (kept != i)
+                m[kept] = std::move(m[i]);
+            ++kept;
+        }
+    }
+    m.erase(m.begin() + static_cast<std::ptrdiff_t>(kept), m.end());
+}
+
+} // namespace
+
+JsonValue
+JsonValue::object(std::vector<std::pair<std::string, JsonValue>> members)
+{
+    JsonValue v = object();
+    mergeRepeatedKeys(members);
+    v.members_ = std::move(members);
+    return v;
+}
+
 bool
 JsonValue::asBool() const
 {
@@ -544,10 +615,10 @@ class Parser
     parseObject(int depth)
     {
         consume('{');
-        JsonValue obj = JsonValue::object();
+        std::vector<std::pair<std::string, JsonValue>> members;
         skipWs();
         if (consume('}'))
-            return obj;
+            return JsonValue::object();
         while (true) {
             skipWs();
             std::optional<std::string> key = parseString();
@@ -561,10 +632,10 @@ class Parser
             std::optional<JsonValue> v = parseValue(depth + 1);
             if (!v)
                 return std::nullopt;
-            obj.set(std::move(*key), std::move(*v));
+            members.emplace_back(std::move(*key), std::move(*v));
             skipWs();
             if (consume('}'))
-                return obj;
+                return JsonValue::object(std::move(members));
             if (!consume(',')) {
                 fail("expected ',' or '}' in object");
                 return std::nullopt;

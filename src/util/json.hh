@@ -48,6 +48,14 @@ class JsonValue
     static JsonValue array();
     static JsonValue object();
 
+    /**
+     * An object with `members` in order.  A repeated key keeps its
+     * first position and takes its last value, as repeated set()
+     * calls would, in O(n log n) for n members (set() is O(n) each).
+     */
+    static JsonValue
+    object(std::vector<std::pair<std::string, JsonValue>> members);
+
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
     bool isBool() const { return kind_ == Kind::Bool; }

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "core/analysis.hh"
 #include "core/cli.hh"
@@ -132,6 +135,25 @@ TEST(Cli, SweepWithJobsMatchesSerialOutput)
                   &parallel),
               0);
     EXPECT_EQ(serial, parallel);
+}
+
+TEST(Cli, SweepAuditValidatesCachedPoints)
+{
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("mcscope_cli_audit_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    const std::vector<std::string> args = {
+        "sweep",   "stream", "--machine",   "dmz", "--ranks",
+        "2",       "--audit", "--cache-dir", dir,   "--cache-stats"};
+    std::string cold, warm;
+    EXPECT_EQ(cli(args, &cold), 0);
+    EXPECT_EQ(cli(args, &warm), 0);
+    std::filesystem::remove_all(dir);
+    EXPECT_EQ(cold.find("audit-validated"), std::string::npos) << cold;
+    EXPECT_NE(warm.find("hits audit-validated"), std::string::npos)
+        << warm;
 }
 
 TEST(Cli, RejectsBadJobsValues)

@@ -495,6 +495,37 @@ TEST(ShardWorker, ManifestWithOutOfRangeIndexIsRejected)
     }
 }
 
+TEST(ShardWorkerDeathTest, AuditedManifestValidatesCachedRecords)
+{
+    // The worker's cache holds a record with the right digest and the
+    // wrong number.  An audited manifest must re-simulate the hit and
+    // refuse it, never answer with the cached number.
+    TempDir dir("worker_audit");
+    const SweepPlan plan = onePointPlan();
+    ResultCache(dir.path()).store(plan.digests()[0],
+                                  sampleResult(12345.0, 5));
+    JsonValue point = JsonValue::object();
+    point.set("index", JsonValue::number(0));
+    point.set("spec", plan.specs()[0].toJson());
+    JsonValue points = JsonValue::array();
+    points.append(std::move(point));
+    JsonValue manifest = JsonValue::object();
+    manifest.set("format", JsonValue::str("mcscope-shard-1"));
+    manifest.set("audit", JsonValue::boolean(true));
+    manifest.set("cache_dir", JsonValue::str(dir.path()));
+    manifest.set("points", std::move(points));
+
+    auto serveManifest = [&] {
+        int sv[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0 ||
+            !writeFrame(sv[1], manifest.dump()))
+            return;
+        ::shutdown(sv[1], SHUT_WR);
+        runFramedShardWorker(sv[0], sv[0]);
+    };
+    EXPECT_DEATH(serveManifest(), "disagrees with fresh simulation");
+}
+
 TEST(ShardExecutor, OutOfRangeRecordNumbersAreIgnored)
 {
     const SweepPlan plan = onePointPlan();

@@ -10,10 +10,12 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -512,6 +514,26 @@ TEST(ResultCache, EntryJsonRoundTrips)
     EXPECT_FALSE(parseRunResult(doc, digest + 1).has_value());
 }
 
+TEST(ResultCache, WideTagMapRoundTripsInNearLinearTime)
+{
+    // Encoding and parsing a record must not be quadratic in its tag
+    // count (the bound is generous enough for sanitizer builds).
+    RunResult r = sampleRun(2.0);
+    for (int tag = 0; tag < 200000; ++tag)
+        r.taggedSeconds[tag] = tag * 0.5;
+    const auto start = std::chrono::steady_clock::now();
+    const std::string text = runResultToJson(7, r).dump();
+    std::optional<JsonValue> doc = parseJson(text);
+    ASSERT_TRUE(doc.has_value());
+    std::optional<RunResult> back = parseRunResult(*doc, 7);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->taggedSeconds, r.taggedSeconds);
+    EXPECT_LT(seconds, 5.0);
+}
+
 TEST(ResultCache, EntryParserRejectsNonsense)
 {
     RunResult r;
@@ -796,6 +818,21 @@ TEST(Runner, AuditModeValidatesHits)
     EXPECT_EQ(second.stats.validatedHits, 1u);
     EXPECT_EQ(second.stats.simulations, 1u);
     EXPECT_EQ(second.bySpec[0].seconds, first.bySpec[0].seconds);
+}
+
+TEST(RunnerDeathTest, AuditedHitThatDisagreesPanics)
+{
+    // A record filed under the right digest with the wrong number: an
+    // audited run re-simulates the hit and must refuse it.
+    SweepPlan plan = tinyPlan();
+    ResultCache cache;
+    cache.store(plan.digest(0, *makeWorkload("nas-ep-b")),
+                sampleRun(12345.0));
+    RunnerOptions opts;
+    opts.cache = &cache;
+    opts.audit = true;
+    EXPECT_DEATH(runPlan(plan, opts),
+                 "disagrees with fresh simulation");
 }
 
 namespace {

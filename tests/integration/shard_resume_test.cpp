@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/audit.hh"
 #include "util/subprocess.hh"
 
 using namespace mcscope;
@@ -207,6 +208,42 @@ TEST(ShardResume, ShardedMatchesSerialWithoutFaults)
                                dir.file("clean.journal")});
     ASSERT_EQ(sharded.exit, 0) << sharded.out;
     EXPECT_EQ(sharded.out, golden.out);
+}
+
+TEST(ShardResume, WarmCacheDirServesEveryPointFromWorkers)
+{
+    TempDir dir("shard_resume_warm_cache");
+    const std::string spec = writeSpec(dir);
+    const std::vector<std::string> args = {
+        "batch",       spec, "--csv", "--shards", "2", "--cache-dir",
+        dir.file("cache"), "--cache-stats"};
+
+    // The CSV comes first, the one-line "journal: ..." summary last.
+    auto run = [&](std::string *csv, std::string *stats) {
+        ToolRun r = runTool(args);
+        ASSERT_EQ(r.exit, 0) << r.out;
+        const size_t at = r.out.rfind("journal: ");
+        ASSERT_NE(at, std::string::npos) << r.out;
+        *csv = r.out.substr(0, at);
+        *stats = r.out.substr(at);
+    };
+    std::string cold_csv, cold_stats, warm_csv, warm_stats;
+    run(&cold_csv, &cold_stats);
+    run(&warm_csv, &warm_stats);
+    EXPECT_EQ(warm_csv, cold_csv);
+    EXPECT_EQ(cold_stats.find("worker cache hits"), std::string::npos)
+        << cold_stats;
+
+    // Every point is a worker cache hit, so none was simulated --
+    // unless MCSCOPE_AUDIT makes the workers validate their hits.
+    const std::string points = std::to_string(countPoints(cold_csv));
+    EXPECT_NE(warm_stats.find(points + " executed"), std::string::npos)
+        << warm_stats;
+    if (!auditRequestedByEnv()) {
+        EXPECT_NE(warm_stats.find(points + " worker cache hits"),
+                  std::string::npos)
+            << warm_stats;
+    }
 }
 
 TEST(ShardResume, RefusesToOverwriteJournalWithoutResume)

@@ -5,11 +5,13 @@
  * round-trips, strict trailing-garbage rejection).
  */
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -269,4 +271,48 @@ TEST(Json, SetReplacesExistingKey)
     o.set("k", JsonValue::number(2));
     ASSERT_EQ(o.members().size(), 1u);
     EXPECT_DOUBLE_EQ(o.find("k")->asNumber(), 2.0);
+}
+
+TEST(Json, DuplicateKeysKeepFirstPositionLastValue)
+{
+    // Short objects (scanned) and wide ones (sorted) merge alike.
+    for (int width : {3, 40}) {
+        std::string text = "{";
+        for (int k = 0; k < width; ++k)
+            text += "\"k" + std::to_string(k) + "\":" + std::to_string(k) + ",";
+        text += "\"k1\":100,\"k0\":200,\"k1\":300}";
+        std::optional<JsonValue> doc = parseJson(text);
+        ASSERT_TRUE(doc.has_value()) << width;
+        const auto &members = doc->members();
+        ASSERT_EQ(members.size(), static_cast<size_t>(width)) << width;
+        EXPECT_EQ(members[0].first, "k0");
+        EXPECT_DOUBLE_EQ(members[0].second.asNumber(), 200.0);
+        EXPECT_EQ(members[1].first, "k1");
+        EXPECT_DOUBLE_EQ(members[1].second.asNumber(), 300.0);
+        EXPECT_EQ(members[2].first, "k2");
+        EXPECT_DOUBLE_EQ(members[2].second.asNumber(), 2.0);
+        EXPECT_EQ(members.back().first, "k" + std::to_string(width - 1));
+    }
+}
+
+TEST(Json, WideObjectParsesInNearLinearTime)
+{
+    // A hostile peer's frame may hold hundreds of thousands of keys;
+    // parsing must not be quadratic in their count (the bound is
+    // generous enough for sanitizer builds).
+    const int width = 200000;
+    std::string text = "{";
+    for (int k = 0; k < width; ++k) {
+        text += (k ? ",\"k" : "\"k") + std::to_string(k) + "\":" +
+                std::to_string(k);
+    }
+    text += "}";
+    const auto start = std::chrono::steady_clock::now();
+    std::optional<JsonValue> doc = parseJson(text);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->members().size(), static_cast<size_t>(width));
+    EXPECT_LT(seconds, 5.0);
 }
