@@ -49,13 +49,7 @@ PlanResults::at(const SweepPlan &plan, size_t point) const
 {
     return bySpec[plan.specIndex(point)];
 }
-/**
- * The one point executor behind runPlan() and the shard worker: look
- * `digest` up in `cache` (null: no cache), simulate on a miss, and
- * store the fresh result.  Under audit (`audit` or MCSCOPE_AUDIT) a
- * hit is re-simulated and must agree with the fresh run bit for bit,
- * or the process panics.
- */
+
 ResolvedPoint
 resolvePoint(const ScenarioSpec &spec, const Workload &workload,
              uint64_t digest, ResultCache *cache, bool audit)
@@ -99,10 +93,6 @@ resolvePoint(const ScenarioSpec &spec, const Workload &workload,
     return point;
 }
 
-/**
- * Telemetry of an executed plan: the run's wall time and one sample
- * per grid point (duplicate points repeat their spec's numbers).
- */
 void
 fillPointTelemetry(const SweepPlan &plan, const PlanResults &results,
                    int jobs, SweepTelemetry &telemetry)
@@ -129,7 +119,6 @@ fillPointTelemetry(const SweepPlan &plan, const PlanResults &results,
     }
 }
 
-
 PlanResults
 runPlan(const SweepPlan &plan, const RunnerOptions &opts)
 {
@@ -144,7 +133,7 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
     out.stats.uniqueSpecs = n;
 
     std::atomic<uint64_t> memory_hits{0}, disk_hits{0}, misses{0},
-        validated{0}, simulations{0};
+        validated{0};
     const CacheStats cache_before = cache.stats();
 
     const Clock::time_point plan_start = Clock::now();
@@ -164,8 +153,6 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
         }
         if (point.validated)
             ++validated;
-        if (point.simulated())
-            ++simulations;
         out.bySpec[i] = std::move(point.result);
         out.specWallSeconds[i] = secondsSince(spec_start);
     });
@@ -175,7 +162,7 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
     out.stats.diskHits = disk_hits.load();
     out.stats.misses = misses.load();
     out.stats.validatedHits = validated.load();
-    out.stats.simulations = simulations.load();
+    out.stats.simulations = out.stats.misses + out.stats.validatedHits;
     out.stats.corrupt = cache.stats().corrupt - cache_before.corrupt;
 
     if (opts.telemetry)
@@ -183,6 +170,7 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
                            *opts.telemetry);
     return out;
 }
+
 OptionSweepResult
 optionSweepSlice(const SweepPlan &plan, const PlanResults &results,
                  size_t w, size_t i, size_t s, int tag, size_t m)

@@ -39,12 +39,6 @@ struct ResolvedPoint
 
     /** A hit re-simulated under audit; `result` is the fresh run. */
     bool validated = false;
-
-    /** True when the engine ran for this point. */
-    bool simulated() const
-    {
-        return source == PointSource::Simulated || validated;
-    }
 };
 
 /**

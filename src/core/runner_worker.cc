@@ -165,10 +165,12 @@ class ShardWorkerContext
 
     /**
      * Execute one point (fault hooks first, then resolvePoint()) and
-     * build its record document.  May not return at all
-     * when a crash/hang fault matches -- that is the point.
+     * build its record document; counts a point served without
+     * simulating in `cache_hits`.  May not return at all when a
+     * crash/hang fault matches -- that is the point.
      */
-    JsonValue executePoint(const ManifestPoint &pt, bool audit)
+    JsonValue executePoint(const ManifestPoint &pt, bool audit,
+                           uint64_t *cache_hits)
     {
         // Deterministic fault injection: die or stall exactly when
         // told to, *before* the point's record exists, so the
@@ -190,8 +192,8 @@ class ShardWorkerContext
         const Clock::time_point start = Clock::now();
         const ResolvedPoint point =
             resolvePoint(pt.spec, *workload, digest, cache_.get(), audit);
-        if (!point.simulated())
-            ++cacheHits_;
+        if (point.source != PointSource::Simulated && !point.validated)
+            ++*cache_hits;
 
         JsonValue rec = JsonValue::object();
         rec.set("index",
@@ -202,34 +204,11 @@ class ShardWorkerContext
         return rec;
     }
 
-    /**
-     * Points of this manifest served without simulating (reset on
-     * read).
-     */
-    uint64_t takeCacheHits()
-    {
-        uint64_t n = cacheHits_;
-        cacheHits_ = 0;
-        return n;
-    }
-
   private:
     std::vector<FaultSpec> faults_;
     std::unique_ptr<ResultCache> cache_;
     std::string cacheDir_;
-    uint64_t cacheHits_ = 0;
 };
-
-/** The per-manifest trailer record. */
-JsonValue
-doneRecord(uint64_t cache_hits)
-{
-    JsonValue done = JsonValue::object();
-    done.set("done", JsonValue::boolean(true));
-    done.set("cache_hits",
-             JsonValue::number(static_cast<double>(cache_hits)));
-    return done;
-}
 
 } // namespace
 
@@ -261,14 +240,19 @@ runFramedShardWorker(int in_fd, int out_fd)
             return 2;
         }
         ctx.setCacheDir(manifest->cacheDir);
+        uint64_t cache_hits = 0;
         for (const ManifestPoint &pt : manifest->points) {
-            if (!writeFrame(
-                    out_fd,
-                    ctx.executePoint(pt, manifest->audit).dump()))
+            if (!writeFrame(out_fd,
+                            ctx.executePoint(pt, manifest->audit,
+                                             &cache_hits)
+                                .dump()))
                 return 2; // supervisor hung up
         }
-        if (!writeFrame(out_fd,
-                        doneRecord(ctx.takeCacheHits()).dump()))
+        JsonValue done = JsonValue::object();
+        done.set("done", JsonValue::boolean(true));
+        done.set("cache_hits",
+                 JsonValue::number(static_cast<double>(cache_hits)));
+        if (!writeFrame(out_fd, done.dump()))
             return 2;
     }
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 
 #include "util/logging.hh"
 
@@ -63,54 +64,35 @@ constexpr size_t kScanMembers = 16;
 /**
  * Merge repeated keys in place: each keeps its first position and its
  * last value.  The short objects specs and records hold are scanned
- * without allocating; a wide one is grouped by a stable sort of its
- * keys, so a hostile document with 10^5 keys costs O(n log n).
+ * without allocating; a wide one indexes its keys in an ordered map,
+ * so a hostile document with 10^5 keys costs O(n log n).
  */
 void
 mergeRepeatedKeys(std::vector<std::pair<std::string, JsonValue>> &m)
 {
-    const size_t n = m.size();
+    const bool wide = m.size() > kScanMembers;
+    // Views of kept keys: m[0, kept) is never moved again.
+    std::map<std::string_view, size_t> index;
     size_t kept = 0;
-    if (n <= kScanMembers) {
-        for (size_t i = 0; i < n; ++i) {
-            size_t j = 0;
+    for (size_t i = 0; i < m.size(); ++i) {
+        size_t j = 0;
+        if (!wide) {
             while (j < kept && m[j].first != m[i].first)
                 ++j;
-            if (j < kept) {
-                m[j].second = std::move(m[i].second);
-            } else {
-                if (j != i)
-                    m[j] = std::move(m[i]);
-                ++kept;
-            }
+        } else if (auto at = index.find(m[i].first); at != index.end()) {
+            j = at->second;
+        } else {
+            j = kept;
         }
-    } else {
-        std::vector<size_t> order(n);
-        for (size_t i = 0; i < n; ++i)
-            order[i] = i;
-        std::stable_sort(order.begin(), order.end(),
-                         [&m](size_t a, size_t b) {
-                             return m[a].first < m[b].first;
-                         });
-        // first[i]: position of the first member sharing m[i]'s key.
-        std::vector<size_t> first(n);
-        for (size_t k = 0; k < n; ++k) {
-            const size_t i = order[k];
-            first[i] = k > 0 && m[i].first == m[order[k - 1]].first
-                           ? first[order[k - 1]]
-                           : i;
+        if (j < kept) {
+            m[j].second = std::move(m[i].second);
+            continue;
         }
-        for (size_t i = 0; i < n; ++i) {
-            if (first[i] != i)
-                m[first[i]].second = std::move(m[i].second);
-        }
-        for (size_t i = 0; i < n; ++i) {
-            if (first[i] != i)
-                continue;
-            if (kept != i)
-                m[kept] = std::move(m[i]);
-            ++kept;
-        }
+        if (kept != i)
+            m[kept] = std::move(m[i]);
+        if (wide)
+            index.emplace(m[kept].first, kept);
+        ++kept;
     }
     m.erase(m.begin() + static_cast<std::ptrdiff_t>(kept), m.end());
 }

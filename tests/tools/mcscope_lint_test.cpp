@@ -208,6 +208,32 @@ int count()
     EXPECT_EQ(countOccurrences(run.out, "DET-2"), 2u) << run.out;
 }
 
+TEST(Lint, Det2CoversEveryRunnerUnit)
+{
+    // The runner is split across units that all feed records and
+    // digests; each must stay under DET-2 by its path prefix.
+    TempTree t("det2runner");
+    for (const char *unit :
+         {"src/core/runner.cc", "src/core/runner_cache.cc",
+          "src/core/runner_shard.cc", "src/core/runner_worker.cc",
+          "src/core/runner_internal.hh"}) {
+        t.write(unit, R"lint(
+#include <unordered_map>
+int sum()
+{
+    std::unordered_map<int, int> m;
+    int s = 0;
+    for (const auto &kv : m)
+        s += kv.second;
+    return s;
+}
+)lint");
+    }
+    LintRun run = runLint({t.root()});
+    EXPECT_EQ(run.exit, 1) << run.out;
+    EXPECT_EQ(countOccurrences(run.out, "DET-2"), 5u) << run.out;
+}
+
 TEST(Lint, Parse1CoversRegistryNumericParsing)
 {
     // A registry-style numeric field parser that drops errno/endptr
