@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include <unistd.h>
 
@@ -335,11 +336,9 @@ runFlagPlan(const SweepPlan &plan, const CliFlags &f,
     opts.jobs = f.jobs;
     opts.audit = f.audit;
     opts.telemetry = wantsTelemetry(f) ? &telemetry : nullptr;
-    std::unique_ptr<ResultCache> disk_cache;
-    if (!f.cacheDir.empty()) {
-        disk_cache = std::make_unique<ResultCache>(f.cacheDir);
-        opts.cache = disk_cache.get();
-    }
+    std::optional<ResultCache> disk_cache;
+    if (!f.cacheDir.empty())
+        opts.cache = &disk_cache.emplace(f.cacheDir);
     return runPlan(plan, opts);
 }
 

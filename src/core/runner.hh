@@ -17,8 +17,9 @@
  *    digest, and has every required field; anything else counts as
  *    corrupt, is ignored, and the point is re-simulated (never a
  *    wrong number, at worst a slow one).
- *  - When auditing is on (RunnerOptions::audit or MCSCOPE_AUDIT=1),
- *    cache hits are *validated*: the point is re-simulated under the
+ *  - When auditing is on (RunnerOptions::audit, ShardOptions::audit
+ *    or MCSCOPE_AUDIT=1), cache hits are *validated*, in process and
+ *    in shard workers alike: the point is re-simulated under the
  *    auditor and the cached seconds -- and audit digest, when the
  *    entry recorded one -- must match bit-for-bit, or the runner
  *    panics.  Audit mode trades the cache's speed for an end-to-end
@@ -329,7 +330,7 @@ struct ShardOptions
      */
     std::string resumeFrom;
 
-    /** Workers run every point under the invariant auditor. */
+    /** Workers audit every point and validate their cache hits. */
     bool audit = false;
 
     /** On-disk result cache directory handed to workers. */

@@ -2,8 +2,8 @@
  * @file
  * Internals the runner's units share; not part of the public API.
  * runner.cc holds runPlan() and the point executor, runner_cache.cc
- * the record codec and ResultCache, runner_worker.cc the manifest,
- * fault plan and framed worker loop, and runner_shard.cc the
+ * the record codec and ResultCache, runner_worker.cc the manifest
+ * format, fault plan and framed worker loop, and runner_shard.cc the
  * ShardExecutor.
  */
 
@@ -12,15 +12,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
+#include <string>
 
 #include "core/runner.hh"
 
 namespace mcscope {
 
 using Clock = std::chrono::steady_clock;
-
-/** Format stamp on shard manifests (supervisor -> worker). */
-inline constexpr const char *kShardManifestFormat = "mcscope-shard-1";
 
 inline double
 secondsSince(Clock::time_point start)
@@ -59,6 +58,11 @@ ResolvedPoint resolvePoint(const ScenarioSpec &spec,
 void fillPointTelemetry(const SweepPlan &plan,
                         const PlanResults &results, int jobs,
                         SweepTelemetry &telemetry);
+
+/** The mcscope-shard-1 manifest asking a worker to run `points`. */
+std::string encodeShardManifest(const SweepPlan &plan,
+                                const std::deque<size_t> &points,
+                                const ShardOptions &opts);
 
 } // namespace mcscope
 

@@ -172,25 +172,6 @@ struct ShardExecutor::Impl
         planStart = Clock::now();
     }
 
-    std::string buildManifest(const std::deque<size_t> &queue) const
-    {
-        JsonValue doc = JsonValue::object();
-        doc.set("format", JsonValue::str(kShardManifestFormat));
-        doc.set("audit", JsonValue::boolean(opts.audit));
-        if (!opts.cacheDir.empty())
-            doc.set("cache_dir", JsonValue::str(opts.cacheDir));
-        JsonValue pts = JsonValue::array();
-        for (size_t i : queue) {
-            JsonValue p = JsonValue::object();
-            p.set("index",
-                  JsonValue::number(static_cast<double>(i)));
-            p.set("spec", plan.specs()[i].toJson());
-            pts.append(std::move(p));
-        }
-        doc.set("points", std::move(pts));
-        return doc.dump();
-    }
-
     void spawnLocal(Channel &ch)
     {
         ch.proc = std::make_unique<Subprocess>(
@@ -234,7 +215,8 @@ struct ShardExecutor::Impl
     /** Hand a manifest to an idle live channel; false = send failed. */
     bool sendManifest(Channel &ch, std::deque<size_t> points)
     {
-        const std::string manifest = buildManifest(points);
+        const std::string manifest =
+            encodeShardManifest(plan, points, opts);
         ch.owed = std::move(points);
         ch.busy = true;
         ch.lastProgress = Clock::now();

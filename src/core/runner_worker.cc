@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 
 #include <unistd.h>
@@ -64,6 +65,33 @@ parseFaultPlan(const std::string &text, std::string *error)
         out.push_back(f);
     }
     return out;
+}
+
+namespace {
+
+/** Format stamp on shard manifests (supervisor -> worker). */
+constexpr const char *kShardManifestFormat = "mcscope-shard-1";
+
+} // namespace
+
+std::string
+encodeShardManifest(const SweepPlan &plan, const std::deque<size_t> &points,
+                    const ShardOptions &opts)
+{
+    JsonValue doc = JsonValue::object();
+    doc.set("format", JsonValue::str(kShardManifestFormat));
+    doc.set("audit", JsonValue::boolean(opts.audit));
+    if (!opts.cacheDir.empty())
+        doc.set("cache_dir", JsonValue::str(opts.cacheDir));
+    JsonValue pts = JsonValue::array();
+    for (size_t i : points) {
+        JsonValue p = JsonValue::object();
+        p.set("index", JsonValue::number(static_cast<double>(i)));
+        p.set("spec", plan.specs()[i].toJson());
+        pts.append(std::move(p));
+    }
+    doc.set("points", std::move(pts));
+    return doc.dump();
 }
 
 namespace {

@@ -56,20 +56,15 @@ JsonValue::object()
     return v;
 }
 
-namespace {
-
 /** Objects up to this size merge repeated keys by a pairwise scan. */
 constexpr size_t kScanMembers = 16;
 
-/**
- * Merge repeated keys in place: each keeps its first position and its
- * last value.  The short objects specs and records hold are scanned
- * without allocating; a wide one indexes its keys in an ordered map,
- * so a hostile document with 10^5 keys costs O(n log n).
- */
-void
-mergeRepeatedKeys(std::vector<std::pair<std::string, JsonValue>> &m)
+JsonValue
+JsonValue::object(std::vector<std::pair<std::string, JsonValue>> m)
 {
+    // The short objects specs and records hold are scanned without
+    // allocating; a wide one indexes its keys in an ordered map, so a
+    // hostile document with 10^5 keys costs O(n log n).
     const bool wide = m.size() > kScanMembers;
     // Views of kept keys: m[0, kept) is never moved again.
     std::map<std::string_view, size_t> index;
@@ -95,16 +90,8 @@ mergeRepeatedKeys(std::vector<std::pair<std::string, JsonValue>> &m)
         ++kept;
     }
     m.erase(m.begin() + static_cast<std::ptrdiff_t>(kept), m.end());
-}
-
-} // namespace
-
-JsonValue
-JsonValue::object(std::vector<std::pair<std::string, JsonValue>> members)
-{
     JsonValue v = object();
-    mergeRepeatedKeys(members);
-    v.members_ = std::move(members);
+    v.members_ = std::move(m);
     return v;
 }
 
