@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
+#include <numeric>
 
 #include "util/logging.hh"
 
@@ -62,32 +62,48 @@ constexpr size_t kScanMembers = 16;
 JsonValue
 JsonValue::object(std::vector<std::pair<std::string, JsonValue>> m)
 {
-    // The short objects specs and records hold are scanned without
-    // allocating; a wide one indexes its keys in an ordered map, so a
-    // hostile document with 10^5 keys costs O(n log n).
-    const bool wide = m.size() > kScanMembers;
-    // Views of kept keys: m[0, kept) is never moved again.
-    std::map<std::string_view, size_t> index;
     size_t kept = 0;
-    for (size_t i = 0; i < m.size(); ++i) {
-        size_t j = 0;
-        if (!wide) {
+    if (m.size() <= kScanMembers) {
+        // The short objects specs and records hold: scan, no allocation.
+        for (size_t i = 0; i < m.size(); ++i) {
+            size_t j = 0;
             while (j < kept && m[j].first != m[i].first)
                 ++j;
-        } else if (auto at = index.find(m[i].first); at != index.end()) {
-            j = at->second;
-        } else {
-            j = kept;
+            if (j < kept) {
+                m[j].second = std::move(m[i].second);
+                continue;
+            }
+            if (kept != i)
+                m[kept] = std::move(m[i]);
+            ++kept;
         }
-        if (j < kept) {
-            m[j].second = std::move(m[i].second);
-            continue;
+    } else {
+        // A wide, maybe hostile object: group equal keys by a stable
+        // sort of their positions, O(n log n).  Each group's first
+        // member takes the group's last value.
+        std::vector<size_t> order(m.size());
+        std::iota(order.begin(), order.end(), size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&m](size_t a, size_t b) {
+                             return m[a].first < m[b].first;
+                         });
+        std::vector<bool> dropped(m.size(), false);
+        for (size_t k = 1, head = order[0]; k < order.size(); ++k) {
+            const size_t i = order[k];
+            if (m[i].first != m[head].first) {
+                head = i;
+                continue;
+            }
+            m[head].second = std::move(m[i].second);
+            dropped[i] = true;
         }
-        if (kept != i)
-            m[kept] = std::move(m[i]);
-        if (wide)
-            index.emplace(m[kept].first, kept);
-        ++kept;
+        for (size_t i = 0; i < m.size(); ++i) {
+            if (dropped[i])
+                continue;
+            if (kept != i)
+                m[kept] = std::move(m[i]);
+            ++kept;
+        }
     }
     m.erase(m.begin() + static_cast<std::ptrdiff_t>(kept), m.end());
     JsonValue v = object();

@@ -298,8 +298,9 @@ TEST(Json, DuplicateKeysKeepFirstPositionLastValue)
 TEST(Json, WideObjectParsesInNearLinearTime)
 {
     // A hostile peer's frame may hold hundreds of thousands of keys;
-    // parsing must not be quadratic in their count (the bound is
-    // generous enough for sanitizer builds).
+    // parsing must not be quadratic in their count.  The bound is
+    // generous enough for sanitizer builds; a quadratic parse makes
+    // some 2*10^10 key comparisons here.
     const int width = 200000;
     std::string text = "{";
     for (int k = 0; k < width; ++k) {
@@ -314,5 +315,5 @@ TEST(Json, WideObjectParsesInNearLinearTime)
                                .count();
     ASSERT_TRUE(doc.has_value());
     EXPECT_EQ(doc->members().size(), static_cast<size_t>(width));
-    EXPECT_LT(seconds, 5.0);
+    EXPECT_LT(seconds, 10.0);
 }
