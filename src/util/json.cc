@@ -56,54 +56,35 @@ JsonValue::object()
     return v;
 }
 
-/** Objects up to this size merge repeated keys by a pairwise scan. */
-constexpr size_t kScanMembers = 16;
-
 JsonValue
 JsonValue::object(std::vector<std::pair<std::string, JsonValue>> m)
 {
+    // Group equal keys by sorting positions on (key, position), so a
+    // wide, maybe hostile object costs O(n log n).  Each group's first
+    // member takes the group's last value; the others are dropped.
+    std::vector<size_t> order(m.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&m](size_t a, size_t b) {
+        const int c = m[a].first.compare(m[b].first);
+        return c < 0 || (c == 0 && a < b);
+    });
+    std::vector<bool> dropped(m.size(), false);
+    for (size_t k = 1, head = 0; k < order.size(); ++k) {
+        const size_t i = order[k];
+        if (m[i].first != m[order[head]].first) {
+            head = k;
+            continue;
+        }
+        m[order[head]].second = std::move(m[i].second);
+        dropped[i] = true;
+    }
     size_t kept = 0;
-    if (m.size() <= kScanMembers) {
-        // The short objects specs and records hold: scan, no allocation.
-        for (size_t i = 0; i < m.size(); ++i) {
-            size_t j = 0;
-            while (j < kept && m[j].first != m[i].first)
-                ++j;
-            if (j < kept) {
-                m[j].second = std::move(m[i].second);
-                continue;
-            }
-            if (kept != i)
-                m[kept] = std::move(m[i]);
-            ++kept;
-        }
-    } else {
-        // A wide, maybe hostile object: group equal keys by a stable
-        // sort of their positions, O(n log n).  Each group's first
-        // member takes the group's last value.
-        std::vector<size_t> order(m.size());
-        std::iota(order.begin(), order.end(), size_t{0});
-        std::stable_sort(order.begin(), order.end(),
-                         [&m](size_t a, size_t b) {
-                             return m[a].first < m[b].first;
-                         });
-        std::vector<bool> dropped(m.size(), false);
-        for (size_t k = 1, head = order[0]; k < order.size(); ++k) {
-            const size_t i = order[k];
-            if (m[i].first != m[head].first) {
-                head = i;
-                continue;
-            }
-            m[head].second = std::move(m[i].second);
-            dropped[i] = true;
-        }
-        for (size_t i = 0; i < m.size(); ++i) {
-            if (dropped[i])
-                continue;
-            if (kept != i)
-                m[kept] = std::move(m[i]);
-            ++kept;
-        }
+    for (size_t i = 0; i < m.size(); ++i) {
+        if (dropped[i])
+            continue;
+        if (kept != i)
+            m[kept] = std::move(m[i]);
+        ++kept;
     }
     m.erase(m.begin() + static_cast<std::ptrdiff_t>(kept), m.end());
     JsonValue v = object();
