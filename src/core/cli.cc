@@ -63,6 +63,7 @@ const char *kUsage =
     "                legacy-alpha scalar tax; see DESIGN.md §15)\n"
     "       --audit  run under the simulation invariant auditor;\n"
     "                sweep/scaling/batch also validate cache hits\n"
+    "                and fail when one disagrees with a fresh run\n"
     "       --jobs N run sweep/scaling/batch grid points on N threads\n"
     "                (default: MCSCOPE_JOBS, else 1)\n"
     "       --cache-dir D    persist results under D and reuse them\n"
@@ -872,6 +873,11 @@ cmdBatch(const std::vector<std::string> &args, std::ostream &out)
     }
     if (!writeTelemetry(out, "batch", f, telemetry))
         return 2;
+    if (results.shard.auditFailures) {
+        out << "batch: " << results.shard.auditFailures
+            << " point(s) failed audit validation\n";
+        return 1;
+    }
 
     renderBatchResults(*plan, results, f.csv, out);
     if (f.cacheStats) {

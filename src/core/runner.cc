@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <sstream>
 
 #include "core/parallel_for.hh"
 #include "core/registry.hh"
@@ -50,6 +51,31 @@ PlanResults::at(const SweepPlan &plan, size_t point) const
     return bySpec[plan.specIndex(point)];
 }
 
+namespace {
+
+/**
+ * Why a cached result fails audit validation against a fresh run of
+ * `spec`; empty when the two agree bit for bit.
+ */
+std::string
+auditDisagreement(const ScenarioSpec &spec, const RunResult &cached,
+                  const RunResult &fresh)
+{
+    std::ostringstream why;
+    if (cached.valid != fresh.valid || cached.seconds != fresh.seconds)
+        why << "cache entry disagrees with fresh simulation for "
+            << spec.canonicalText() << ": cached " << cached.seconds
+            << " s vs fresh " << fresh.seconds << " s";
+    else if (cached.audited && fresh.audited &&
+             cached.auditDigest != fresh.auditDigest)
+        why << "cached audit digest " << digestHex(cached.auditDigest)
+            << " != fresh audit digest " << digestHex(fresh.auditDigest)
+            << " for " << spec.canonicalText();
+    return why.str();
+}
+
+} // namespace
+
 ResolvedPoint
 resolvePoint(const ScenarioSpec &spec, const Workload &workload,
              uint64_t digest, ResultCache *cache, bool audit)
@@ -72,21 +98,13 @@ resolvePoint(const ScenarioSpec &spec, const Workload &workload,
     point.result = runExperiment(cfg, workload);
     if (hit) {
         // Audit mode validates every hit end-to-end: the cached
-        // numbers must equal a fresh simulation's.
-        const RunResult &fresh = point.result;
+        // numbers must equal a fresh simulation's.  A suspect record
+        // is left as it is for inspection, not stored over.
         point.validated = true;
-        MCSCOPE_ASSERT(
-            hit->result.valid == fresh.valid &&
-                hit->result.seconds == fresh.seconds,
-            "cache entry disagrees with fresh simulation for ",
-            spec.canonicalText(), ": cached ", hit->result.seconds,
-            " s vs fresh ", fresh.seconds, " s");
-        MCSCOPE_ASSERT(
-            !(hit->result.audited && fresh.audited) ||
-                hit->result.auditDigest == fresh.auditDigest,
-            "cached audit digest ", digestHex(hit->result.auditDigest),
-            " != fresh audit digest ", digestHex(fresh.auditDigest),
-            " for ", spec.canonicalText());
+        point.disagreement =
+            auditDisagreement(spec, hit->result, point.result);
+        if (!point.disagreement.empty())
+            return point;
     }
     if (cache)
         cache->store(digest, point.result);
@@ -151,6 +169,8 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
           case PointSource::DiskHit: ++disk_hits; break;
           case PointSource::Simulated: ++misses; break;
         }
+        if (!point.disagreement.empty())
+            MCSCOPE_PANIC(point.disagreement);
         if (point.validated)
             ++validated;
         out.bySpec[i] = std::move(point.result);

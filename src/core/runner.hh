@@ -21,9 +21,12 @@
  *    or MCSCOPE_AUDIT=1), cache hits are *validated*, in process and
  *    in shard workers alike: the point is re-simulated under the
  *    auditor and the cached seconds -- and audit digest, when the
- *    entry recorded one -- must match bit-for-bit, or the runner
- *    panics.  Audit mode trades the cache's speed for an end-to-end
- *    proof that cached and fresh results agree.
+ *    entry recorded one -- must match bit-for-bit.  A mismatch fails
+ *    the run: runPlan() panics; a shard worker reports it, and the
+ *    supervisor records the point as an audit failure (a gap that is
+ *    never retried), which batch and submit turn into exit status 1.
+ *    Audit mode trades the cache's speed for an end-to-end proof that
+ *    cached and fresh results agree.
  *
  * Every spec is executed with its registry workload
  * (makeWorkload(spec.workload)), and every registry workload has a
@@ -223,7 +226,8 @@ struct ShardRunStats
     uint64_t retries = 0;   ///< point re-assignments after a worker died
     uint64_t crashes = 0;   ///< worker deaths (non-zero exit or signal)
     uint64_t timeouts = 0;  ///< workers killed for exceeding the timeout
-    uint64_t gaps = 0;      ///< points abandoned after maxRetries
+    uint64_t gaps = 0;      ///< points abandoned (retries or audit)
+    uint64_t auditFailures = 0; ///< gaps whose cache hit failed audit
     uint64_t workerCacheHits = 0; ///< cache hits reported by workers
 
     /** One-line human summary ("N from journal, M executed, ..."). */

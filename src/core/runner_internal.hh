@@ -38,14 +38,21 @@ struct ResolvedPoint
 
     /** A hit re-simulated under audit; `result` is the fresh run. */
     bool validated = false;
+
+    /**
+     * Under audit, why the hit disagreed with the fresh run; empty
+     * when it agreed.  A disagreeing fresh result is not stored.
+     */
+    std::string disagreement;
 };
 
 /**
  * The one point executor behind runPlan() and the shard worker: look
  * `digest` up in `cache` (null: no cache), simulate on a miss, and
  * store the fresh result.  Under audit (`audit` or MCSCOPE_AUDIT) a
- * hit is re-simulated and must agree with the fresh run bit for bit,
- * or the process panics.
+ * hit is re-simulated and must agree with the fresh run bit for bit;
+ * when it does not, the point says why in `disagreement`, and the
+ * caller fails the run: runPlan() panics, a shard worker reports it.
  */
 ResolvedPoint resolvePoint(const ScenarioSpec &spec,
                            const Workload &workload, uint64_t digest,

@@ -30,6 +30,8 @@ ShardRunStats::summary() const
     if (workerCacheHits)
         out += ", " + std::to_string(workerCacheHits) +
                " worker cache hits";
+    if (auditFailures)
+        out += ", " + std::to_string(auditFailures) + " audit failures";
     return out;
 }
 
@@ -270,9 +272,10 @@ struct ShardExecutor::Impl
     {
         const JsonValue *idx = doc.find("index");
         const JsonValue *res = doc.find("result");
+        const JsonValue *audit = doc.find("audit_failure");
         std::optional<size_t> index =
             idx ? jsonInteger<size_t>(*idx) : std::nullopt;
-        if (!index || !res) {
+        if (!index || !(res || (audit && audit->isString()))) {
             warn("supervisor: malformed worker record ignored");
             return;
         }
@@ -281,13 +284,16 @@ struct ShardExecutor::Impl
             warn("supervisor: unexpected record for spec ", i);
             return;
         }
-        std::optional<RunResult> r = parseRunResult(*res, digests[i]);
-        if (!r) {
-            // Ignored, so the point stays owed; the channel's death
-            // will trigger the retry path.
-            warn("supervisor: corrupt record for spec ", i,
-                 "; the point will be retried");
-            return;
+        std::optional<RunResult> r;
+        if (res) {
+            r = parseRunResult(*res, digests[i]);
+            if (!r) {
+                // Ignored, so the point stays owed; the channel's
+                // death will trigger the retry path.
+                warn("supervisor: corrupt record for spec ", i,
+                     "; the point will be retried");
+                return;
+            }
         }
         auto it = std::find(ch.owed.begin(), ch.owed.end(), i);
         if (it == ch.owed.end()) {
@@ -298,6 +304,17 @@ struct ShardExecutor::Impl
         ch.owed.erase(it);
         done[i] = true;
         ++doneCount;
+        ch.lastProgress = Clock::now();
+        if (!r) {
+            // The worker's cache disagrees with a fresh run of the
+            // point.  That is deterministic, so a retry would only
+            // repeat it: the point becomes a gap that fails the run.
+            warn("point ", i, " failed audit validation on ", ch.peer,
+                 ": ", audit->asString());
+            ++out.shard.gaps;
+            ++out.shard.auditFailures;
+            return;
+        }
         out.bySpec[i] = *r;
         double wall = 0.0;
         if (const JsonValue *w = doc.find("wall_seconds");
@@ -306,7 +323,6 @@ struct ShardExecutor::Impl
         out.specWallSeconds[i] = wall;
         ch.busySeconds += wall;
         ++ch.points;
-        ch.lastProgress = Clock::now();
         ++out.shard.executed;
         // Write-ahead guarantee: the record is durable before the
         // sweep counts the point as complete.

@@ -193,9 +193,10 @@ class ShardWorkerContext
 
     /**
      * Execute one point (fault hooks first, then resolvePoint()) and
-     * build its record document; counts a point served without
-     * simulating in `cache_hits`.  May not return at all when a
-     * crash/hang fault matches -- that is the point.
+     * build its record document, or an `audit_failure` document when
+     * an audited hit disagreed with its fresh run; counts a point
+     * served without simulating in `cache_hits`.  May not return at
+     * all when a crash/hang fault matches -- that is the point.
      */
     JsonValue executePoint(const ManifestPoint &pt, bool audit,
                            uint64_t *cache_hits)
@@ -226,6 +227,10 @@ class ShardWorkerContext
         JsonValue rec = JsonValue::object();
         rec.set("index",
                 JsonValue::number(static_cast<double>(pt.index)));
+        if (!point.disagreement.empty()) {
+            rec.set("audit_failure", JsonValue::str(point.disagreement));
+            return rec;
+        }
         rec.set("wall_seconds",
                 JsonValue::number(secondsSince(start)));
         rec.set("result", runResultToJson(digest, point.result));

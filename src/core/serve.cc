@@ -299,6 +299,9 @@ runServe(const ServeOptions &opts, std::ostream &out)
                                       results.shard.timeouts)));
             stats.set("gaps", JsonValue::number(
                                   static_cast<double>(results.shard.gaps)));
+            stats.set("audit_failures",
+                      JsonValue::number(static_cast<double>(
+                          results.shard.auditFailures)));
             stats.set("worker_cache_hits",
                       JsonValue::number(static_cast<double>(
                           results.shard.workerCacheHits)));
@@ -666,6 +669,7 @@ runSubmit(const SubmitOptions &opts, std::ostream &out)
                 results.shard.crashes = num("crashes");
                 results.shard.timeouts = num("timeouts");
                 results.shard.gaps = num("gaps");
+                results.shard.auditFailures = num("audit_failures");
                 results.shard.workerCacheHits =
                     num("worker_cache_hits");
             }
@@ -679,6 +683,11 @@ runSubmit(const SubmitOptions &opts, std::ostream &out)
     }
     ::close(fd);
 
+    if (results.shard.auditFailures) {
+        out << "submit: " << results.shard.auditFailures
+            << " point(s) failed audit validation\n";
+        return 1;
+    }
     renderBatchResults(*plan, results, opts.csv, out);
     if (opts.cacheStats)
         out << "journal: " << results.shard.summary() << "\n";

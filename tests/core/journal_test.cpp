@@ -495,11 +495,11 @@ TEST(ShardWorker, ManifestWithOutOfRangeIndexIsRejected)
     }
 }
 
-TEST(ShardWorkerDeathTest, AuditedManifestValidatesCachedRecords)
+TEST(ShardWorker, AuditedManifestReportsDisagreeingCachedRecord)
 {
     // The worker's cache holds a record with the right digest and the
     // wrong number.  An audited manifest must re-simulate the hit and
-    // refuse it, never answer with the cached number.
+    // report the disagreement, never answer with the cached number.
     TempDir dir("worker_audit");
     const SweepPlan plan = onePointPlan();
     ResultCache(dir.path()).store(plan.digests()[0],
@@ -515,15 +515,70 @@ TEST(ShardWorkerDeathTest, AuditedManifestValidatesCachedRecords)
     manifest.set("cache_dir", JsonValue::str(dir.path()));
     manifest.set("points", std::move(points));
 
-    auto serveManifest = [&] {
-        int sv[2];
-        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0 ||
-            !writeFrame(sv[1], manifest.dump()))
-            return;
-        ::shutdown(sv[1], SHUT_WR);
-        runFramedShardWorker(sv[0], sv[0]);
-    };
-    EXPECT_DEATH(serveManifest(), "disagrees with fresh simulation");
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    ASSERT_TRUE(writeFrame(sv[1], manifest.dump()));
+    ::shutdown(sv[1], SHUT_WR);
+    EXPECT_EQ(runFramedShardWorker(sv[0], sv[0]), 0);
+    ::close(sv[0]);
+
+    std::optional<std::string> frame = readFrame(sv[1]);
+    ASSERT_TRUE(frame);
+    std::optional<JsonValue> rec = parseJson(*frame);
+    ASSERT_TRUE(rec) << *frame;
+    EXPECT_FALSE(rec->find("result")) << *frame;
+    const JsonValue *why = rec->find("audit_failure");
+    ASSERT_TRUE(why && why->isString()) << *frame;
+    EXPECT_NE(why->asString().find("disagrees with fresh simulation"),
+              std::string::npos)
+        << *frame;
+    frame = readFrame(sv[1]); // the done frame: nothing served cached
+    ASSERT_TRUE(frame);
+    EXPECT_NE(frame->find("\"cache_hits\":0"), std::string::npos)
+        << *frame;
+    ::close(sv[1]);
+
+    // The suspect record is left as it is, not stored over.
+    std::optional<ResultCache::Hit> kept =
+        ResultCache(dir.path()).lookup(plan.digests()[0]);
+    ASSERT_TRUE(kept);
+    EXPECT_EQ(kept->result.seconds, 12345.0);
+}
+
+TEST(ShardExecutor, AuditFailureIsAGapThatIsNotRetried)
+{
+    const SweepPlan plan = onePointPlan();
+    ShardOptions opts;
+    opts.shards = 0; // one fake remote worker
+    opts.backoffSeconds = 0.0;
+    ShardExecutor ex(plan, opts);
+    std::vector<pollfd> no_fds;
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+    ex.attachRemote(sv[0], "fake");
+    ex.pollOnce(10, no_fds);
+    ASSERT_TRUE(readFrame(sv[1])); // the manifest
+    ASSERT_TRUE(writeFrame(sv[1], R"({"index":0,"audit_failure":"cache )"
+                                  R"(entry disagrees with fresh simulation"})"));
+    ASSERT_TRUE(writeFrame(sv[1], R"({"done":true,"cache_hits":0})"));
+    ::testing::internal::CaptureStderr();
+    for (int k = 0; k < 20 && !ex.finished(); ++k)
+        ex.pollOnce(10, no_fds);
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    ::close(sv[1]);
+    ASSERT_TRUE(ex.finished());
+    EXPECT_NE(warnings.find("failed audit validation on fake"),
+              std::string::npos)
+        << warnings;
+    PlanResults got = ex.take();
+    EXPECT_FALSE(got.bySpec[0].valid);
+    EXPECT_EQ(got.shard.gaps, 1u);
+    EXPECT_EQ(got.shard.auditFailures, 1u);
+    EXPECT_EQ(got.shard.retries, 0u);
+    EXPECT_EQ(got.shard.executed, 0u);
+    EXPECT_NE(got.shard.summary().find("1 audit failures"),
+              std::string::npos)
+        << got.shard.summary();
 }
 
 TEST(ShardExecutor, OutOfRangeRecordNumbersAreIgnored)

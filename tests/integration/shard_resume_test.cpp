@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -244,6 +245,45 @@ TEST(ShardResume, WarmCacheDirServesEveryPointFromWorkers)
                   std::string::npos)
             << warm_stats;
     }
+}
+
+TEST(ShardResume, AuditedBatchFailsOnDisagreeingCachedRecord)
+{
+    TempDir dir("shard_resume_audit");
+    const std::string spec = writeSpec(dir);
+    const std::string cache = dir.file("cache");
+    ToolRun cold = runTool(
+        {"batch", spec, "--csv", "--shards", "1", "--cache-dir", cache});
+    ASSERT_EQ(cold.exit, 0) << cold.out;
+
+    // Plant a wrong number in one valid record: right digest, other
+    // seconds.
+    const std::string file = cache + "/results.jsonl";
+    std::string text;
+    {
+        std::ifstream in(file);
+        text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const size_t valid = text.find("\"valid\":true");
+    ASSERT_NE(valid, std::string::npos) << text;
+    const size_t at = text.find("\"seconds\":", valid);
+    const size_t end = text.find(',', at);
+    ASSERT_NE(end, std::string::npos) << text;
+    text.replace(at, end - at, "\"seconds\":1.5");
+    std::ofstream(file, std::ios::trunc) << text;
+
+    // The audited worker re-simulates the hit and disagrees; the
+    // point is not retried, and the run fails instead of printing a
+    // table with a gap in it.
+    ToolRun audited = runTool({"batch", spec, "--csv", "--shards", "1",
+                               "--audit", "--cache-dir", cache,
+                               "--cache-stats"});
+    EXPECT_EQ(audited.exit, 1) << audited.out;
+    EXPECT_NE(audited.out.find("batch: 1 point(s) failed audit validation"),
+              std::string::npos)
+        << audited.out;
+    const std::string header = cold.out.substr(0, cold.out.find('\n'));
+    EXPECT_EQ(audited.out.find(header), std::string::npos) << audited.out;
 }
 
 TEST(ShardResume, RefusesToOverwriteJournalWithoutResume)
