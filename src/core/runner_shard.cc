@@ -361,29 +361,11 @@ struct ShardExecutor::Impl
     /** Drain readable bytes; false once the channel reached EOF. */
     bool drainChannel(Channel &ch)
     {
-        if (ch.proc) {
-            std::string bytes;
-            const bool open = ch.proc->readAvailable(bytes);
-            ch.frames.append(bytes);
-            return open;
-        }
-        if (ch.fd < 0)
-            return false;
-        char chunk[4096];
-        for (;;) {
-            ssize_t r = ::read(ch.fd, chunk, sizeof(chunk));
-            if (r > 0) {
-                ch.frames.append(chunk, static_cast<size_t>(r));
-                continue;
-            }
-            if (r == 0)
-                return false;
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                return true;
-            return false; // dead socket
-        }
+        std::string bytes;
+        const bool open = ch.proc ? ch.proc->readAvailable(bytes)
+                                  : ch.fd >= 0 && drainFd(ch.fd, &bytes);
+        ch.frames.append(bytes);
+        return open;
     }
 
     void processFrames(Channel &ch)

@@ -36,50 +36,6 @@ setNonBlocking(int fd)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/**
- * Drain and discard readable bytes (used for fds whose peer should
- * not be talking: parked workers, submit clients past their hello).
- * Returns false once the peer hung up or the socket died.
- */
-bool
-drainIgnore(int fd)
-{
-    char buf[4096];
-    for (;;) {
-        ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r > 0)
-            continue;
-        if (r == 0)
-            return false;
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return true;
-        return false;
-    }
-}
-
-/** Drain readable bytes into a FrameBuffer; false on EOF/error. */
-bool
-drainInto(int fd, FrameBuffer &frames)
-{
-    char buf[4096];
-    for (;;) {
-        ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r > 0) {
-            frames.append(buf, static_cast<size_t>(r));
-            continue;
-        }
-        if (r == 0)
-            return false;
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return true;
-        return false;
-    }
-}
-
 JsonValue
 errorFrame(const std::string &message)
 {
@@ -449,7 +405,9 @@ runServe(const ServeOptions &opts, std::ostream &out)
               }
               case Kind::Pending: {
                 PendingPeer &peer = pending[refs[k].index];
-                const bool open = drainInto(peer.fd, peer.frames);
+                std::string bytes;
+                const bool open = drainFd(peer.fd, &bytes);
+                peer.frames.append(bytes);
                 if (std::optional<std::string> hello =
                         peer.frames.next()) {
                     classifyPeer(peer, *hello);
@@ -461,7 +419,8 @@ runServe(const ServeOptions &opts, std::ostream &out)
               }
               case Kind::Parked: {
                 ParkedWorker &w = parked[refs[k].index];
-                if (!drainIgnore(w.fd)) {
+                // A parked worker has nothing to say; drop its bytes.
+                if (!drainFd(w.fd, nullptr)) {
                     ::close(w.fd);
                     w.fd = -1;
                 }
@@ -472,7 +431,7 @@ runServe(const ServeOptions &opts, std::ostream &out)
                 // are discarded, EOF means it lost interest.  The
                 // batch keeps running either way -- its results feed
                 // the shared journal.
-                if (!drainIgnore(active->client.fd))
+                if (!drainFd(active->client.fd, nullptr))
                     closeClient(active->client);
                 break;
               }

@@ -149,28 +149,13 @@ Subprocess::readAvailable(std::string &buf)
 {
     if (out_fd_ < 0)
         return false;
-    char chunk[4096];
-    for (;;) {
-        ssize_t n = ::read(out_fd_, chunk, sizeof(chunk));
-        if (n > 0) {
-            buf.append(chunk, static_cast<size_t>(n));
-            continue;
-        }
-        if (n == 0) {
-            ::close(out_fd_);
-            out_fd_ = -1;
-            return false;
-        }
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return true; // nothing more right now, pipe still open
-        // Any other errno is a dead pipe: close it so the caller
-        // runs the death/retry path instead of polling forever.
-        ::close(out_fd_);
-        out_fd_ = -1;
-        return false;
-    }
+    if (drainFd(out_fd_, &buf))
+        return true; // nothing more right now, pipe still open
+    // EOF, or a dead pipe: close it so the caller runs the
+    // death/retry path instead of polling forever.
+    ::close(out_fd_);
+    out_fd_ = -1;
+    return false;
 }
 
 bool

@@ -198,6 +198,23 @@ FrameBuffer::next()
     return payload;
 }
 
+bool
+drainFd(int fd, std::string *into)
+{
+    char chunk[4096];
+    for (;;) {
+        const ssize_t r = ::read(fd, chunk, sizeof(chunk));
+        if (r > 0) {
+            if (into)
+                into->append(chunk, static_cast<size_t>(r));
+            continue;
+        }
+        if (r < 0 && errno == EINTR)
+            continue;
+        return r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    }
+}
+
 int
 pollTimeoutBefore(int timeout_ms, std::chrono::steady_clock::time_point now,
                   std::chrono::steady_clock::time_point when)

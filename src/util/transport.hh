@@ -115,6 +115,14 @@ class FrameBuffer
 };
 
 /**
+ * Read a non-blocking fd until it would block, appending the bytes to
+ * `into` (null: discard them).  True while the fd is open with nothing
+ * more to read right now; false once the peer hung up or the read
+ * failed.
+ */
+bool drainFd(int fd, std::string *into);
+
+/**
  * A poll(2) timeout that also ends the wait by `when`: the smaller of
  * `timeout_ms` and the milliseconds from `now` to `when`, rounded up
  * (at least 1, so a deadline never turns the poll into a spin).
