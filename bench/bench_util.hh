@@ -1,9 +1,10 @@
 /**
  * @file
  * Shared helpers for the paper-reproduction bench binaries: banner
- * printing, standard sweeps, and common option sets.  Every binary in
- * bench/ regenerates one figure or table of the paper and prints the
- * same rows/series the paper reports.
+ * printing and common option sets.  Every binary in bench/ regenerates
+ * one figure of the paper (or an extension beyond it) and prints the
+ * same rows/series the paper reports; the tables are batch specs
+ * under examples/paper/.
  */
 
 #ifndef MCSCOPE_BENCH_BENCH_UTIL_HH
@@ -14,12 +15,9 @@
 
 #include "core/experiment.hh"
 #include "core/metrics.hh"
-#include "core/plan.hh"
-#include "core/report.hh"
 #include "core/runner.hh"
 #include "machine/config.hh"
 #include "util/str.hh"
-#include "util/table.hh"
 
 namespace mcscope {
 namespace bench {
@@ -74,71 +72,6 @@ run(const MachineConfig &machine, const NumactlOption &option, int ranks,
     cfg.impl = impl;
     cfg.sublayer = sublayer;
     return runExperiment(cfg, workload);
-}
-
-/** One row-group of a combined option-sweep table. */
-struct SweepRow
-{
-    std::string workload; ///< registry name (core/registry.hh)
-    std::string label;    ///< row label the paper uses ("CG", "FFT")
-};
-
-/**
- * Expand (workloads x ranks x Table 5 options) on one machine preset
- * through the scenario pipeline, execute it (sharing the process
- * result cache with every other sweep in the binary), and print the
- * combined table with one separated row-group per workload --
- * the Tables 2/3 layout.  Returns the per-workload (rank x option)
- * slices in row order so callers can compute observation ratios.
- */
-inline std::vector<OptionSweepResult>
-printPlannedSweep(const std::string &machine_preset,
-                  const std::vector<SweepRow> &rows,
-                  const std::vector<int> &ranks,
-                  const std::string &header_label = "Kernel",
-                  int precision = 2)
-{
-    SweepAxes axes;
-    axes.machinePreset = machine_preset;
-    for (const SweepRow &row : rows)
-        axes.workloads.push_back(row.workload);
-    axes.rankCounts = ranks;
-    SweepPlan plan = SweepPlan::expand(axes);
-    RunnerOptions opts;
-    PlanResults results = runPlan(plan, opts);
-
-    TextTable t(optionSweepHeader(header_label));
-    std::vector<OptionSweepResult> slices;
-    for (size_t w = 0; w < rows.size(); ++w) {
-        if (w > 0)
-            t.addSeparator();
-        OptionSweepResult slice =
-            optionSweepSlice(plan, results, w, 0, 0);
-        appendOptionSweepRows(t, slice, rows[w].label, precision);
-        slices.push_back(std::move(slice));
-    }
-    t.print(std::cout);
-    return slices;
-}
-
-/**
- * Print the standard option-sweep table (Tables 2/3/7/9/11/13/14
- * layout) for one registry workload on one machine.
- */
-inline void
-printOptionSweep(const MachineConfig &machine,
-                 const std::vector<int> &rank_counts,
-                 const std::string &workload,
-                 const std::string &row_label, int tag = -1,
-                 int precision = 2)
-{
-    OptionSweepResult sweep =
-        sweepOptions(machine, rank_counts, workload, tag);
-    TextTable t(optionSweepHeader("Workload"));
-    appendOptionSweepRows(t, sweep, row_label, precision);
-    std::cout << machine.name << ":\n";
-    t.print(std::cout);
-    std::cout << "\n";
 }
 
 } // namespace bench

@@ -129,20 +129,19 @@ struct CliFlags
     std::optional<CoherenceMode> coherence;
     bool detail = false;
     bool csv = false;
-    bool audit = false;
     int jobs = defaultJobs();
     std::string traceOut;
     std::string timelineOut;
     int timelineBuckets = 0;
     std::string telemetryOut;
-    std::string cacheDir;
     bool cacheStats = false;
     int shards = 0; // 0 = in-process runPlan path
-    std::string journal;
-    std::string resume;
-    double pointTimeout = 0.0;
-    int maxRetries = 2;
-    double backoff = 0.05;
+    /**
+     * --journal, --resume, --cache-dir, --audit, --point-timeout,
+     * --max-retries and --backoff.  --shards is `shards` above, since
+     * 0 means in process here; `shard.shards` is unused.
+     */
+    ShardOptions shard;
     std::string error;
 };
 
@@ -159,6 +158,49 @@ parseSeconds(const std::string &s)
         !std::isfinite(v) || v < 0.0)
         return std::numeric_limits<double>::quiet_NaN();
     return v;
+}
+
+/**
+ * Parse `a` if it is one of the flags `batch` and `serve` share
+ * (--journal, --cache-dir, --audit, --point-timeout, --max-retries,
+ * --backoff) into `sh`, taking its value from `next()`.  Returns false
+ * for any other flag; sets `error` on a bad value.
+ */
+template <typename Next>
+bool
+parseShardFlag(const std::string &a, Next &&next, ShardOptions &sh,
+               std::string &error)
+{
+    if (a == "--journal") {
+        sh.journalPath = next();
+        if (sh.journalPath.empty())
+            error = "--journal needs a file name";
+    } else if (a == "--cache-dir") {
+        sh.cacheDir = next();
+        if (sh.cacheDir.empty())
+            error = "--cache-dir needs a directory";
+    } else if (a == "--audit") {
+        sh.audit = true;
+    } else if (a == "--point-timeout") {
+        std::string v = next();
+        sh.pointTimeoutSeconds = parseSeconds(v);
+        if (std::isnan(sh.pointTimeoutSeconds) ||
+            sh.pointTimeoutSeconds <= 0.0)
+            error = "bad --point-timeout value '" + v + "'";
+    } else if (a == "--max-retries") {
+        std::string v = next();
+        sh.maxRetries = parseDigits(v);
+        if (sh.maxRetries < 0)
+            error = "bad --max-retries value '" + v + "'";
+    } else if (a == "--backoff") {
+        std::string v = next();
+        sh.backoffSeconds = parseSeconds(v);
+        if (std::isnan(sh.backoffSeconds))
+            error = "bad --backoff value '" + v + "'";
+    } else {
+        return false;
+    }
+    return true;
 }
 
 CliFlags
@@ -246,12 +288,6 @@ parseFlags(const std::vector<std::string> &args, size_t start)
                 f.error = "--telemetry-out needs a file name";
                 return f;
             }
-        } else if (a == "--cache-dir") {
-            f.cacheDir = next();
-            if (f.cacheDir.empty()) {
-                f.error = "--cache-dir needs a directory";
-                return f;
-            }
         } else if (a == "--cache-stats") {
             f.cacheStats = true;
         } else if (a == "--shards") {
@@ -261,43 +297,17 @@ parseFlags(const std::vector<std::string> &args, size_t start)
                 f.error = "bad --shards value '" + v + "'";
                 return f;
             }
-        } else if (a == "--journal") {
-            f.journal = next();
-            if (f.journal.empty()) {
-                f.error = "--journal needs a file name";
-                return f;
-            }
         } else if (a == "--resume") {
-            f.resume = next();
-            if (f.resume.empty()) {
+            f.shard.resumeFrom = next();
+            if (f.shard.resumeFrom.empty()) {
                 f.error = "--resume needs a journal file";
                 return f;
             }
-        } else if (a == "--point-timeout") {
-            std::string v = next();
-            f.pointTimeout = parseSeconds(v);
-            if (std::isnan(f.pointTimeout) || f.pointTimeout <= 0.0) {
-                f.error = "bad --point-timeout value '" + v + "'";
+        } else if (parseShardFlag(a, next, f.shard, f.error)) {
+            if (!f.error.empty())
                 return f;
-            }
-        } else if (a == "--max-retries") {
-            std::string v = next();
-            f.maxRetries = parseDigits(v);
-            if (f.maxRetries < 0) {
-                f.error = "bad --max-retries value '" + v + "'";
-                return f;
-            }
-        } else if (a == "--backoff") {
-            std::string v = next();
-            f.backoff = parseSeconds(v);
-            if (std::isnan(f.backoff)) {
-                f.error = "bad --backoff value '" + v + "'";
-                return f;
-            }
         } else if (a == "--detail") {
             f.detail = true;
-        } else if (a == "--audit") {
-            f.audit = true;
         } else if (a == "--csv") {
             f.csv = true;
         } else {
@@ -335,11 +345,11 @@ runFlagPlan(const SweepPlan &plan, const CliFlags &f,
 {
     RunnerOptions opts;
     opts.jobs = f.jobs;
-    opts.audit = f.audit;
+    opts.audit = f.shard.audit;
     opts.telemetry = wantsTelemetry(f) ? &telemetry : nullptr;
     std::optional<ResultCache> disk_cache;
-    if (!f.cacheDir.empty())
-        opts.cache = &disk_cache.emplace(f.cacheDir);
+    if (!f.shard.cacheDir.empty())
+        opts.cache = &disk_cache.emplace(f.shard.cacheDir);
     return runPlan(plan, opts);
 }
 
@@ -563,7 +573,7 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out)
     cfg.ranks = ranks;
     cfg.impl = f.impl;
     cfg.sublayer = f.sublayer;
-    cfg.audit = f.audit;
+    cfg.audit = f.shard.audit;
     // --timeline-out implies sampling; --timeline-buckets alone also
     // turns it on (the table shows under --detail).
     if (f.timelineBuckets > 0)
@@ -837,24 +847,17 @@ cmdBatch(const std::vector<std::string> &args, std::ostream &out)
     }
 
     SweepTelemetry telemetry;
-    const bool sharded =
-        f.shards > 0 || !f.journal.empty() || !f.resume.empty();
+    const bool sharded = f.shards > 0 || !f.shard.journalPath.empty() ||
+                         !f.shard.resumeFrom.empty();
     PlanResults results;
     if (sharded) {
-        ShardOptions sh;
+        ShardOptions sh = f.shard;
         sh.shards = f.shards > 0 ? f.shards : 1;
-        sh.pointTimeoutSeconds = f.pointTimeout;
-        sh.maxRetries = f.maxRetries;
-        sh.backoffSeconds = f.backoff;
-        sh.audit = f.audit;
-        sh.cacheDir = f.cacheDir;
-        if (sh.cacheDir.empty()) {
-            if (const char *env = std::getenv("MCSCOPE_CACHE_DIR"))
-                sh.cacheDir = env;
-        }
-        sh.resumeFrom = f.resume;
-        sh.journalPath = !f.journal.empty() ? f.journal : f.resume;
-        if (!sh.journalPath.empty() && sh.journalPath != f.resume) {
+        if (sh.cacheDir.empty())
+            sh.cacheDir = envCacheDir();
+        if (sh.journalPath.empty())
+            sh.journalPath = sh.resumeFrom;
+        if (!sh.journalPath.empty() && sh.journalPath != sh.resumeFrom) {
             // A run must not silently append behind records it is not
             // resuming from; continuing an existing journal is what
             // --resume <journal> is for.
@@ -919,6 +922,7 @@ int
 cmdServe(const std::vector<std::string> &args, std::ostream &out)
 {
     ServeOptions o;
+    std::string error;
     for (size_t i = 1; i < args.size(); ++i) {
         const std::string &a = args[i];
         auto next = [&]() -> std::string {
@@ -941,8 +945,8 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
             }
         } else if (a == "--shards") {
             std::string v = next();
-            o.shards = parseDigits(v);
-            if (o.shards < 0) {
+            o.shard.shards = parseDigits(v);
+            if (o.shard.shards < 0) {
                 out << "serve: bad --shards value '" << v << "'\n";
                 return 2;
             }
@@ -955,42 +959,9 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
                 return 2;
             }
             o.maxBatches = static_cast<uint64_t>(n);
-        } else if (a == "--journal") {
-            o.journalPath = next();
-            if (o.journalPath.empty()) {
-                out << "serve: --journal needs a file name\n";
-                return 2;
-            }
-        } else if (a == "--cache-dir") {
-            o.cacheDir = next();
-            if (o.cacheDir.empty()) {
-                out << "serve: --cache-dir needs a directory\n";
-                return 2;
-            }
-        } else if (a == "--audit") {
-            o.audit = true;
-        } else if (a == "--point-timeout") {
-            std::string v = next();
-            o.pointTimeoutSeconds = parseSeconds(v);
-            if (std::isnan(o.pointTimeoutSeconds) ||
-                o.pointTimeoutSeconds <= 0.0) {
-                out << "serve: bad --point-timeout value '" << v
-                    << "'\n";
-                return 2;
-            }
-        } else if (a == "--max-retries") {
-            std::string v = next();
-            o.maxRetries = parseDigits(v);
-            if (o.maxRetries < 0) {
-                out << "serve: bad --max-retries value '" << v
-                    << "'\n";
-                return 2;
-            }
-        } else if (a == "--backoff") {
-            std::string v = next();
-            o.backoffSeconds = parseSeconds(v);
-            if (std::isnan(o.backoffSeconds)) {
-                out << "serve: bad --backoff value '" << v << "'\n";
+        } else if (parseShardFlag(a, next, o.shard, error)) {
+            if (!error.empty()) {
+                out << "serve: " << error << "\n";
                 return 2;
             }
         } else {
@@ -998,10 +969,8 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
             return 2;
         }
     }
-    if (o.cacheDir.empty()) {
-        if (const char *env = std::getenv("MCSCOPE_CACHE_DIR"))
-            o.cacheDir = env;
-    }
+    if (o.shard.cacheDir.empty())
+        o.shard.cacheDir = envCacheDir();
     return runServe(o, out);
 }
 

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "core/registry.hh"
+#include "kernels/workload.hh"
 #include "machine/registry.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
@@ -17,6 +18,19 @@ setError(std::string *err, const std::string &msg)
     if (err)
         *err = msg;
     return false;
+}
+
+/** Work tag of a batch spec "phase" name; -1 for any other name. */
+int
+phaseTagByName(const std::string &phase)
+{
+    if (phase == "fft")
+        return tags::kFft;
+    if (phase == "baroclinic")
+        return tags::kBaroclinic;
+    if (phase == "barotropic")
+        return tags::kBarotropic;
+    return -1;
 }
 
 /** Apply the documented defaults to unset axes. */
@@ -71,6 +85,12 @@ cappedPointCount(const SweepAxes &full)
 }
 
 } // namespace
+
+int
+SweepAxes::phaseTag() const
+{
+    return phaseTagByName(phase);
+}
 
 MachineConfig
 SweepAxes::resolvedMachine() const
@@ -423,6 +443,15 @@ SweepPlan::fromJson(const JsonValue &doc, std::string *error)
                 return std::nullopt;
             }
             axes.latencyNoise = v.asNumber();
+        } else if (key == "phase") {
+            const std::string token = v.isString() ? v.asString() : "";
+            if (phaseTagByName(token) < 0) {
+                setError(error, "unknown phase '" + v.dump() +
+                                    "' (have: fft, baroclinic, "
+                                    "barotropic)");
+                return std::nullopt;
+            }
+            axes.phase = token;
         } else {
             setError(error, "unknown batch spec key '" + key + "'");
             return std::nullopt;

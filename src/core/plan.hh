@@ -92,6 +92,17 @@ struct SweepAxes
     double latencyNoise = 1.0;
 
     /**
+     * Phase the rendered cells report ("fft", "baroclinic" or
+     * "barotropic"); empty reports each point's makespan.  Only a
+     * view of the results: no spec carries it, so it changes no
+     * canonical text, digest or record.
+     */
+    std::string phase;
+
+    /** Work tag behind `phase` (kernels/workload.hh), -1 when empty. */
+    int phaseTag() const;
+
+    /**
      * The machine config the axes describe (preset resolved).  With a
      * machines axis this is the first entry; per-variant configs come
      * from variantMachine().
@@ -145,7 +156,8 @@ class SweepPlan
      *     "options": [0, "membind"],          // default: all six
      *     "impls": ["openmpi"],               // default
      *     "sublayers": ["usysv"],             // default
-     *     "latency_noise": 1.0                // default
+     *     "latency_noise": 1.0,               // default
+     *     "phase": "fft"                      // default: makespan
      *   }
      *
      * Returns nullopt and sets `error` on malformed input; unknown

@@ -36,11 +36,15 @@ renderBatchResults(const SweepPlan &plan, const PlanResults &results,
     const bool tag_sublayer = axes.sublayers.size() > 1;
     const bool tag_variant = !axes.directoryEntries.empty();
     const bool tag_machine = !axes.machines.empty();
+    const bool tag_phase = !axes.phase.empty();
+    const int tag = axes.phaseTag();
     auto variantTag = [&](size_t m) {
         return "dir=" + formatFixed(axes.directoryEntries[m], 0);
     };
     auto rowLabel = [&](size_t w, size_t i, size_t s, size_t m) {
         std::string label = axes.workloads[w];
+        if (tag_phase)
+            label += " [" + axes.phase + "]";
         if (tag_impl)
             label += " [" + implToken(axes.impls[i]) + "]";
         if (tag_sublayer)
@@ -61,6 +65,8 @@ renderBatchResults(const SweepPlan &plan, const PlanResults &results,
         std::vector<std::string> header = {"machine", "workload",
                                            "impl", "sublayer",
                                            "ranks"};
+        if (tag_phase)
+            header.insert(header.begin() + 2, "phase");
         if (tag_variant)
             header.insert(header.begin() + 1, "directory_entries");
         for (const NumactlOption &o : axes.options)
@@ -71,7 +77,7 @@ renderBatchResults(const SweepPlan &plan, const PlanResults &results,
             for (size_t i = 0; i < axes.impls.size(); ++i) {
                 for (size_t s = 0; s < axes.sublayers.size(); ++s) {
                     OptionSweepResult slice =
-                        optionSweepSlice(plan, results, w, i, s, -1, m);
+                        optionSweepSlice(plan, results, w, i, s, tag, m);
                     // Per-variant machine name: a zoo sweep carries
                     // its machine in the first column.
                     const std::string machine_name =
@@ -86,6 +92,8 @@ renderBatchResults(const SweepPlan &plan, const PlanResults &results,
                                 ? "sysv"
                                 : "usysv",
                             std::to_string(slice.rankCounts[r])};
+                        if (tag_phase)
+                            row.insert(row.begin() + 2, axes.phase);
                         if (tag_variant) {
                             row.insert(
                                 row.begin() + 1,
@@ -124,7 +132,7 @@ renderBatchResults(const SweepPlan &plan, const PlanResults &results,
                     first = false;
                     appendOptionSweepRows(
                         t,
-                        optionSweepSlice(plan, results, w, i, s, -1, m),
+                        optionSweepSlice(plan, results, w, i, s, tag, m),
                         rowLabel(w, i, s, m));
                 }
             }

@@ -48,6 +48,8 @@ std::string implToken(MpiImpl impl);
  * Render an executed batch plan the way `mcscope batch` prints it:
  * the machine banner + per-(workload, impl, sublayer) option-sweep
  * table, or (csv) one flat CSV with a column per numactl option.
+ * With a spec "phase" every cell is that phase's time, not the
+ * makespan, and the CSV gains a `phase` column.
  * Shared by `mcscope batch` and `mcscope submit`, which must stay
  * byte-identical (tests/integration/serve_test.cpp holds them to it).
  */

@@ -133,9 +133,15 @@ class ResultCache
 };
 
 /**
+ * The MCSCOPE_CACHE_DIR environment variable: the on-disk cache
+ * directory used when no --cache-dir is given; "" when unset or empty.
+ */
+std::string envCacheDir();
+
+/**
  * The process-wide cache every sweep shares by default.  Memory-only
- * unless the MCSCOPE_CACHE_DIR environment variable names a
- * directory, in which case results also persist across processes.
+ * unless envCacheDir() names a directory, in which case results also
+ * persist across processes.
  */
 ResultCache &processCache();
 
@@ -232,6 +238,12 @@ struct ShardRunStats
 
     /** One-line human summary ("N from journal, M executed, ..."). */
     std::string summary() const;
+
+    /** The counters as the "stats" object of serve's done frame. */
+    JsonValue toJson() const;
+
+    /** Counters from a toJson() object; a missing or bad key reads 0. */
+    static ShardRunStats fromJson(const JsonValue &stats);
 };
 
 /** Results of one executed plan. */

@@ -235,14 +235,21 @@ ResultCache::stats() const
     return stats_;
 }
 
+std::string
+envCacheDir()
+{
+    const char *dir = std::getenv("MCSCOPE_CACHE_DIR");
+    return dir ? dir : "";
+}
+
 ResultCache &
 processCache()
 {
     // Leaked singleton: sweeps may run during static destruction of
     // test fixtures, so the cache must outlive everything.
     static ResultCache *cache = [] {
-        const char *dir = std::getenv("MCSCOPE_CACHE_DIR");
-        if (dir && *dir)
+        const std::string dir = envCacheDir();
+        if (!dir.empty())
             return new ResultCache(dir);
         return new ResultCache();
     }();

@@ -6,6 +6,7 @@
 #include <deque>
 #include <filesystem>
 #include <memory>
+#include <utility>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -17,6 +18,43 @@
 #include "util/transport.hh"
 
 namespace mcscope {
+
+namespace {
+
+/** Done-frame key of every ShardRunStats counter, in frame order. */
+constexpr std::pair<const char *, uint64_t ShardRunStats::*>
+    kShardStatKeys[] = {
+        {"journaled", &ShardRunStats::journaled},
+        {"executed", &ShardRunStats::executed},
+        {"retries", &ShardRunStats::retries},
+        {"crashes", &ShardRunStats::crashes},
+        {"timeouts", &ShardRunStats::timeouts},
+        {"gaps", &ShardRunStats::gaps},
+        {"audit_failures", &ShardRunStats::auditFailures},
+        {"worker_cache_hits", &ShardRunStats::workerCacheHits},
+};
+
+} // namespace
+
+JsonValue
+ShardRunStats::toJson() const
+{
+    JsonValue out = JsonValue::object();
+    for (const auto &[key, field] : kShardStatKeys)
+        out.set(key, JsonValue::number(static_cast<double>(this->*field)));
+    return out;
+}
+
+ShardRunStats
+ShardRunStats::fromJson(const JsonValue &stats)
+{
+    ShardRunStats out;
+    for (const auto &[key, field] : kShardStatKeys) {
+        const JsonValue *v = stats.find(key);
+        out.*field = v ? jsonInteger<uint64_t>(*v).value_or(0) : 0;
+    }
+    return out;
+}
 
 std::string
 ShardRunStats::summary() const

@@ -182,21 +182,13 @@ runServe(const ServeOptions &opts, std::ostream &out)
     // keeps every executed one.  With --journal it is the journal, so
     // the dedup also survives a restart.
     ResultCache store(
-        opts.journalPath.empty()
+        opts.shard.journalPath.empty()
             ? nullptr
-            : std::make_unique<SweepJournal>(opts.journalPath));
+            : std::make_unique<SweepJournal>(opts.shard.journalPath));
 
     out << "mcscope serve: listening on " << opts.host << ":"
         << listener->port << "\n";
     out.flush();
-
-    ShardOptions shard_opts;
-    shard_opts.shards = opts.shards;
-    shard_opts.pointTimeoutSeconds = opts.pointTimeoutSeconds;
-    shard_opts.maxRetries = opts.maxRetries;
-    shard_opts.backoffSeconds = opts.backoffSeconds;
-    shard_opts.audit = opts.audit;
-    shard_opts.cacheDir = opts.cacheDir;
 
     std::vector<PendingPeer> pending;
     std::vector<ParkedWorker> parked;
@@ -216,7 +208,7 @@ runServe(const ServeOptions &opts, std::ostream &out)
         batch->client.fd = next.clientFd;
         batch->streamed.assign(batch->plan->specs().size(), false);
         batch->ex =
-            std::make_unique<ShardExecutor>(*batch->plan, shard_opts, &store);
+            std::make_unique<ShardExecutor>(*batch->plan, opts.shard, &store);
         // Every parked worker joins the new batch's pool.
         for (ParkedWorker &w : parked)
             batch->ex->attachRemote(w.fd, w.peer);
@@ -242,28 +234,9 @@ runServe(const ServeOptions &opts, std::ostream &out)
             queueFrame(client, gap.dump(), now);
         }
         if (client.fd >= 0) {
-            JsonValue stats = JsonValue::object();
-            stats.set("journaled", JsonValue::number(static_cast<double>(
-                                       results.shard.journaled)));
-            stats.set("executed", JsonValue::number(static_cast<double>(
-                                      results.shard.executed)));
-            stats.set("retries", JsonValue::number(static_cast<double>(
-                                     results.shard.retries)));
-            stats.set("crashes", JsonValue::number(static_cast<double>(
-                                     results.shard.crashes)));
-            stats.set("timeouts", JsonValue::number(static_cast<double>(
-                                      results.shard.timeouts)));
-            stats.set("gaps", JsonValue::number(
-                                  static_cast<double>(results.shard.gaps)));
-            stats.set("audit_failures",
-                      JsonValue::number(static_cast<double>(
-                          results.shard.auditFailures)));
-            stats.set("worker_cache_hits",
-                      JsonValue::number(static_cast<double>(
-                          results.shard.workerCacheHits)));
             JsonValue done = JsonValue::object();
             done.set("type", JsonValue::str("done"));
-            done.set("stats", std::move(stats));
+            done.set("stats", results.shard.toJson());
             done.set("wall_seconds",
                      JsonValue::number(results.wallSeconds));
             queueFrame(client, done.dump(), now);
@@ -617,21 +590,8 @@ runSubmit(const SubmitOptions &opts, std::ostream &out)
             continue; // the cell stays an invalid RunResult
         if (kind == "done") {
             if (const JsonValue *stats = msg->find("stats");
-                stats && stats->isObject()) {
-                auto num = [&](const char *key) -> uint64_t {
-                    const JsonValue *v = stats->find(key);
-                    return v ? jsonInteger<uint64_t>(*v).value_or(0) : 0;
-                };
-                results.shard.journaled = num("journaled");
-                results.shard.executed = num("executed");
-                results.shard.retries = num("retries");
-                results.shard.crashes = num("crashes");
-                results.shard.timeouts = num("timeouts");
-                results.shard.gaps = num("gaps");
-                results.shard.auditFailures = num("audit_failures");
-                results.shard.workerCacheHits =
-                    num("worker_cache_hits");
-            }
+                stats && stats->isObject())
+                results.shard = ShardRunStats::fromJson(*stats);
             if (const JsonValue *w = msg->find("wall_seconds");
                 w && w->isNumber())
                 results.wallSeconds = w->asNumber();

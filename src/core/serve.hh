@@ -69,22 +69,14 @@ struct ServeOptions
     std::string host = "127.0.0.1";
     int port = 0; ///< 0 picks an ephemeral port (printed at startup)
 
-    /** Local worker subprocesses; 0 relies on connected workers only. */
-    int shards = 1;
-
     /**
-     * Shared write-ahead journal, also the dedup store's record file;
-     * empty keeps the store in memory only.
+     * Every batch's executor options.  `shards` may be 0 (connected
+     * workers only).  `journalPath` is the shared write-ahead journal,
+     * also the dedup store's record file; empty keeps the store in
+     * memory only.  `resumeFrom` is unused: the store answers every
+     * resubmitted point.
      */
-    std::string journalPath;
-
-    /** On-disk result cache directory handed to workers. */
-    std::string cacheDir;
-
-    bool audit = false;
-    double pointTimeoutSeconds = 0.0;
-    int maxRetries = 2;
-    double backoffSeconds = 0.05;
+    ShardOptions shard;
 
     /** Exit after serving this many batches; 0 serves forever. */
     uint64_t maxBatches = 0;

@@ -221,6 +221,30 @@ TEST(Cli, NumericFlagsRejectOverflowInsteadOfThrowing)
     EXPECT_NE(out.find("bad --timeline-buckets"), std::string::npos);
 }
 
+TEST(Cli, ServeRejectsSharedFlagsExactlyLikeBatch)
+{
+    // Both commands parse the executor flags in one place: the same
+    // bad input reads the same after the "batch: "/"serve: " prefix.
+    auto firstLineAfterPrefix = [](const std::string &out) {
+        return out.substr(out.find(": ") + 2,
+                          out.find('\n') - out.find(": ") - 2);
+    };
+    for (const std::vector<std::string> &bad :
+         {std::vector<std::string>{"--backoff", "soon"},
+          std::vector<std::string>{"--walrus"}}) {
+        std::vector<std::string> batch_args = {"batch", "spec.json"};
+        std::vector<std::string> serve_args = {"serve"};
+        batch_args.insert(batch_args.end(), bad.begin(), bad.end());
+        serve_args.insert(serve_args.end(), bad.begin(), bad.end());
+        std::string batch, serve;
+        EXPECT_EQ(cli(batch_args, &batch), 2) << bad[0];
+        EXPECT_EQ(cli(serve_args, &serve), 2) << bad[0];
+        EXPECT_EQ(batch.rfind("batch: ", 0), 0u) << batch;
+        EXPECT_EQ(serve.rfind("serve: ", 0), 0u) << serve;
+        EXPECT_EQ(firstLineAfterPrefix(serve), firstLineAfterPrefix(batch));
+    }
+}
+
 TEST(Cli, TraceOutWritesParseableRecords)
 {
     const std::string path =

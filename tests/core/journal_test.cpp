@@ -630,6 +630,34 @@ TEST(ShardExecutor, OutOfRangeRecordNumbersAreIgnored)
     EXPECT_EQ(got.bySpec[0].seconds, 1.0);
 }
 
+TEST(ShardRunStats, DoneFrameStatsKeepTheirBytesAndRoundTrip)
+{
+    ShardRunStats s;
+    s.journaled = 1;
+    s.executed = 2;
+    s.retries = 3;
+    s.crashes = 4;
+    s.timeouts = 5;
+    s.gaps = 6;
+    s.auditFailures = 7;
+    s.workerCacheHits = 8;
+    // The "stats" object of serve's done frame; other submit clients
+    // read these exact keys.
+    EXPECT_EQ(s.toJson().dump(),
+              R"({"journaled":1,"executed":2,"retries":3,"crashes":4,)"
+              R"("timeouts":5,"gaps":6,"audit_failures":7,)"
+              R"("worker_cache_hits":8})");
+    EXPECT_EQ(ShardRunStats::fromJson(s.toJson()).summary(), s.summary());
+
+    // Missing and malformed counters read as 0.
+    std::optional<JsonValue> partial =
+        parseJson(R"({"executed":-1,"gaps":"x","retries":9})");
+    ASSERT_TRUE(partial);
+    ShardRunStats got = ShardRunStats::fromJson(*partial);
+    EXPECT_EQ(got.retries, 9u);
+    EXPECT_EQ(got.executed + got.gaps + got.journaled, 0u);
+}
+
 TEST(FaultPlan, ParsesGrammar)
 {
     std::string error;
