@@ -293,6 +293,24 @@ BM_NasCgExperiment(benchmark::State &state)
 }
 BENCHMARK(BM_NasCgExperiment)->Arg(16);
 
+void
+BM_NasCgExperimentInterleave(benchmark::State &state)
+{
+    // The same point under Interleave: every rank's memory flows span
+    // the HT fabric, so each rerun re-solves one large coupled
+    // component -- the closure memo's hardest case on the paper grids.
+    NasCgWorkload cg(nasCgClassB());
+    ExperimentConfig cfg;
+    cfg.machine = longsConfig();
+    cfg.option = table5Options()[5]; // Interleave
+    cfg.ranks = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        RunResult r = runExperiment(cfg, cg);
+        benchmark::DoNotOptimize(r.seconds);
+    }
+}
+BENCHMARK(BM_NasCgExperimentInterleave)->Arg(16);
+
 /** A shipped zoo machine from machines/; nullptr when unloadable. */
 const MachineConfig *
 zooMachine(const char *name)

@@ -135,7 +135,8 @@ bottleneckReport(const DetailedResult &result)
     const Engine::Stats &es = result.engineStats;
     oss << "engine: " << es.allocatorReruns << " allocator reruns ("
         << es.incrementalSolves << " incremental, " << es.fullSolves
-        << " full, " << es.memoHits << " memo hits), " << es.timeSteps
+        << " full, " << es.memoHits << " memo hits, "
+        << es.componentSolves << " component solves), " << es.timeSteps
         << " time steps, "
         << es.fallbackScans << " fallback scans, "
         << es.calqueueOps << " calqueue ops ("

@@ -837,12 +837,17 @@ cmdBatch(const std::vector<std::string> &args, std::ostream &out)
     if (f.coherence) {
         // Re-expand the spec's axes with the override folded into the
         // machine, so one spec file can drive legacy-alpha and modeled
-        // runs (the CI coherence smoke relies on this).
+        // runs (the CI coherence smoke relies on this).  A machines
+        // axis gets it on every variant, each then spelled inline.
         SweepAxes axes = plan->axes();
         MachineConfig machine = axes.resolvedMachine();
         applyCoherence(f, &machine);
         axes.machinePreset.clear();
         axes.machine = machine;
+        for (auto &[preset, config] : axes.machines) {
+            applyCoherence(f, &config);
+            preset.clear();
+        }
         plan = SweepPlan::expand(axes);
     }
 

@@ -62,6 +62,7 @@ runExperimentOn(Machine &machine, const ExperimentConfig &config,
     res.incrementalSolves = stats.incrementalSolves;
     res.fullSolves = stats.fullSolves;
     res.memoHits = stats.memoHits;
+    res.componentSolves = stats.componentSolves;
     res.calqueueOps = stats.calqueueOps;
     res.calqueueResizes = stats.calqueueResizes;
     if (const Auditor *auditor = engine.auditor()) {

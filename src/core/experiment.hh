@@ -78,6 +78,13 @@ struct RunResult
      */
     uint64_t memoHits = 0;
 
+    /**
+     * Components solved rather than served from the closure memo
+     * (Engine::Stats::componentSolves).  Not serialized either, so
+     * restored results read 0.
+     */
+    uint64_t componentSolves = 0;
+
     /** Finish-time operations (Engine::Stats::calqueueOps). */
     uint64_t calqueueOps = 0;
 

@@ -132,6 +132,7 @@ fillPointTelemetry(const SweepPlan &plan, const PlanResults &results,
         sample.incrementalSolves = r.incrementalSolves;
         sample.fullSolves = r.fullSolves;
         sample.memoHits = r.memoHits;
+        sample.componentSolves = r.componentSolves;
         sample.calqueueOps = r.calqueueOps;
         sample.calqueueResizes = r.calqueueResizes;
     }

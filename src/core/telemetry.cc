@@ -128,6 +128,7 @@ SweepTelemetry::writeJson(std::ostream &os) const
            << ", \"incremental_solves\": " << p.incrementalSolves
            << ", \"full_solves\": " << p.fullSolves
            << ", \"memo_hits\": " << p.memoHits
+           << ", \"component_solves\": " << p.componentSolves
            << ", \"calqueue_ops\": " << p.calqueueOps
            << ", \"calqueue_resizes\": " << p.calqueueResizes << "}"
            << (i + 1 < points.size() ? "," : "") << "\n";

@@ -55,6 +55,12 @@ struct GridPointSample
      */
     uint64_t memoHits = 0;
 
+    /**
+     * Components the closure memo missed and the solver solved; 0 for
+     * restored points (RunResult::componentSolves).
+     */
+    uint64_t componentSolves = 0;
+
     /** Finish-time operations (Engine::Stats::calqueueOps). */
     uint64_t calqueueOps = 0;
 

@@ -479,11 +479,16 @@ Engine::solveOptimized()
                 }
             }
         }
-        // Slot order makes the component's per-round residual-update
-        // sequence match a whole-set solve (see
-        // fairShareSolveComponent).
+        // A component's rates depend on the multiset of its flows'
+        // (path, cap) ids, not on their order (see
+        // fairShareSolveComponent), so sorting by id makes the memo
+        // key that multiset: a flow set seen before in another slot
+        // order is a hit.  The slot breaks ties so the order is total.
+        const uint32_t *ids = flowKey_.data();
         std::sort(closureFlows_.begin() + static_cast<ptrdiff_t>(flowBegin),
-                  closureFlows_.end());
+                  closureFlows_.end(), [ids](FlowSlot a, FlowSlot b) {
+                      return ids[a] != ids[b] ? ids[a] < ids[b] : a < b;
+                  });
         solveComponent(flowBegin, resBegin);
     }
     for (ResourceId r : closureRes_)
@@ -522,8 +527,10 @@ Engine::solveComponent(size_t flowBegin, size_t resBegin)
     MemoEntry *fill = nullptr;
     if (n <= kMemoMaxFlows) {
         // The component's rates are a function of its flows' (path,
-        // cap) sequence alone (capacities are fixed), so an equal key
-        // -- all of it, not a hash -- means bit-identical rates.
+        // cap) multiset alone (capacities are fixed), and the key is
+        // that multiset in ascending order, so an equal key -- all of
+        // it, not a hash -- means bit-identical rates, each flow's
+        // rate at the position of its id.
         uint32_t key[kMemoMaxFlows] = {};
         for (size_t k = 0; k < n; ++k)
             key[k] = flowKey_[slots[k]];

@@ -308,9 +308,10 @@ class Engine
     /**
      * Closure-memo geometry (DESIGN §13 "Closure memo").  Every flow's
      * (path, rate cap) is interned to a dense id at addTask(), in
-     * build order; a dirty component's key is its flows' ids in
-     * ascending-slot order.  Components of more than kMemoMaxFlows
-     * flows bypass the memo and are solved directly.
+     * build order; a dirty component's key is the sorted multiset of
+     * its flows' ids, whatever slots they occupy.  Components of more
+     * than kMemoMaxFlows flows bypass the memo and are solved
+     * directly.
      */
     static constexpr size_t kMemoMaxFlows = 16;
     static constexpr size_t kMemoSets = 128;
@@ -469,9 +470,9 @@ class Engine
 
     /**
      * Rates for the component in closureFlows_[flowBegin..] (at least
-     * one flow, sorted by slot) over closureRes_[resBegin..]: from the
-     * memo when its key was solved before, else from a component solve
-     * whose result is then memoized.
+     * one flow, sorted by (id, slot)) over closureRes_[resBegin..]:
+     * from the memo when its key was solved before, else from a
+     * component solve whose result is then memoized.
      */
     void solveComponent(size_t flowBegin, size_t resBegin);
 

@@ -104,14 +104,13 @@ fairShareSolveComponent(const std::vector<double> &capacities,
                 }
             }
             if (freeze) {
-                double rate = next;
-                if (rateCaps[s] > 0.0 && rateCaps[s] < rate)
-                    rate = rateCaps[s];
-                rates[k] = rate;
+                // Every flow frozen this round gets `next`: no unfrozen
+                // cap lies below it (fairshare.hh).
+                rates[k] = next;
                 frozen[k] = 1;
                 ++frozen_this_round;
                 for (ResourceId r : paths[s]) {
-                    residual[r] -= rate;
+                    residual[r] -= next;
                     if (residual[r] < 0.0)
                         residual[r] = 0.0;
                     --users[r];

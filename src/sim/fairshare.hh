@@ -83,21 +83,35 @@ fairShareRatesReference(const std::vector<double> &capacities,
  * structure-of-arrays state): `paths[s]` and `rateCaps[s]` describe
  * the flow in slot s.  `flowSlots[0..flowCount)` selects the
  * component's flows and `resources[0..resourceCount)` its resources,
- * in any order.  Rates land in scratch.rates[k] for the k-th selected
- * flow.
+ * both in any order.  Rates land in scratch.rates[k] for the k-th
+ * selected flow.
  *
  * Caller contract -- this is what makes a component solve
- * bit-identical to the whole-set reference (see DESIGN §13):
- *  - the selection is exactly one connected component: every resource
- *    on a selected flow's path appears in `resources`, every flow
- *    crossing a selected resource appears in `flowSlots`, and every
- *    selected path is non-empty;
- *  - `flowSlots` is sorted ascending, so the per-round residual
- *    subtraction order matches the reference's flow order.
+ * bit-identical to the whole-set reference (see DESIGN §13): the
+ * selection is exactly one connected component.  Every resource on a
+ * selected flow's path appears in `resources`, every flow crossing a
+ * selected resource appears in `flowSlots`, and every selected path is
+ * non-empty.
  *
- * The arithmetic is line-for-line the reference's, so the rates are a
- * function of the flows' (path, cap) sequence alone; resource order
- * feeds only a min and per-resource flags.  scratch.residual/users/
+ * The arithmetic is the reference's, and neither solver depends on
+ * the order of the flows: each flow's rate is a function of its own
+ * (path, cap) and of the component's multiset of (path, cap) pairs.
+ * Within a round:
+ *  - `next` is a min over resource shares and unfrozen caps, and a
+ *    min does not depend on order;
+ *  - the saturated set is fixed from the residuals before any freeze,
+ *    so which flows freeze depends on each flow's path and cap alone;
+ *  - every flow frozen in the round gets the same rate, `next`: a cap
+ *    binds only within `tol` above `next`, since `next` is already the
+ *    minimum over the unfrozen caps, and every unfrozen cap lies above
+ *    the previous level that may raise `next` (so the reference's
+ *    min(next, cap) is always `next`);
+ *  - so each residual takes k subtractions of that one value (each
+ *    clamped at 0), which give the same bits in any order.
+ * A flow set repeated in another order -- including equal (path, cap)
+ * flows and a resource repeated on one path -- therefore gets the same
+ * rate bits per (path, cap), which is what lets the engine's closure
+ * memo key a component by its sorted ids.  scratch.residual/users/
  * saturated are used as full-size (one per resource id) arrays with
  * only the component's entries initialized, so no per-call O(total
  * resources) work occurs.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -293,7 +294,43 @@ TEST(Cli, DetailIncludesEngineCountersAndTimeline)
               0);
     EXPECT_NE(out.find("engine: "), std::string::npos);
     EXPECT_NE(out.find("allocator reruns"), std::string::npos);
+    EXPECT_NE(out.find(" component solves), "), std::string::npos);
     EXPECT_NE(out.find("utilization timeline"), std::string::npos);
+}
+
+TEST(Cli, BatchCoherenceOverrideReachesEveryMachineVariant)
+{
+    // A spec with a machines axis: --coherence must change the rows of
+    // every machine, not only the first (the resolved) one.
+    const std::string spec = std::string(MCSCOPE_SOURCE_DIR) +
+                             "/examples/paper/table11_lammps_options.json";
+    std::string plain;
+    std::string snoopy;
+    ASSERT_EQ(cli({"batch", spec, "--csv"}, &plain), 0) << plain;
+    ASSERT_EQ(cli({"batch", spec, "--csv", "--coherence", "snoopy"},
+                  &snoopy),
+              0)
+        << snoopy;
+    auto rowsOf = [](const std::string &csv, const std::string &machine) {
+        std::istringstream in(csv);
+        std::string rows;
+        for (std::string line; std::getline(in, line);) {
+            if (line.rfind(machine + ",", 0) == 0)
+                rows += line + "\n";
+        }
+        return rows;
+    };
+    for (const char *machine : {"Longs", "DMZ"}) {
+        const std::string before = rowsOf(plain, machine);
+        const std::string after = rowsOf(snoopy, machine);
+        EXPECT_FALSE(before.empty()) << machine;
+        EXPECT_EQ(std::count(before.begin(), before.end(), '\n'),
+                  std::count(after.begin(), after.end(), '\n'))
+            << machine;
+        EXPECT_NE(before, after)
+            << "--coherence snoopy left the " << machine
+            << " rows unchanged";
+    }
 }
 
 TEST(Cli, SweepTelemetryJsonAndSummary)
@@ -313,6 +350,8 @@ TEST(Cli, SweepTelemetryJsonAndSummary)
     EXPECT_NE(body.str().find("\"grid_points\": 12"),
               std::string::npos);
     EXPECT_NE(body.str().find("\"points\": ["), std::string::npos);
+    EXPECT_NE(body.str().find("\"component_solves\": "),
+              std::string::npos);
     std::remove(path.c_str());
 
     // --detail alone prints the summary without needing a file.

@@ -13,8 +13,9 @@
  *
  * Targeted scenarios then drive the closure memo through eviction,
  * bypass of oversized components, memo-set collisions between
- * different components, and departures that split one component into
- * several, each audited the same way.
+ * different components, departures that split one component into
+ * several, and a component whose flows come back in swapped slots,
+ * each audited the same way.
  *
  * A second suite pins the component solver itself: on a closed
  * connected component, fairShareSolveComponent must reproduce the
@@ -392,6 +393,43 @@ TEST(EngineDiff, DepartureSplitsAComponentServedFromTheMemo)
     // Solved: the three lone flows once each and the joined component
     // once; everything after that is served from the memo.
     EXPECT_EQ(st.componentSolves, 4u);
+}
+
+TEST(EngineDiff, SwappedSlotsServeTheSameComponentFromTheMemo)
+{
+    // Two tasks share resource 0 through flows x and y, three rounds
+    // apart by barriers, trading which task starts which flow.  y is
+    // shorter, so each round frees y's slot before x's, and the next
+    // round's first start takes x's old slot: whichever task starts
+    // first after a barrier, one of rounds 2 and 3 brings {x, y} back
+    // with their slots swapped.  The memo key is the sorted multiset
+    // of the component's (path, cap) ids, so that round is a hit too:
+    // only round 1 solves, once for {x, y} and once for x alone after
+    // y leaves.
+    Work x;
+    x.amount = 100.0;
+    x.path = {0};
+    Work y;
+    y.amount = 10.0;
+    y.path = {0, 1};
+    y.rateCap = 80.0;
+    Scenario s;
+    s.caps = {100.0, 1000.0};
+    s.scripts.resize(2);
+    for (int round = 0; round < 3; ++round) {
+        s.scripts[0].push_back(round == 1 ? y : x);
+        s.scripts[1].push_back(round == 1 ? x : y);
+        for (auto &script : s.scripts) {
+            SyncAll barrier;
+            barrier.key = 700000 + round;
+            barrier.expected = 2;
+            script.push_back(barrier);
+        }
+    }
+
+    const Engine::Stats st = expectMatchesReference(s);
+    EXPECT_EQ(st.componentSolves, 2u);
+    EXPECT_EQ(st.memoHits, 4u);
 }
 
 // --- Component solver: the algebraic core of the incremental path. --

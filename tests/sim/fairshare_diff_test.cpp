@@ -14,14 +14,19 @@
  * caps, and the degenerate empty-path / cap-only flows, which belong
  * to no component -- through both, reusing one scratch workspace
  * across all of them so stale-state bugs would surface as cross-set
- * contamination.
+ * contamination.  A second property drives flow sets through both
+ * solvers in shuffled orders: each flow's rate must not depend on
+ * where its flow sits.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "sim/fairshare.hh"
@@ -80,9 +85,19 @@ randomScenario(Rng &rng)
     return s;
 }
 
+/** Put `v` in a random order. */
+template <typename T>
+void
+shuffle(std::vector<T> &v, Rng &rng)
+{
+    for (size_t i = v.size(); i > 1; --i)
+        std::swap(v[i - 1], v[rng.below(i)]);
+}
+
 /**
  * Rates of every flow: each connected component is found by a
- * breadth-first walk from a resource, sorted by slot, and solved by
+ * breadth-first walk from a resource, sorted by slot (or, given
+ * `order`, shuffled together with its resource list), and solved by
  * the component solver.  A flow with no path belongs to no component;
  * only its cap binds (+inf when uncapped).  Returns the number of
  * components solved.
@@ -90,7 +105,8 @@ randomScenario(Rng &rng)
 int
 solveByComponents(const std::vector<double> &caps,
                   const std::vector<FairShareFlow> &flows,
-                  FairShareScratch &scratch, std::vector<double> &rates)
+                  FairShareScratch &scratch, std::vector<double> &rates,
+                  Rng *order = nullptr)
 {
     std::vector<PathVec> paths;
     std::vector<double> rateCaps;
@@ -130,7 +146,12 @@ solveByComponents(const std::vector<double> &caps,
                 }
             }
         }
-        std::sort(members.begin(), members.end());
+        if (order != nullptr) {
+            shuffle(members, *order);
+            shuffle(res, *order);
+        } else {
+            std::sort(members.begin(), members.end());
+        }
         fairShareSolveComponent(caps, paths, rateCaps, members.data(),
                                 members.size(), res.data(), res.size(),
                                 scratch);
@@ -168,6 +189,116 @@ TEST(FairShareDiff, OptimizedMatchesReferenceOnRandomFlowSets)
     // sets of several components.
     EXPECT_GT(spilled, 0);
     EXPECT_GT(multiComponent, 0);
+}
+
+/**
+ * A flow set built to stress order: a few (path, cap) kinds, each
+ * repeated 1-3 times; paths may cross one resource twice; some caps
+ * equal a resource's first-round share exactly or lie a few ulps off
+ * it, inside the solvers' tolerance.  Sets `ties`, `repeats` and
+ * `duplicates` when the set has one of each.
+ */
+Scenario
+orderScenario(Rng &rng, bool &ties, bool &repeats, bool &duplicates)
+{
+    Scenario s;
+    const int nr = 1 + static_cast<int>(rng.below(6));
+    for (int r = 0; r < nr; ++r)
+        s.caps.push_back(rng.uniform(0.5, 2000.0));
+    const int kinds = 1 + static_cast<int>(rng.below(6));
+    // Per flow: ulps between its cap and a share, or kNoTie.
+    constexpr int kNoTie = 100;
+    std::vector<int> tieUlps;
+    for (int k = 0; k < kinds; ++k) {
+        FairShareFlow fl;
+        const int plen = 1 + static_cast<int>(rng.below(4));
+        for (int h = 0; h < plen; ++h) {
+            const auto r = static_cast<ResourceId>(rng.below(nr));
+            for (ResourceId e : fl.path)
+                repeats = repeats || e == r;
+            fl.path.push_back(r);
+        }
+        const uint64_t cap = rng.below(3);
+        if (cap == 1)
+            fl.rateCap = rng.uniform(0.1, 500.0);
+        const int ulps =
+            cap == 2 ? static_cast<int>(rng.below(5)) - 2 : kNoTie;
+        const uint64_t copies = 1 + rng.below(3);
+        duplicates = duplicates || copies > 1;
+        for (uint64_t c = 0; c < copies; ++c) {
+            s.flows.push_back(fl);
+            tieUlps.push_back(ulps);
+        }
+    }
+    // A tied cap is the first-round share of the flow's first
+    // resource, computed exactly as the solvers compute it, then moved
+    // by its kind's ulps.
+    std::vector<int> users(s.caps.size(), 0);
+    for (const FairShareFlow &fl : s.flows) {
+        for (ResourceId r : fl.path)
+            ++users[r];
+    }
+    for (size_t f = 0; f < s.flows.size(); ++f) {
+        if (tieUlps[f] != kNoTie) {
+            const ResourceId r = s.flows[f].path[0];
+            double cap = s.caps[r] / users[r];
+            const double toward = tieUlps[f] < 0 ? 0.0 : 1e300;
+            for (int u = 0; u < std::abs(tieUlps[f]); ++u)
+                cap = std::nextafter(cap, toward);
+            s.flows[f].rateCap = cap;
+            ties = true;
+        }
+    }
+    return s;
+}
+
+TEST(FairShareDiff, RatesDoNotDependOnFlowOrder)
+{
+    // The closure memo keys a component by the sorted multiset of its
+    // flows' (path, cap) ids, so a flow set that comes back in another
+    // slot order must get the same rate bits per flow from both
+    // solvers -- with equal flows, caps tied to a share, and a
+    // resource twice on one path included.
+    Rng rng(0x0bde7ULL);
+    FairShareScratch scratch;
+    std::vector<double> rates;
+    int ties = 0;
+    int repeats = 0;
+    int duplicates = 0;
+    for (int iter = 0; iter < 500; ++iter) {
+        bool tie = false;
+        bool repeat = false;
+        bool duplicate = false;
+        const Scenario s = orderScenario(rng, tie, repeat, duplicate);
+        ties += tie;
+        repeats += repeat;
+        duplicates += duplicate;
+        const std::vector<double> ref =
+            fairShareRatesReference(s.caps, s.flows);
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<size_t> perm(s.flows.size());
+            std::iota(perm.begin(), perm.end(), size_t{0});
+            shuffle(perm, rng);
+            std::vector<FairShareFlow> permuted;
+            for (size_t i : perm)
+                permuted.push_back(s.flows[i]);
+            const std::vector<double> permutedRef =
+                fairShareRatesReference(s.caps, permuted);
+            solveByComponents(s.caps, permuted, scratch, rates, &rng);
+            for (size_t i = 0; i < perm.size(); ++i) {
+                ASSERT_EQ(bits(permutedRef[i]), bits(ref[perm[i]]))
+                    << "reference, iteration " << iter << " flow "
+                    << perm[i];
+                ASSERT_EQ(bits(rates[i]), bits(ref[perm[i]]))
+                    << "component solver, iteration " << iter
+                    << " flow " << perm[i];
+            }
+        }
+    }
+    // The generator must really produce each order hazard.
+    EXPECT_GT(ties, 0);
+    EXPECT_GT(repeats, 0);
+    EXPECT_GT(duplicates, 0);
 }
 
 TEST(FairShareDiff, ScratchReuseDoesNotLeakStateAcrossShrinkingSets)
