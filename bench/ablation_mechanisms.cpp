@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.hh"
 #include "kernels/stream.hh"
@@ -97,18 +98,19 @@ main()
     // --- Scheduler drift ---------------------------------------------
     {
         MachineConfig longs = longsConfig();
-        OptionSweepResult sweep = sweepOptions(longs, {4}, "nas-cg-b");
-        double def = sweep.seconds[0][0];
-        double local = sweep.seconds[0][1];
+        std::unique_ptr<Workload> cg = makeWorkload("nas-cg-b");
+        const std::vector<NumactlOption> options = table5Options();
+        double def = run(longs, options[0], 4, *cg).seconds;
+        double local = run(longs, options[1], 4, *cg).seconds;
         std::printf("scheduler drift (CG 4 tasks, Default vs One MPI "
                     "+ Local Alloc):\n");
         std::printf("  default: %.2f s   localalloc: %.2f s   gap "
                     "%.1f%%   (paper: 98.51 vs 88.21, ~10%%)\n",
                     def, local, (def - local) / def * 100.0);
-        OptionSweepResult full = sweepOptions(longs, {16}, "nas-cg-b");
         std::printf("  at 16 tasks the gap closes: default %.2f vs "
                     "two+localalloc %.2f (paper: 54.17 vs 54.45)\n",
-                    full.seconds[0][0], full.seconds[0][3]);
+                    run(longs, options[0], 16, *cg).seconds,
+                    run(longs, options[3], 16, *cg).seconds);
     }
     return 0;
 }

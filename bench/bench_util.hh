@@ -15,8 +15,9 @@
 
 #include "core/experiment.hh"
 #include "core/metrics.hh"
-#include "core/runner.hh"
+#include "core/registry.hh"
 #include "machine/config.hh"
+#include "util/logging.hh"
 #include "util/str.hh"
 
 namespace mcscope {
@@ -71,7 +72,10 @@ run(const MachineConfig &machine, const NumactlOption &option, int ranks,
     cfg.ranks = ranks;
     cfg.impl = impl;
     cfg.sublayer = sublayer;
-    return runExperiment(cfg, workload);
+    RunResult r = runExperiment(cfg, workload);
+    MCSCOPE_ASSERT(r.valid, "'", option.label, "' cannot host ", ranks,
+                   " ranks on ", machine.name);
+    return r;
 }
 
 } // namespace bench

@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.hh"
 #include "kernels/stream.hh"
@@ -33,6 +34,8 @@ main()
            "the placement spread vary smoothly, never invert");
 
     StreamWorkload stream(4u << 20, 8);
+    std::unique_ptr<Workload> cg = makeWorkload("nas-cg-b");
+    const std::vector<NumactlOption> options = table5Options();
 
     std::printf("coherenceAlpha sweep (Longs):\n");
     std::printf("  %-8s %-16s %-18s %-14s\n", "alpha",
@@ -42,9 +45,10 @@ main()
         cfg.coherenceAlpha = alpha;
         RunResult r1 = run(cfg, pinnedSpread(), 1, stream);
         double bw = stream.bytesPerIteration() * 8 / r1.seconds / 1e9;
-        auto t = defaultScalingTimes(cfg, {1, 16}, "nas-cg-b");
+        double t1 = run(cfg, options[0], 1, *cg).seconds;
+        double t16 = run(cfg, options[0], 16, *cg).seconds;
         std::printf("  %-8.3f %-16.2f %-18.2f %-14.2f\n", alpha, bw,
-                    bw / 4.1, t[0] / t[1] / 16.0);
+                    bw / 4.1, t1 / t16 / 16.0);
     }
     std::printf("  -> the 'below half' observation needs alpha >= "
                 "~0.15; CG's collapse persists at every alpha\n\n");
@@ -55,10 +59,11 @@ main()
     for (double conc : {200.0, 400.0, 800.0, 1600.0}) {
         MachineConfig cfg = longsConfig();
         cfg.streamConcurrencyBytes = conc;
-        OptionSweepResult sweep = sweepOptions(cfg, {8}, "nas-cg-b");
-        const auto &row = sweep.seconds[0];
-        std::printf("  %-8.0f %-20.2f %-20.2f\n", conc,
-                    row[2] / row[1], row[5] / row[0]);
+        auto t = [&](size_t option) {
+            return run(cfg, options[option], 8, *cg).seconds;
+        };
+        std::printf("  %-8.0f %-20.2f %-20.2f\n", conc, t(2) / t(1),
+                    t(5) / t(0));
     }
     std::printf("  -> smaller miss concurrency = deeper NUMA penalty; "
                 "the localalloc-first ordering never flips\n");

@@ -52,18 +52,32 @@ scalingStudy()
         std::printf("  %6d", ranks[i]);
     std::printf("\n");
 
-    auto series = [&](const std::string &label) {
-        auto t = defaultScalingTimes(longsConfig(), ranks, toLower(label));
-        std::printf("  %-14s", label.c_str());
-        for (size_t i = 1; i < ranks.size(); ++i)
-            std::printf("  %6.2f", t[0] / t[i]);
-        std::printf("\n");
-    };
-
+    // One plan holds every series: Default placement, each registry
+    // workload across the rank counts.
+    std::vector<std::string> labels;
     for (const LammpsBenchmark &b : lammpsBenchmarks())
-        series("lammps-" + b.name);
+        labels.push_back("lammps-" + b.name);
     for (const AmberBenchmark &b : amberBenchmarks())
-        series("amber-" + b.name);
+        labels.push_back("amber-" + b.name);
+    SweepAxes axes;
+    axes.machinePreset = "longs";
+    for (const std::string &label : labels)
+        axes.workloads.push_back(toLower(label));
+    axes.rankCounts = ranks;
+    axes.options = {table5Options().front()}; // Default
+    SweepPlan plan = SweepPlan::expand(axes);
+    PlanResults results = runPlan(plan, RunnerOptions{});
+
+    for (size_t w = 0; w < labels.size(); ++w) {
+        auto t = [&](size_t r) {
+            return results.at(plan, plan.pointIndex(w, 0, 0, r, 0))
+                .seconds;
+        };
+        std::printf("  %-14s", labels[w].c_str());
+        for (size_t i = 1; i < ranks.size(); ++i)
+            std::printf("  %6.2f", t(0) / t(i));
+        std::printf("\n");
+    }
 }
 
 } // namespace

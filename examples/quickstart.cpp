@@ -65,7 +65,16 @@ void
 nasCgOptions()
 {
     std::cout << "NAS CG class B on Longs, 8 tasks, Table 5 options:\n";
-    OptionSweepResult sweep = sweepOptions(longsConfig(), {8}, "nas-cg-b");
+    // A sweep is a declarative plan: empty axes take their defaults
+    // (here the six Table 5 options); optionSweepSlice() reads the
+    // results back as the paper's (rank x option) table.
+    SweepAxes axes;
+    axes.machinePreset = "longs";
+    axes.workloads = {"nas-cg-b"};
+    axes.rankCounts = {8};
+    SweepPlan plan = SweepPlan::expand(axes);
+    OptionSweepResult sweep =
+        optionSweepSlice(plan, runPlan(plan, RunnerOptions{}), 0, 0, 0);
     for (size_t i = 0; i < sweep.options.size(); ++i) {
         std::printf("  %-22s %s s\n", sweep.options[i].label.c_str(),
                     cell(sweep.seconds[0][i], 2).c_str());

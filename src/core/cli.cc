@@ -728,9 +728,13 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out)
     appendOptionSweepRows(t, sweep, args[1]);
     t.print(out);
     for (size_t i = 0; i < ranks.size(); ++i) {
+        // A row whose Default cannot host the job has no gain.
+        const std::vector<double> &row = sweep.seconds[i];
         out << "placement gain at " << ranks[i] << " ranks: "
-            << formatFixed(placementGain(sweep.seconds[i]) * 100.0, 1)
-            << "%\n";
+            << (std::isnan(row.front())
+                    ? std::string("-")
+                    : formatFixed(placementGain(row) * 100.0, 1) + "%")
+            << "\n";
     }
     return 0;
 }
@@ -780,8 +784,12 @@ cmdScaling(const std::vector<std::string> &args, std::ostream &out)
     for (size_t i = 0; i < ranks.size(); ++i) {
         const RunResult &r =
             results.at(plan, plan.pointIndex(0, 0, 0, i, 0));
-        MCSCOPE_ASSERT(r.valid, "default placement rejected ",
-                       ranks[i], " ranks on ", machine.name);
+        if (!r.valid) {
+            out << "infeasible: '" << axes.options.front().label
+                << "' cannot host " << ranks[i] << " ranks on "
+                << machine.name << "\n";
+            return 1;
+        }
         t[i] = r.seconds;
     }
     // Scaling telemetry keeps its historical "default" label.
@@ -832,6 +840,13 @@ cmdBatch(const std::vector<std::string> &args, std::ostream &out)
     std::optional<SweepPlan> plan = SweepPlan::fromJson(*doc, &error);
     if (!plan) {
         out << "batch: " << args[1] << ": " << error << "\n";
+        return 2;
+    }
+    if (f.coherence && !plan->axes().directoryEntries.empty()) {
+        // Every variant of a directory sweep is Directory mode by
+        // definition; an override would be silently dropped.
+        out << "batch: --coherence cannot be combined with a "
+               "directory_entries spec\n";
         return 2;
     }
     if (f.coherence) {

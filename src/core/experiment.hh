@@ -121,8 +121,8 @@ RunResult runExperimentOn(Machine &machine,
 
 /**
  * A (rank count x Table 5 option) sweep on one machine -- the shape
- * of Tables 2, 3, 7, 9, 11, 13 and 14.  Produced by sweepOptions()
- * and optionSweepSlice() (core/runner.hh).
+ * of Tables 2, 3, 7, 9, 11, 13 and 14.  Produced by
+ * optionSweepSlice() (core/runner.hh).
  */
 struct OptionSweepResult
 {

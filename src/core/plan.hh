@@ -16,8 +16,7 @@
  * Grid-point ordering is fixed and documented: workloads outermost,
  * then impls, sublayers, rank counts, and options innermost.  The
  * (rank, option) matrix of the paper's tables is the two innermost
- * axes of a single-workload plan, which is how sweepOptions()
- * (core/runner.hh) reads it.
+ * axes, which is how optionSweepSlice() (core/runner.hh) reads it.
  *
  * Every workload a plan names is a registry name (core/registry.hh),
  * checked when the plan is expanded; every registry workload has a

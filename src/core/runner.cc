@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -217,62 +216,6 @@ optionSweepSlice(const SweepPlan &plan, const PlanResults &results,
                     tag < 0 ? res.seconds : res.tagged(tag);
             }
         }
-    }
-    return out;
-}
-
-namespace {
-
-/** One registry workload on one inline machine, OpenMPI over USysV. */
-SweepAxes
-singleWorkloadAxes(const MachineConfig &machine,
-                   const std::vector<int> &rank_counts,
-                   const std::string &workload)
-{
-    SweepAxes axes;
-    axes.machinePreset.clear();
-    axes.machine = machine;
-    axes.workloads = {workload};
-    axes.rankCounts = rank_counts;
-    return axes;
-}
-
-} // namespace
-
-OptionSweepResult
-sweepOptions(const MachineConfig &machine,
-             const std::vector<int> &rank_counts,
-             const std::string &workload, int tag)
-{
-    if (rank_counts.empty()) {
-        OptionSweepResult out;
-        out.options = table5Options();
-        return out;
-    }
-    SweepPlan plan = SweepPlan::expand(
-        singleWorkloadAxes(machine, rank_counts, workload));
-    return optionSweepSlice(plan, runPlan(plan, RunnerOptions{}), 0, 0,
-                            0, tag);
-}
-
-std::vector<double>
-defaultScalingTimes(const MachineConfig &machine,
-                    const std::vector<int> &rank_counts,
-                    const std::string &workload, int tag)
-{
-    std::vector<double> out;
-    if (rank_counts.empty())
-        return out;
-    SweepAxes axes = singleWorkloadAxes(machine, rank_counts, workload);
-    axes.options = {table5Options().front()}; // Default
-    SweepPlan plan = SweepPlan::expand(axes);
-    const OptionSweepResult sweep = optionSweepSlice(
-        plan, runPlan(plan, RunnerOptions{}), 0, 0, 0, tag);
-    for (size_t r = 0; r < rank_counts.size(); ++r) {
-        MCSCOPE_ASSERT(!std::isnan(sweep.seconds[r][0]),
-                       "default placement rejected ", rank_counts[r],
-                       " ranks on ", machine.name);
-        out.push_back(sweep.seconds[r][0]);
     }
     return out;
 }

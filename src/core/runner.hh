@@ -288,31 +288,6 @@ OptionSweepResult optionSweepSlice(const SweepPlan &plan,
                                    size_t i, size_t s, int tag = -1,
                                    size_t m = 0);
 
-/**
- * The (rank count x Table 5 option) sweep of one registry workload
- * on one machine with OpenMPI over USysV -- the shape of Tables 2, 3,
- * 7, 9, 11, 13 and 14.  A one-workload plan run through runPlan()
- * (serial, process cache) and read back with optionSweepSlice().
- * fatal() on an unknown workload name.
- *
- * @param tag  -1 reports makespan; otherwise the tagged phase time
- *             (e.g. tags::kFft for the Table 7 FFT phase).
- */
-OptionSweepResult sweepOptions(const MachineConfig &machine,
-                               const std::vector<int> &rank_counts,
-                               const std::string &workload,
-                               int tag = -1);
-
-/**
- * Strong-scaling run times of one registry workload with the Default
- * option (no numactl), the shape of the speedup tables (4, 8, 10,
- * 12); one entry per rank count.  Runs like sweepOptions().
- */
-std::vector<double> defaultScalingTimes(const MachineConfig &machine,
-                                        const std::vector<int> &rank_counts,
-                                        const std::string &workload,
-                                        int tag = -1);
-
 /** How to execute a plan across worker subprocesses (DESIGN.md §10). */
 struct ShardOptions
 {

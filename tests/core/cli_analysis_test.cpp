@@ -123,6 +123,21 @@ TEST(Cli, SweepPrintsTableAndGains)
               std::string::npos);
 }
 
+TEST(Cli, SweepPrintsDashForGainWhenDefaultCannotHost)
+{
+    // Longs has 16 cores, so no option hosts 32 ranks: the row's
+    // cells are "-" and so is its placement gain.
+    std::string out;
+    EXPECT_EQ(cli({"sweep", "nas-cg-b", "--machine", "longs", "--ranks",
+                   "32"},
+                  &out),
+              0)
+        << out;
+    EXPECT_NE(out.find("placement gain at 32 ranks: -\n"),
+              std::string::npos)
+        << out;
+}
+
 TEST(Cli, SweepWithJobsMatchesSerialOutput)
 {
     std::string serial;
@@ -174,6 +189,17 @@ TEST(Cli, ScalingPrintsSeries)
                   &out),
               0);
     EXPECT_NE(out.find("efficiency"), std::string::npos);
+}
+
+TEST(Cli, ScalingReportsInfeasibleRankCount)
+{
+    std::string out;
+    EXPECT_EQ(cli({"scaling", "nas-cg-b", "--machine", "longs",
+                   "--ranks", "1,32"},
+                  &out),
+              1);
+    EXPECT_EQ(out, "infeasible: 'Default' cannot host 32 ranks on "
+                   "Longs\n");
 }
 
 TEST(Cli, ParseRankList)
@@ -331,6 +357,20 @@ TEST(Cli, BatchCoherenceOverrideReachesEveryMachineVariant)
             << "--coherence snoopy left the " << machine
             << " rows unchanged";
     }
+}
+
+TEST(Cli, BatchRejectsCoherenceOnDirectorySweep)
+{
+    // Every variant of a directory_entries sweep runs in Directory
+    // mode, so an override would be dropped without a word.
+    const std::string spec = std::string(MCSCOPE_SOURCE_DIR) +
+                             "/examples/batch_dirsweep.json";
+    std::string out;
+    EXPECT_EQ(cli({"batch", spec, "--csv", "--coherence", "snoopy"},
+                  &out),
+              2);
+    EXPECT_EQ(out, "batch: --coherence cannot be combined with a "
+                   "directory_entries spec\n");
 }
 
 TEST(Cli, SweepTelemetryJsonAndSummary)

@@ -48,7 +48,13 @@ TEST(Experiment, DeterministicAcrossRuns)
 
 TEST(Experiment, SweepShapeMatchesTableLayout)
 {
-    OptionSweepResult sweep = sweepOptions(dmzConfig(), {2, 4}, "stream");
+    SweepAxes axes;
+    axes.machinePreset = "dmz";
+    axes.workloads = {"stream"};
+    axes.rankCounts = {2, 4};
+    const SweepPlan plan = SweepPlan::expand(axes);
+    const OptionSweepResult sweep =
+        optionSweepSlice(plan, runPlan(plan, RunnerOptions{}), 0, 0, 0);
     ASSERT_EQ(sweep.rankCounts.size(), 2u);
     ASSERT_EQ(sweep.options.size(), 6u);
     ASSERT_EQ(sweep.seconds.size(), 2u);

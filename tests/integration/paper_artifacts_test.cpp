@@ -1,14 +1,17 @@
 /**
  * @file
- * The paper's tables as checked data.  Every table is a batch spec
- * (examples/paper/, plus examples/batch_table02.json for Table 2) with
- * a recorded CSV; the 2006 zoo spec has one too.  One case per
- * artifact runs its spec in process, exactly as `mcscope batch --csv`
- * does, and compares the CSV with its golden line by line, so a model
- * change that moves any published cell fails a test named after the
- * artifact.  A second suite checks the paper's shape claims
+ * The paper's tables as checked data.  Every table, and the NPB
+ * extension, is a batch spec (examples/paper/, plus
+ * examples/batch_table02.json for Table 2) with a recorded CSV; the
+ * 2006 zoo spec has one too.  One case per artifact runs its spec in
+ * process, exactly as `mcscope batch --csv` does, and compares the CSV
+ * with its golden line by line, so a model change that moves any
+ * published cell fails a test named after the artifact.  A second
+ * suite checks the paper's shape claims
  * (tests/integration/paper_claims.json): each is the ratio of two
- * named cells of one artifact, which must fall inside a band.
+ * named cells of one artifact, which must fall inside a band that
+ * holds the paper's value (`"paper": null` where the paper prints
+ * none, as for the extension).
  */
 
 #include <gtest/gtest.h>
@@ -152,7 +155,8 @@ struct Claim
     Cell den;
     double lo = 0.0;
     double hi = 0.0;
-    double paper = 0.0;
+    /** The paper's value of the ratio; `null` where it prints none. */
+    std::optional<double> paper;
     std::string error; ///< set when the claims file does not parse
 };
 
@@ -208,14 +212,15 @@ claims()
             !band->isArray() || band->items().size() != 2 ||
             !band->items()[0].isNumber() ||
             !band->items()[1].isNumber() || !paper ||
-            !paper->isNumber())
+            !(paper->isNumber() || paper->isNull()))
             return broken("malformed claim #" +
                           std::to_string(out.size()));
         c.num = *num;
         c.den = *den;
         c.lo = band->items()[0].asNumber();
         c.hi = band->items()[1].asNumber();
-        c.paper = paper->asNumber();
+        if (paper->isNumber())
+            c.paper = paper->asNumber();
         out.push_back(std::move(c));
     }
     return out;
@@ -279,10 +284,22 @@ TEST_P(PaperClaims, RatioInsideBand)
     ASSERT_TRUE(num && den && *den > 0.0)
         << c.id << ": a cell is missing from " << c.spec;
     const double ratio = *num / *den;
+    std::ostringstream paper;
+    if (c.paper)
+        paper << *c.paper;
+    else
+        paper << "n/a";
     EXPECT_GE(ratio, c.lo) << c.id << " (" << c.spec << "): " << c.what
-                           << "; paper " << c.paper;
+                           << "; paper " << paper.str();
     EXPECT_LE(ratio, c.hi) << c.id << " (" << c.spec << "): " << c.what
-                           << "; paper " << c.paper;
+                           << "; paper " << paper.str();
+    // The band must hold the paper's value: a model that reproduced
+    // the paper exactly has to pass.
+    if (c.paper) {
+        EXPECT_TRUE(*c.paper >= c.lo && *c.paper <= c.hi)
+            << c.id << ": band [" << c.lo << ", " << c.hi
+            << "] excludes the paper's " << *c.paper;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

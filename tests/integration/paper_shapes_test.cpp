@@ -4,16 +4,21 @@
  * end-to-end in the reproduction.  Each test names the paper artifact
  * it guards.  These are the contract between the model and the paper:
  * if a calibration change breaks one of these, the reproduction has
- * regressed.
+ * regressed.  Shapes that are ratios of two table cells live in
+ * paper_claims.json (paper_artifacts_test.cpp); the tests here cover
+ * what no batch spec prints: figure placements, MPI cost terms and
+ * POP's makespan.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "core/experiment.hh"
 #include "core/metrics.hh"
-#include "core/runner.hh"
+#include "core/registry.hh"
 #include "kernels/blas3.hh"
 #include "kernels/stream.hh"
 #include "machine/config.hh"
@@ -156,73 +161,32 @@ TEST(PaperShapes, SameDieCommunicationAdvantage)
               rt.messageOverhead(0, 2, 64.0));
 }
 
-/** Tables 2-3: localalloc best; membind/interleave pathological. */
-TEST(PaperShapes, NumactlOptionOrderingOnLongs)
-{
-    OptionSweepResult sweep = sweepOptions(longsConfig(), {8}, "nas-cg-b");
-    const auto &row = sweep.seconds[0];
-    double def = row[0], one_la = row[1], one_mb = row[2];
-    double two_la = row[3], two_mb = row[4], il = row[5];
-
-    // LocalAlloc(one/socket) is best or ties default at full spread.
-    EXPECT_LE(one_la, def * 1.05);
-    // Membind is the pathology: ~2x or worse (paper: 109 vs 51).
-    EXPECT_GT(one_mb / one_la, 1.8);
-    EXPECT_GT(two_mb / two_la, 1.5);
-    // Interleave clearly worse than default (paper: 67 vs 51).
-    EXPECT_GT(il / def, 1.2);
-}
-
-/** Table 2, 16 tasks: Default ~ Two MPI + Local Alloc at full load. */
-TEST(PaperShapes, DefaultMatchesPinnedAtFullLoad)
-{
-    OptionSweepResult sweep =
-        sweepOptions(longsConfig(), {16}, "nas-cg-b");
-    const auto &row = sweep.seconds[0];
-    EXPECT_TRUE(std::isnan(row[1])); // One MPI infeasible at 16
-    EXPECT_NEAR(row[0] / row[3], 1.0, 0.05);
-}
-
-/** Abstract: >25% improvement available from placement choices. */
-TEST(PaperShapes, PlacementDecisionsWorthOverTwentyFivePercent)
-{
-    for (const char *w : {"nas-cg-b", "nas-ft-b"}) {
-        OptionSweepResult sweep = sweepOptions(longsConfig(), {8}, w);
-        double lo = 1e300, hi = 0.0;
-        for (double v : sweep.seconds[0]) {
-            if (std::isnan(v))
-                continue;
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
-        }
-        EXPECT_GT(hi / lo, 1.25) << w;
-    }
-}
-
-/** Table 4: CG scaling collapses on Longs beyond 8 tasks. */
+/** Table 4: CG stops scaling past 8 tasks on Longs. */
 TEST(PaperShapes, CgStopsScalingOnLongs)
 {
-    auto t = defaultScalingTimes(longsConfig(), {8, 16}, "nas-cg-b");
+    std::unique_ptr<Workload> cg = makeWorkload("nas-cg-b");
+    RunResult t8 = runExperiment(base(longsConfig(), 8), *cg);
+    RunResult t16 = runExperiment(base(longsConfig(), 16), *cg);
+    ASSERT_TRUE(t8.valid && t16.valid);
     // 16 tasks no better than ~15% over 8 tasks (paper: worse).
-    EXPECT_GT(t[1] / t[0], 0.85);
-}
-
-/** Table 4: FT keeps scaling (weakly) where CG stalls. */
-TEST(PaperShapes, FtOutScalesCgAtSixteen)
-{
-    auto tcg = defaultScalingTimes(longsConfig(), {8, 16}, "nas-cg-b");
-    auto tft = defaultScalingTimes(longsConfig(), {8, 16}, "nas-ft-b");
-    EXPECT_LT(tft[1] / tft[0], tcg[1] / tcg[0]);
+    EXPECT_GT(t16.seconds / t8.seconds, 0.85);
 }
 
 /** Section 4: 10-20% app-level gain from placement (Longs). */
 TEST(PaperShapes, ApplicationLevelPlacementGain)
 {
-    OptionSweepResult sweep = sweepOptions(longsConfig(), {4}, "pop-x1");
-    double gain = placementGain(sweep.seconds[0]);
+    std::unique_ptr<Workload> pop = makeWorkload("pop-x1");
+    std::vector<double> row;
+    for (const NumactlOption &option : table5Options()) {
+        ExperimentConfig cfg = base(longsConfig(), 4);
+        cfg.option = option;
+        RunResult r = runExperiment(cfg, *pop);
+        row.push_back(r.valid ? r.seconds : std::nan(""));
+    }
+    double gain = placementGain(row);
     EXPECT_GT(gain, 0.03);
     double lo = 1e300, hi = 0.0;
-    for (double v : sweep.seconds[0]) {
+    for (double v : row) {
         if (std::isnan(v))
             continue;
         lo = std::min(lo, v);
@@ -234,10 +198,13 @@ TEST(PaperShapes, ApplicationLevelPlacementGain)
 /** Table 12: POP scales nearly linearly everywhere. */
 TEST(PaperShapes, PopScalesLinearly)
 {
+    std::unique_ptr<Workload> pop = makeWorkload("pop-x1");
     for (auto cfg_fn : {dmzConfig, longsConfig}) {
         MachineConfig m = cfg_fn();
-        auto t = defaultScalingTimes(m, {1, m.totalCores()}, "pop-x1");
-        double eff = t[0] / t[1] / m.totalCores();
+        RunResult t1 = runExperiment(base(m, 1), *pop);
+        RunResult tn = runExperiment(base(m, m.totalCores()), *pop);
+        ASSERT_TRUE(t1.valid && tn.valid) << m.name;
+        double eff = t1.seconds / tn.seconds / m.totalCores();
         EXPECT_GT(eff, 0.85) << m.name;
         EXPECT_LT(eff, 1.25) << m.name;
     }

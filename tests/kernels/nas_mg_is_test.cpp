@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "core/runner.hh"
 #include "kernels/nas_is.hh"
 #include "kernels/nas_mg.hh"
 #include "kernels/stream.hh"
@@ -119,15 +118,6 @@ TEST(MgModel, ScalesWellToEightThenSagsAtSixteen)
     double eff16 = t[0] / t[2] / 16.0;
     EXPECT_LT(eff16, 0.85); // bandwidth-bound second cores
     EXPECT_GT(eff16, 0.4);
-}
-
-TEST(IsModel, CommunicationBoundAtScale)
-{
-    auto t = defaultScalingTimes(longsConfig(), {1, 16}, "nas-is-b");
-    double eff = t[0] / t[1] / 16.0;
-    // The all-to-all key redistribution caps IS scaling hard.
-    EXPECT_LT(eff, 0.6);
-    EXPECT_GT(eff, 0.2);
 }
 
 TEST(IsModel, SysVSensitive)
