@@ -663,52 +663,85 @@ writeTelemetry(std::ostream &out, const char *cmd, const CliFlags &f,
     return true;
 }
 
-int
-cmdSweep(const std::vector<std::string> &args, std::ostream &out)
+/** A one-workload plan on --machine, run as the flags configure. */
+struct FlagSweep
+{
+    CliFlags flags;
+    MachineConfig machine;
+    SweepPlan plan;
+    PlanResults results;
+    SweepTelemetry telemetry;
+};
+
+/**
+ * The prologue `sweep` and `scaling` share: check the workload and
+ * the flags, resolve --machine (inline under --coherence or for a zoo
+ * machine), default the ranks to `first_rank` and its doubles up to
+ * the core count, expand over `options` (empty: all of Table 5), and
+ * run.  Prints the error and returns nullopt on a usage error.
+ */
+std::optional<FlagSweep>
+runFlagSweep(const std::vector<std::string> &args, const char *cmd,
+             int first_rank, std::vector<NumactlOption> options,
+             std::ostream &out)
 {
     if (args.size() < 2) {
-        out << "sweep: missing workload\n" << kUsage;
-        return 2;
+        out << cmd << ": missing workload\n" << kUsage;
+        return std::nullopt;
     }
     if (!knownWorkload(args[1])) {
-        out << "sweep: " << unknownWorkloadMessage(args[1]) << "\n";
-        return 2;
+        out << cmd << ": " << unknownWorkloadMessage(args[1]) << "\n";
+        return std::nullopt;
     }
-    CliFlags f = parseFlags(args, 2);
+    FlagSweep run;
+    run.flags = parseFlags(args, 2);
+    const CliFlags &f = run.flags;
     if (!f.error.empty()) {
-        out << "sweep: " << f.error << "\n";
-        return 2;
+        out << cmd << ": " << f.error << "\n";
+        return std::nullopt;
     }
-    auto resolved = resolveMachineFlag(f.machine, "sweep", out);
+    auto resolved = resolveMachineFlag(f.machine, cmd, out);
     if (!resolved)
-        return 2;
-    MachineConfig machine = *resolved;
-    std::vector<int> ranks = f.ranks;
-    if (ranks.empty()) {
-        for (int r = 2; r <= machine.totalCores(); r *= 2)
-            ranks.push_back(r);
-    }
+        return std::nullopt;
+    run.machine = *resolved;
     SweepAxes axes;
     axes.machinePreset = f.machine;
     axes.workloads = {canonicalWorkloadName(args[1])};
-    axes.rankCounts = ranks;
+    axes.rankCounts = f.ranks;
+    if (axes.rankCounts.empty()) {
+        for (int r = first_rank; r <= run.machine.totalCores(); r *= 2)
+            axes.rankCounts.push_back(r);
+    }
+    axes.options = std::move(options);
     axes.impls = {f.impl};
     axes.sublayers = {f.sublayer};
     const bool inline_machine =
-        applyCoherence(f, &machine) ||
+        applyCoherence(f, &run.machine) ||
         !MachineRegistry::instance().isBuiltin(f.machine);
     if (inline_machine) {
         axes.machinePreset.clear();
-        axes.machine = machine;
+        axes.machine = run.machine;
     }
-    SweepPlan plan = SweepPlan::expand(axes);
-    SweepTelemetry telemetry;
-    PlanResults results = runFlagPlan(plan, f, telemetry);
-    OptionSweepResult sweep = optionSweepSlice(plan, results, 0, 0, 0);
-    if (!writeTelemetry(out, "sweep", f, telemetry))
+    run.plan = SweepPlan::expand(axes);
+    run.results = runFlagPlan(run.plan, f, run.telemetry);
+    return run;
+}
+
+int
+cmdSweep(const std::vector<std::string> &args, std::ostream &out)
+{
+    std::optional<FlagSweep> run =
+        runFlagSweep(args, "sweep", 2, /*options=*/{}, out);
+    if (!run)
+        return 2;
+    const CliFlags &f = run->flags;
+    const std::vector<int> &ranks = run->plan.axes().rankCounts;
+    OptionSweepResult sweep =
+        optionSweepSlice(run->plan, run->results, 0, 0, 0);
+    if (!writeTelemetry(out, "sweep", f, run->telemetry))
         return 2;
     if (f.cacheStats)
-        out << "cache: " << results.stats.summary() << "\n";
+        out << "cache: " << run->results.stats.summary() << "\n";
     if (f.csv) {
         CsvWriter csv(out);
         std::vector<std::string> header = {"ranks"};
@@ -742,63 +775,32 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out)
 int
 cmdScaling(const std::vector<std::string> &args, std::ostream &out)
 {
-    if (args.size() < 2) {
-        out << "scaling: missing workload\n" << kUsage;
+    const NumactlOption by_default = table5Options().front();
+    std::optional<FlagSweep> run =
+        runFlagSweep(args, "scaling", 1, {by_default}, out);
+    if (!run)
         return 2;
-    }
-    if (!knownWorkload(args[1])) {
-        out << "scaling: " << unknownWorkloadMessage(args[1]) << "\n";
-        return 2;
-    }
-    CliFlags f = parseFlags(args, 2);
-    if (!f.error.empty()) {
-        out << "scaling: " << f.error << "\n";
-        return 2;
-    }
-    auto resolved = resolveMachineFlag(f.machine, "scaling", out);
-    if (!resolved)
-        return 2;
-    MachineConfig machine = *resolved;
-    std::vector<int> ranks = f.ranks;
-    if (ranks.empty()) {
-        ranks.push_back(1);
-        for (int r = 2; r <= machine.totalCores(); r *= 2)
-            ranks.push_back(r);
-    }
-    SweepAxes axes;
-    axes.machinePreset = f.machine;
-    axes.workloads = {canonicalWorkloadName(args[1])};
-    axes.rankCounts = ranks;
-    axes.options = {table5Options().front()}; // Default
-    const bool inline_machine =
-        applyCoherence(f, &machine) ||
-        !MachineRegistry::instance().isBuiltin(f.machine);
-    if (inline_machine) {
-        axes.machinePreset.clear();
-        axes.machine = machine;
-    }
-    SweepPlan plan = SweepPlan::expand(axes);
-    SweepTelemetry telemetry;
-    PlanResults results = runFlagPlan(plan, f, telemetry);
+    const CliFlags &f = run->flags;
+    const std::vector<int> &ranks = run->plan.axes().rankCounts;
     std::vector<double> t(ranks.size(), 0.0);
     for (size_t i = 0; i < ranks.size(); ++i) {
-        const RunResult &r =
-            results.at(plan, plan.pointIndex(0, 0, 0, i, 0));
+        const RunResult &r = run->results.at(
+            run->plan, run->plan.pointIndex(0, 0, 0, i, 0));
         if (!r.valid) {
-            out << "infeasible: '" << axes.options.front().label
+            out << "infeasible: '" << by_default.label
                 << "' cannot host " << ranks[i] << " ranks on "
-                << machine.name << "\n";
+                << run->machine.name << "\n";
             return 1;
         }
         t[i] = r.seconds;
     }
     // Scaling telemetry keeps its historical "default" label.
-    for (GridPointSample &sample : telemetry.points)
+    for (GridPointSample &sample : run->telemetry.points)
         sample.label = "default";
-    if (!writeTelemetry(out, "scaling", f, telemetry))
+    if (!writeTelemetry(out, "scaling", f, run->telemetry))
         return 2;
     if (f.cacheStats)
-        out << "cache: " << results.stats.summary() << "\n";
+        out << "cache: " << run->results.stats.summary() << "\n";
     std::vector<double> s = speedups(t);
     TextTable table({"ranks", "seconds", "speedup", "efficiency"});
     for (size_t i = 0; i < ranks.size(); ++i) {

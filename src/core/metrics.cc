@@ -23,24 +23,6 @@ speedups(const std::vector<double> &times, int base_index)
     return out;
 }
 
-std::vector<double>
-efficiencies(const std::vector<double> &times, const std::vector<int> &ranks,
-             int base_index)
-{
-    MCSCOPE_ASSERT(times.size() == ranks.size(),
-                   "times/ranks size mismatch");
-    for (int r : ranks)
-        MCSCOPE_ASSERT(r > 0, "rank counts must be positive, got ", r);
-    std::vector<double> s = speedups(times, base_index);
-    std::vector<double> out;
-    out.reserve(s.size());
-    for (size_t i = 0; i < s.size(); ++i) {
-        double scale = static_cast<double>(ranks[i]) / ranks[base_index];
-        out.push_back(s[i] / scale);
-    }
-    return out;
-}
-
 double
 singleToStarRatio(double single_seconds, double star_seconds)
 {

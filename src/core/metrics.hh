@@ -1,7 +1,7 @@
 /**
  * @file
- * Derived performance metrics: speedups, parallel efficiencies, and
- * the Single/Star ratios the paper builds its arguments on.
+ * Derived performance metrics: speedups and the Single/Star ratios
+ * the paper builds its arguments on.
  */
 
 #ifndef MCSCOPE_CORE_METRICS_HH
@@ -18,14 +18,6 @@ namespace mcscope {
  */
 std::vector<double> speedups(const std::vector<double> &times,
                              int base_index = 0);
-
-/**
- * Parallel efficiency: speedup[i] / (ranks[i] / ranks[base]).  All
- * rank counts must be positive.
- */
-std::vector<double> efficiencies(const std::vector<double> &times,
-                                 const std::vector<int> &ranks,
-                                 int base_index = 0);
 
 /**
  * HPCC Single:Star ratio.  Star-mode per-rank time divided by

@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "util/csv.hh"
-#include "util/logging.hh"
 #include "util/str.hh"
 
 namespace mcscope {
@@ -162,38 +161,6 @@ appendOptionSweepRows(TextTable &table, const OptionSweepResult &sweep,
             row.push_back(cell(v, precision));
         table.addRow(std::move(row));
     }
-}
-
-TextTable
-optionSweepTable(const OptionSweepResult &sweep, const std::string &row_label,
-                 int precision)
-{
-    TextTable table(optionSweepHeader("Label"));
-    appendOptionSweepRows(table, sweep, row_label, precision);
-    return table;
-}
-
-TextTable
-speedupTable(const std::vector<int> &rank_counts,
-             const std::vector<std::string> &series_names,
-             const std::vector<std::vector<double>> &speedup_rows,
-             int precision)
-{
-    MCSCOPE_ASSERT(speedup_rows.size() == rank_counts.size(),
-                   "speedup table shape mismatch");
-    std::vector<std::string> header = {"Number of cores"};
-    for (const std::string &s : series_names)
-        header.push_back(s);
-    TextTable table(header);
-    for (size_t i = 0; i < rank_counts.size(); ++i) {
-        MCSCOPE_ASSERT(speedup_rows[i].size() == series_names.size(),
-                       "speedup row width mismatch");
-        std::vector<std::string> row = {std::to_string(rank_counts[i])};
-        for (double v : speedup_rows[i])
-            row.push_back(cell(v, precision));
-        table.addRow(std::move(row));
-    }
-    return table;
 }
 
 } // namespace mcscope

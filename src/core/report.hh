@@ -19,18 +19,6 @@
 namespace mcscope {
 
 /**
- * Render an option sweep like Tables 2/3/7/9/11/13/14:
- * "MPI tasks | <label> | Default | One MPI + Local Alloc | ...".
- *
- * @param sweep      the sweep result.
- * @param row_label  per-row second column (kernel or system name).
- * @param precision  decimals for the time cells.
- */
-TextTable optionSweepTable(const OptionSweepResult &sweep,
-                           const std::string &row_label,
-                           int precision = 2);
-
-/**
  * Append an option sweep's rows to an existing table (for the
  * two-kernel Tables 2-3 where CG and FT interleave).
  */
@@ -56,15 +44,6 @@ std::string implToken(MpiImpl impl);
 void renderBatchResults(const SweepPlan &plan,
                         const PlanResults &results, bool csv,
                         std::ostream &out);
-
-/**
- * Render a speedup table like Tables 8/10/12: one row per rank count,
- * one column per named series.
- */
-TextTable speedupTable(const std::vector<int> &rank_counts,
-                       const std::vector<std::string> &series_names,
-                       const std::vector<std::vector<double>> &speedups,
-                       int precision = 2);
 
 } // namespace mcscope
 

@@ -49,6 +49,7 @@
 #ifndef MCSCOPE_CORE_RUNNER_HH
 #define MCSCOPE_CORE_RUNNER_HH
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -361,11 +362,21 @@ PlanResults runPlanSharded(const SweepPlan &plan,
 int runFramedShardWorker(int in_fd, int out_fd);
 
 /**
+ * How long a worker may leave its manifest unread, or its done frame
+ * unsent after its last record, before the executor drops it (its
+ * owed points go through the death protocol).
+ */
+constexpr std::chrono::seconds kWorkerStallDeadline{3};
+
+/**
  * Incremental supervisor behind runPlanSharded() and `mcscope serve`
  * (DESIGN.md §14).  Owns a work queue of not-yet-done plan points and
  * a set of worker channels -- local fork/exec subprocesses and/or
- * remote TCP workers attached with attachRemote() -- all speaking the
- * same framed manifest/record protocol.  Callers drive it one poll
+ * remote TCP workers attached with attachRemote() -- each one
+ * non-blocking socket speaking the same framed manifest/record
+ * protocol.  Manifests leave through a per-channel FrameOutbox
+ * (util/transport.hh), so a worker that stops reading is dropped at
+ * kWorkerStallDeadline instead of stalling the caller.  Callers drive it one poll
  * iteration at a time.  Each iteration is one poll(2) over the
  * caller's own fds and the executor's channels together, so the serve
  * daemon's listener, peers and clients wake it as promptly as a
@@ -409,7 +420,11 @@ class ShardExecutor
      */
     void attachRemote(int fd, const std::string &peer);
 
-    /** True once every plan point is done (journal hit, record, or gap). */
+    /**
+     * True once every plan point is done (journal hit, record, or
+     * gap) and every busy worker's trailing done frame was read, or
+     * its wait passed kWorkerStallDeadline.
+     */
     bool finished() const;
 
     /**
@@ -443,21 +458,19 @@ class ShardExecutor
     /** Result for a completed spec (invalid RunResult for gaps). */
     const RunResult &resultFor(size_t spec) const;
 
-    /** Live remote worker channels currently attached. */
-    size_t remoteWorkers() const;
-
     /**
-     * Detach every idle remote worker channel and return (fd, peer)
+     * Detach every live remote worker channel and return (fd, peer)
      * pairs, ownership included -- the serve daemon parks them
-     * between batches.  Call when finished(); busy channels are never
-     * released.
+     * between batches.  Call when finished(), when no live channel is
+     * busy.
      */
     std::vector<std::pair<int, std::string>> releaseRemotes();
 
     /**
-     * Finalize: close local workers, assert every point is resolved,
-     * and return the results (fills `telemetry` when non-null).  The
-     * executor is spent afterwards.
+     * Finalize: close every channel (a local worker exits on the EOF
+     * and is reaped), assert every point is resolved, and return the
+     * results (fills `telemetry` when non-null).  The executor is
+     * spent afterwards.
      */
     PlanResults take(SweepTelemetry *telemetry = nullptr);
 

@@ -6,10 +6,11 @@
 #include <deque>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <utility>
 
-#include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "core/runner_internal.hh"
@@ -20,6 +21,9 @@
 namespace mcscope {
 
 namespace {
+
+/** A worker's outbox holds one manifest, which is one frame. */
+constexpr size_t kManifestBacklogBytes = kMaxFrameBytes + 4;
 
 /** Done-frame key of every ShardRunStats counter, in frame order. */
 constexpr std::pair<const char *, uint64_t ShardRunStats::*>
@@ -74,17 +78,17 @@ ShardRunStats::summary() const
 }
 
 /**
- * One worker channel of the sharded supervisor: either a local
- * fork/exec subprocess (proc set) or a remote TCP worker (fd set).
- * Both speak the framed manifest/record protocol, so everything past
- * the byte-moving layer is channel-agnostic.
+ * One worker channel of the sharded supervisor: one non-blocking
+ * socket to a framed worker -- a socketpair end for a local worker,
+ * whose Subprocess is kept only to kill and reap it, or a remote TCP
+ * socket.  Both kinds are read, written and closed the same way.
  */
 struct ShardExecutor::Impl
 {
     struct Channel
     {
+        FrameOutbox link; ///< the worker's socket
         std::unique_ptr<Subprocess> proc; ///< local worker, else null
-        int fd = -1;      ///< remote socket (owned), else -1
         bool isRemote = false;
         std::string peer; ///< "local#N" or the remote peer label
         FrameBuffer frames;
@@ -98,17 +102,17 @@ struct ShardExecutor::Impl
         uint64_t respawns = 0;
         uint64_t launches = 0;
 
-        int readFd() const
+        bool live() const { return !dead && link.isOpen(); }
+
+        void adopt(int fd)
         {
-            return proc ? proc->outFd() : fd;
-        }
-        int writeFd() const
-        {
-            return proc ? proc->inFd() : fd;
-        }
-        bool live() const
-        {
-            return !dead && (proc || (isRemote && fd >= 0));
+            link = FrameOutbox(fd, "supervisor: worker " + peer,
+                               kManifestBacklogBytes, kWorkerStallDeadline);
+            frames = FrameBuffer();
+            busy = false;
+            dead = false;
+            timedOut = false;
+            lastProgress = Clock::now();
         }
         ShardSample sample(size_t shard) const
         {
@@ -214,16 +218,13 @@ struct ShardExecutor::Impl
 
     void spawnLocal(Channel &ch)
     {
+        int sv[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
+            fatal("cannot create a worker socket: ", std::strerror(errno));
         ch.proc = std::make_unique<Subprocess>(
-            std::vector<std::string>{exe, "worker", "--framed"},
-            /*stdin_data=*/std::string(),
-            /*extra_env=*/std::vector<std::string>(),
-            Subprocess::Stdin::Keep);
-        ch.frames = FrameBuffer();
-        ch.busy = false;
-        ch.dead = false;
-        ch.timedOut = false;
-        ch.lastProgress = Clock::now();
+            std::vector<std::string>{exe, "worker", "--framed"}, sv[1]);
+        ::close(sv[1]);
+        ch.adopt(sv[0]);
         if (ch.launches++ > 0)
             ++ch.respawns;
     }
@@ -252,21 +253,16 @@ struct ShardExecutor::Impl
         return got;
     }
 
-    /** Hand a manifest to an idle live channel; false = send failed. */
-    bool sendManifest(Channel &ch, std::deque<size_t> points)
+    /** Queue a manifest for an idle live channel and start sending. */
+    void sendManifest(Channel &ch, std::deque<size_t> points,
+                      Clock::time_point now)
     {
-        const std::string manifest =
-            encodeShardManifest(plan, points, opts);
         ch.owed = std::move(points);
         ch.busy = true;
-        ch.lastProgress = Clock::now();
-        if (!writeFrame(ch.writeFd(), manifest)) {
-            warn("supervisor: cannot send manifest to ", ch.peer,
-                 ": ", std::strerror(errno));
-            ch.dead = true;
-            return false;
-        }
-        return true;
+        ch.lastProgress = now;
+        if (!ch.link.queue(encodeShardManifest(plan, ch.owed, opts), now) ||
+            !ch.link.flush(now))
+            handleDeath(ch, now);
     }
 
     /** Spawn/assign work to every idle channel that can take it. */
@@ -293,7 +289,7 @@ struct ShardExecutor::Impl
             std::deque<size_t> points = takeEligible(want, now);
             if (points.empty())
                 break; // everything left is cooling down
-            sendManifest(*idle[k], std::move(points));
+            sendManifest(*idle[k], std::move(points), now);
         }
     }
 
@@ -400,8 +396,7 @@ struct ShardExecutor::Impl
     bool drainChannel(Channel &ch)
     {
         std::string bytes;
-        const bool open = ch.proc ? ch.proc->readAvailable(bytes)
-                                  : ch.fd >= 0 && drainFd(ch.fd, &bytes);
+        const bool open = drainFd(ch.link.fd(), &bytes);
         ch.frames.append(bytes);
         return open;
     }
@@ -426,28 +421,14 @@ struct ShardExecutor::Impl
      */
     void handleDeath(Channel &ch, Clock::time_point now)
     {
-        bool clean;
-        if (ch.proc) {
-            ch.proc->kill();
-            ch.proc->wait();
-            clean = !ch.timedOut && ch.proc->exitCode() == 0;
-            ch.proc.reset();
-        } else {
-            if (ch.fd >= 0) {
-                ::close(ch.fd);
-                ch.fd = -1;
-            }
-            // A remote that disconnects while idle is an orderly
-            // departure (a worker being re-pointed elsewhere), not a
-            // crash.
-            clean = !ch.timedOut && ch.owed.empty();
-        }
-        ch.frames = FrameBuffer();
-        ch.busy = false;
+        // A worker that leaves while idle is an orderly departure (a
+        // remote being re-pointed elsewhere), not a crash.
+        const bool clean = closeChannel(ch, /*kill=*/true) &&
+                           !ch.timedOut && ch.owed.empty();
         ch.dead = true;
         // A worker can die uncleanly after delivering its last record
         // (e.g. SIGKILL between the final write and exit, or a
-        // post-timeout salvage read draining the pipe); with no point
+        // post-timeout salvage read draining the socket); with no point
         // still owed there is nothing to retry.
         if (ch.owed.empty()) {
             if (!clean)
@@ -486,6 +467,56 @@ struct ShardExecutor::Impl
         ch.owed.clear();
     }
 
+    /**
+     * Close a channel's socket and reap its local worker, if any
+     * (SIGKILLed first when `kill`; otherwise it exits on the EOF).
+     * False when that worker exited non-zero.
+     */
+    bool closeChannel(Channel &ch, bool kill)
+    {
+        ch.link.close();
+        ch.frames = FrameBuffer();
+        ch.busy = false;
+        if (!ch.proc)
+            return true;
+        if (kill)
+            ch.proc->kill();
+        ch.proc->wait();
+        const bool exited_ok = ch.proc->exitCode() == 0;
+        ch.proc.reset();
+        return exited_ok;
+    }
+
+    /**
+     * When a busy channel counts as hung: the point watchdog, and once
+     * every point is done, the wait for its trailing done frame.
+     */
+    std::optional<Clock::time_point> hungAt(const Channel &ch) const
+    {
+        if (!ch.busy)
+            return std::nullopt;
+        std::optional<Clock::duration> budget;
+        if (opts.pointTimeoutSeconds > 0.0)
+            budget = std::chrono::duration_cast<Clock::duration>(
+                std::chrono::duration<double>(opts.pointTimeoutSeconds));
+        if (doneCount == n)
+            budget = std::min<Clock::duration>(
+                budget.value_or(kWorkerStallDeadline), kWorkerStallDeadline);
+        if (!budget)
+            return std::nullopt;
+        return ch.lastProgress + *budget;
+    }
+
+    /** Every point resolved and every done frame read (or given up). */
+    bool finished() const
+    {
+        return doneCount == n &&
+               std::none_of(channels.begin(), channels.end(),
+                            [](const auto &ch) {
+                                return ch->live() && ch->busy;
+                            });
+    }
+
     /** Drop dead remote channels, keeping their telemetry samples. */
     void reapChannels()
     {
@@ -519,28 +550,30 @@ struct ShardExecutor::Impl
 
         const size_t caller_fds = fds.size();
         for (auto &ch : channels) {
-            if (ch->live() && ch->readFd() >= 0)
-                fds.push_back({ch->readFd(), POLLIN, 0});
+            if (!ch->live())
+                continue;
+            const short events =
+                ch->link.unsent() > 0 ? POLLIN | POLLOUT : POLLIN;
+            fds.push_back({ch->link.fd(), events, 0});
         }
         // Completions nobody drained yet (the store's hits, found in
         // the constructor) and a finished plan must not wait at all.
         // Otherwise sleep until a channel or caller fd is ready, the
-        // nearest watchdog or backoff deadline, or the caller's cap.
-        int timeout_ms = doneCount == n || !completions.empty()
+        // nearest watchdog, stall or backoff deadline, or the caller's
+        // cap.
+        int timeout_ms = finished() || !completions.empty()
                              ? 0
                              : std::max(0, max_wait_ms);
         auto considerDeadline = [&](Clock::time_point when) {
             timeout_ms = pollTimeoutBefore(timeout_ms, now, when);
         };
         for (auto &ch : channels) {
-            if (ch->live() && ch->busy &&
-                opts.pointTimeoutSeconds > 0.0) {
-                considerDeadline(
-                    ch->lastProgress +
-                    std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(
-                            opts.pointTimeoutSeconds)));
-            }
+            if (!ch->live())
+                continue;
+            if (std::optional<Clock::time_point> hung = hungAt(*ch))
+                considerDeadline(*hung);
+            if (ch->link.unsent() > 0)
+                considerDeadline(ch->link.stallDeadline());
         }
         for (size_t i : pending) {
             if (notBefore[i] > now)
@@ -556,13 +589,12 @@ struct ShardExecutor::Impl
                 continue;
             const bool open = drainChannel(ch);
             processFrames(ch);
-            if (ch.dead || !open) {
+            if (ch.dead || !open || !ch.link.flush(now)) {
                 handleDeath(ch, now);
                 continue;
             }
-            if (ch.busy && opts.pointTimeoutSeconds > 0.0 &&
-                std::chrono::duration<double>(now - ch.lastProgress)
-                        .count() > opts.pointTimeoutSeconds) {
+            if (std::optional<Clock::time_point> hung = hungAt(ch);
+                hung && now > *hung) {
                 // Hung: kill, salvage already-sent records, then run
                 // the normal death protocol.
                 ch.timedOut = true;
@@ -580,22 +612,10 @@ struct ShardExecutor::Impl
     {
         MCSCOPE_ASSERT(!taken, "ShardExecutor results already taken");
         taken = true;
-        // Orderly shutdown: close stdin so local workers exit 0, then
-        // reap; remote channels just close.
-        for (auto &ch : channels) {
-            if (ch->proc) {
-                ch->proc->closeStdin();
-                ch->proc->wait();
-                // The last manifest's done frame may trail its final
-                // record; read it, or its cache-hit count is lost.
-                drainChannel(*ch);
-                processFrames(*ch);
-                ch->proc.reset();
-            } else if (ch->fd >= 0) {
-                ::close(ch->fd);
-                ch->fd = -1;
-            }
-        }
+        // Orderly shutdown: every done frame is in (finished()), so
+        // closing a socket lets its local worker exit 0 on the EOF.
+        for (auto &ch : channels)
+            closeChannel(*ch, /*kill=*/false);
         out.wallSeconds = secondsSince(planStart);
 
         for (size_t i = 0; i < n; ++i)
@@ -650,24 +670,20 @@ ShardExecutor::~ShardExecutor() = default;
 void
 ShardExecutor::attachRemote(int fd, const std::string &peer)
 {
-    int flags = ::fcntl(fd, F_GETFL);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     auto ch = std::make_unique<Impl::Channel>();
-    ch->fd = fd;
     ch->isRemote = true;
     ch->peer = peer.empty()
                    ? "remote#" + std::to_string(impl_->remoteSeq)
                    : peer;
     ++impl_->remoteSeq;
-    ch->lastProgress = Clock::now();
+    ch->adopt(fd);
     impl_->channels.push_back(std::move(ch));
 }
 
 bool
 ShardExecutor::finished() const
 {
-    return impl_->doneCount == impl_->n;
+    return impl_->finished();
 }
 
 void
@@ -698,17 +714,6 @@ ShardExecutor::resultFor(size_t spec) const
     return impl_->out.bySpec[spec];
 }
 
-size_t
-ShardExecutor::remoteWorkers() const
-{
-    size_t count = 0;
-    for (const auto &ch : impl_->channels) {
-        if (ch->isRemote && ch->live())
-            ++count;
-    }
-    return count;
-}
-
 std::vector<std::pair<int, std::string>>
 ShardExecutor::releaseRemotes()
 {
@@ -718,8 +723,7 @@ ShardExecutor::releaseRemotes()
         Impl::Channel &ch = **it;
         if (ch.isRemote && ch.live() && !ch.busy) {
             impl_->retireRemote(ch);
-            released.emplace_back(ch.fd, ch.peer);
-            ch.fd = -1; // ownership moves to the caller
+            released.emplace_back(ch.link.release(), ch.peer);
             it = impl_->channels.erase(it);
         } else {
             ++it;

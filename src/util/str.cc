@@ -84,19 +84,6 @@ formatBytes(double bytes)
     return buf;
 }
 
-std::string
-formatGiBps(double bytes_per_second)
-{
-    return formatFixed(bytes_per_second / 1.0e9, 2) + " GB/s";
-}
-
-bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
-}
-
 size_t
 editDistance(const std::string &a, const std::string &b)
 {

@@ -33,12 +33,6 @@ std::string formatFixed(double value, int precision);
  */
 std::string formatBytes(double bytes);
 
-/** Format a rate in GB/s with two decimals. */
-std::string formatGiBps(double bytes_per_second);
-
-/** True if `s` starts with `prefix`. */
-bool startsWith(const std::string &s, const std::string &prefix);
-
 /**
  * Levenshtein edit distance (insert/delete/substitute, unit costs).
  * Used for nearest-name suggestions on unknown workload or machine

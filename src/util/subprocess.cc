@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include <fcntl.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -15,14 +15,6 @@
 namespace mcscope {
 
 namespace {
-
-void
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 /** write(2) until done; EINTR retried, other errors abandon. */
 void
@@ -35,8 +27,8 @@ writeAll(int fd, const std::string &data)
             if (errno == EINTR)
                 continue;
             // EPIPE: the child exited before draining stdin.  The
-            // supervisor sees that as a crashed worker via waitpid;
-            // nothing useful to do here.
+            // caller sees that as the child's exit status; nothing
+            // useful to do here.
             return;
         }
         off += static_cast<size_t>(n);
@@ -45,45 +37,50 @@ writeAll(int fd, const std::string &data)
 
 } // namespace
 
+Subprocess::Subprocess(const std::vector<std::string> &argv, int io_fd)
+{
+    spawn(argv, io_fd, {});
+}
+
 Subprocess::Subprocess(const std::vector<std::string> &argv,
                        const std::string &stdin_data,
-                       const std::vector<std::string> &extra_env,
-                       Stdin stdin_mode)
+                       const std::vector<std::string> &extra_env)
+{
+    // SOCK_CLOEXEC at creation (not fcntl afterwards) closes the race
+    // where another thread forks between socketpair() and fork() and
+    // its child inherits our end forever; the child's dup2 onto
+    // stdin/stdout clears the flag on the only copies that should
+    // survive exec.
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
+        fatal("cannot create a subprocess socket: ", std::strerror(errno));
+    spawn(argv, sv[1], extra_env);
+    ::close(sv[1]);
+    out_fd_ = sv[0];
+    writeAll(out_fd_, stdin_data);
+    ::shutdown(out_fd_, SHUT_WR); // the child reads EOF after the data
+    setNonBlocking(out_fd_);
+}
+
+void
+Subprocess::spawn(const std::vector<std::string> &argv, int io_fd,
+                  const std::vector<std::string> &extra_env)
 {
     MCSCOPE_ASSERT(!argv.empty(), "subprocess needs an argv[0]");
 
-    // Dead-child writes must surface as EPIPE, not SIGPIPE.  This
-    // used to be a per-write sigaction save/restore around the
-    // manifest write below, which raced: two threads spawning workers
-    // concurrently could interleave so one thread's restore re-armed
-    // SIGPIPE in the middle of the other's write.  The process-wide
-    // ignore is set exactly once and never restored (nothing in
-    // mcscope wants SIGPIPE's kill-me default).
+    // Dead-child writes must surface as EPIPE, not SIGPIPE (see
+    // ignoreSigpipeOnce() for why the ignore is process-wide).
     ignoreSigpipeOnce();
-
-    int in_pipe[2];  // parent writes -> child stdin
-    int out_pipe[2]; // child stdout -> parent reads
-    // O_CLOEXEC at creation (not fcntl afterwards) closes the race
-    // where another thread forks between pipe() and fork() and its
-    // child inherits our pipe ends forever; the dup2 below clears the
-    // flag on the child's own stdin/stdout copies, which is the only
-    // place these descriptors should survive exec.
-    if (::pipe2(in_pipe, O_CLOEXEC) != 0 ||
-        ::pipe2(out_pipe, O_CLOEXEC) != 0)
-        fatal("cannot create subprocess pipes: ", std::strerror(errno));
 
     pid_ = ::fork();
     if (pid_ < 0)
         fatal("fork failed: ", std::strerror(errno));
 
     if (pid_ == 0) {
-        // Child: wire the pipes onto stdin/stdout and exec.
-        ::dup2(in_pipe[0], STDIN_FILENO);
-        ::dup2(out_pipe[1], STDOUT_FILENO);
-        ::close(in_pipe[0]);
-        ::close(in_pipe[1]);
-        ::close(out_pipe[0]);
-        ::close(out_pipe[1]);
+        // Child: wire the socket onto stdin/stdout and exec.  io_fd
+        // itself carries close-on-exec.
+        ::dup2(io_fd, STDIN_FILENO);
+        ::dup2(io_fd, STDOUT_FILENO);
         std::vector<char *> cargv;
         cargv.reserve(argv.size() + 1);
         for (const std::string &a : argv)
@@ -104,24 +101,6 @@ Subprocess::Subprocess(const std::vector<std::string> &argv,
         writeAll(STDERR_FILENO, msg);
         ::_exit(127);
     }
-
-    // Parent.  The surviving ends already carry O_CLOEXEC from
-    // pipe2().
-    ::close(in_pipe[0]);
-    ::close(out_pipe[1]);
-    out_fd_ = out_pipe[0];
-    setNonBlocking(out_fd_);
-
-    // Writing the whole payload before reading anything is safe
-    // because workers consume all of stdin before emitting output
-    // (see the file comment); SIGPIPE is already ignored process-wide
-    // (ctor), so an early-crashing child surfaces as a reaped status,
-    // not a signal in the supervisor.
-    writeAll(in_pipe[1], stdin_data);
-    if (stdin_mode == Stdin::Keep)
-        in_fd_ = in_pipe[1];
-    else
-        ::close(in_pipe[1]);
 }
 
 Subprocess::~Subprocess()
@@ -132,16 +111,6 @@ Subprocess::~Subprocess()
     }
     if (out_fd_ >= 0)
         ::close(out_fd_);
-    closeStdin();
-}
-
-void
-Subprocess::closeStdin()
-{
-    if (in_fd_ >= 0) {
-        ::close(in_fd_);
-        in_fd_ = -1;
-    }
 }
 
 bool
@@ -150,8 +119,8 @@ Subprocess::readAvailable(std::string &buf)
     if (out_fd_ < 0)
         return false;
     if (drainFd(out_fd_, &buf))
-        return true; // nothing more right now, pipe still open
-    // EOF, or a dead pipe: close it so the caller runs the
+        return true; // nothing more right now, socket still open
+    // EOF, or a dead socket: close it so the caller runs the
     // death/retry path instead of polling forever.
     ::close(out_fd_);
     out_fd_ = -1;

@@ -2,20 +2,21 @@
  * @file
  * Minimal POSIX subprocess management for the sharded sweep executor.
  *
- * The supervisor (core/runner.hh) launches `mcscope worker` children,
- * feeds each one a shard manifest over stdin, and reads line-oriented
- * progress records back over stdout.  This module wraps the
- * fork/exec/pipe/waitpid choreography behind a small RAII class so
- * the supervisor logic stays readable:
+ * The supervisor (core/runner.hh) launches `mcscope worker --framed`
+ * children and talks to each over one socket: a child's stdin and
+ * stdout are the same end of a socketpair, the supervisor holds the
+ * other end, and frames go both ways on it exactly as they do on a
+ * remote worker's TCP socket.  This module wraps the
+ * fork/exec/waitpid choreography behind a small RAII class:
  *
- *  - stdin is written in full at spawn time and then (by default)
- *    closed.  This is deadlock-free only because workers drain stdin
- *    completely before producing output; callers with chattier
- *    children would need a writer thread.  The framed executor keeps
- *    stdin open instead (KeepStdin) and feeds the child one
- *    length-prefixed manifest at a time over inFd().
- *  - stdout is exposed as a non-blocking file descriptor suitable for
- *    poll(2), so one supervisor thread can multiplex many workers.
+ *  - Subprocess(argv, io_fd) execs the child on a socket the caller
+ *    made; the caller keeps (and owns) the other end.
+ *  - Subprocess(argv, stdin_data) makes the socketpair itself, writes
+ *    `stdin_data`, then shuts its write side down so the child reads
+ *    EOF after the data; the child's stdout comes back on the
+ *    non-blocking outFd(), suitable for poll(2).  Writing all of
+ *    stdin first is deadlock-free only for children that drain stdin
+ *    before producing output (or, as every caller does, get none).
  *  - stderr passes through to the parent's stderr (worker warnings
  *    surface like the supervisor's own).
  *
@@ -32,27 +33,27 @@
 
 namespace mcscope {
 
-/** One child process with a stdin payload and a readable stdout. */
+/** One child process, killed and reaped by its destructor. */
 class Subprocess
 {
   public:
-    /** What to do with the child's stdin after `stdin_data`. */
-    enum class Stdin {
-        CloseAfterData, ///< write stdin_data, then close (legacy)
-        Keep,           ///< keep writable; see inFd()/closeStdin()
-    };
+    /**
+     * Fork and exec `argv` (argv[0] is the executable path) with
+     * `io_fd` as the child's stdin and stdout.  The caller still owns
+     * `io_fd` and closes its copy after the spawn.  fatal() when the
+     * executable cannot be spawned.
+     */
+    Subprocess(const std::vector<std::string> &argv, int io_fd);
 
     /**
-     * Fork and exec `argv` (argv[0] is the executable path), write
-     * `stdin_data` to the child's stdin, and close it (unless
-     * `stdin_mode` is Keep).  fatal() when the executable cannot be
-     * spawned.  Extra environment entries ("KEY=VALUE") are applied
-     * on top of the inherited environment.
+     * Fork and exec `argv` on a fresh socketpair, write `stdin_data`
+     * to the child's stdin, and end it there.  Extra environment
+     * entries ("KEY=VALUE") are applied on top of the inherited
+     * environment.
      */
     Subprocess(const std::vector<std::string> &argv,
                const std::string &stdin_data,
-               const std::vector<std::string> &extra_env = {},
-               Stdin stdin_mode = Stdin::CloseAfterData);
+               const std::vector<std::string> &extra_env = {});
 
     /** Kills (SIGKILL) and reaps the child if still running. */
     ~Subprocess();
@@ -60,17 +61,11 @@ class Subprocess
     Subprocess(const Subprocess &) = delete;
     Subprocess &operator=(const Subprocess &) = delete;
 
-    /** Non-blocking stdout read end; -1 after EOF was consumed. */
-    int outFd() const { return out_fd_; }
-
     /**
-     * Blocking stdin write end (Stdin::Keep only); -1 once closed or
-     * for CloseAfterData children.
+     * Non-blocking read end of the child's stdout; -1 after EOF was
+     * consumed, and always -1 for a child spawned on a caller's fd.
      */
-    int inFd() const { return in_fd_; }
-
-    /** Close the kept stdin end (the child sees EOF); idempotent. */
-    void closeStdin();
+    int outFd() const { return out_fd_; }
 
     /** Child pid (valid until reaped). */
     pid_t pid() const { return pid_; }
@@ -78,8 +73,8 @@ class Subprocess
     /**
      * Drain available stdout bytes into `buf` (appending).  Returns
      * false once EOF is reached (and closes the descriptor); returns
-     * true while the pipe is still open, including when no bytes were
-     * ready.
+     * true while the socket is still open, including when no bytes
+     * were ready.
      */
     bool readAvailable(std::string &buf);
 
@@ -95,9 +90,6 @@ class Subprocess
     /** SIGKILL the child (no-op when already exited). */
     void kill();
 
-    /** True after a successful tryWait()/wait(). */
-    bool exited() const { return exited_; }
-
     /** Exit code, or -1 when the child died on a signal. */
     int exitCode() const;
 
@@ -105,9 +97,11 @@ class Subprocess
     int termSignal() const;
 
   private:
+    void spawn(const std::vector<std::string> &argv, int io_fd,
+               const std::vector<std::string> &extra_env);
+
     pid_t pid_ = -1;
     int out_fd_ = -1;
-    int in_fd_ = -1;
     bool exited_ = false;
     int status_ = 0;
 };

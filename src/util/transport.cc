@@ -5,11 +5,12 @@
 #include <csignal>
 #include <cstring>
 #include <mutex>
+#include <utility>
 
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -65,14 +66,6 @@ writeAllFd(int fd, const char *data, size_t len)
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                // Non-blocking socket with a full send buffer (the
-                // serve daemon's client/worker fds): wait for space
-                // rather than surfacing a spurious short write.
-                struct pollfd pfd = {fd, POLLOUT, 0};
-                ::poll(&pfd, 1, -1);
-                continue;
-            }
             return false;
         }
         off += static_cast<size_t>(n);
@@ -120,6 +113,14 @@ ignoreSigpipeOnce()
     });
 }
 
+void
+setNonBlocking(int fd)
+{
+    const int flags = ::fcntl(fd, F_GETFL);
+    if (flags >= 0)
+        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
 bool
 appendFrame(std::string &out, const std::string &payload)
 {
@@ -144,6 +145,95 @@ writeFrame(int fd, const std::string &payload)
     frame.reserve(4 + payload.size());
     return appendFrame(frame, payload) &&
            writeAllFd(fd, frame.data(), frame.size());
+}
+
+FrameOutbox::FrameOutbox(int fd, std::string label, size_t backlog_limit,
+                         Clock::duration stall_deadline)
+    : fd_(fd), label_(std::move(label)), backlogLimit_(backlog_limit),
+      stallDeadline_(stall_deadline)
+{
+    setNonBlocking(fd_);
+}
+
+FrameOutbox &
+FrameOutbox::operator=(FrameOutbox &&other) noexcept
+{
+    if (this != &other) {
+        close();
+        fd_ = std::exchange(other.fd_, -1);
+        label_ = std::move(other.label_);
+        backlogLimit_ = other.backlogLimit_;
+        stallDeadline_ = other.stallDeadline_;
+        buf_ = std::exchange(other.buf_, {});
+        sent_ = std::exchange(other.sent_, 0);
+        lastProgress_ = other.lastProgress_;
+    }
+    return *this;
+}
+
+bool
+FrameOutbox::queue(const std::string &payload, Clock::time_point now)
+{
+    if (fd_ < 0)
+        return false;
+    if (unsent() == 0)
+        lastProgress_ = now; // the stall clock starts with a backlog
+    if (!appendFrame(buf_, payload)) {
+        warn(label_, ": a ", payload.size(),
+             "-byte frame is over the frame cap; dropping the peer");
+        close();
+    }
+    return isOpen();
+}
+
+bool
+FrameOutbox::flush(Clock::time_point now)
+{
+    while (fd_ >= 0 && unsent() > 0) {
+        const ssize_t w = ::send(fd_, buf_.data() + sent_, unsent(),
+                                 MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (w > 0) {
+            sent_ += static_cast<size_t>(w);
+            lastProgress_ = now;
+        } else if (w < 0 && errno == EINTR) {
+            continue;
+        } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            break;
+        } else {
+            warn(label_, " went away with ", unsent(), " bytes unsent");
+            close();
+        }
+    }
+    if (unsent() == 0) {
+        buf_.clear();
+        sent_ = 0;
+        return isOpen();
+    }
+    if (sent_ > buf_.size() / 2) {
+        buf_.erase(0, sent_);
+        sent_ = 0;
+    }
+    if (unsent() > backlogLimit_ || now - lastProgress_ > stallDeadline_) {
+        warn(label_, " stopped reading with ", unsent(),
+             " bytes unsent; dropping it");
+        close();
+    }
+    return isOpen();
+}
+
+void
+FrameOutbox::close()
+{
+    if (fd_ >= 0)
+        ::close(release());
+}
+
+int
+FrameOutbox::release()
+{
+    buf_.clear();
+    sent_ = 0;
+    return std::exchange(fd_, -1);
 }
 
 std::optional<std::string>

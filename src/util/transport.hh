@@ -25,7 +25,10 @@
  * socketpair half, or a TCP socket.  Writers handle EINTR and partial
  * writes; readers handle EINTR and short reads; SIGPIPE is never
  * raised (MSG_NOSIGNAL on sockets, process-wide SIG_IGN via
- * ignoreSigpipeOnce() for pipes).
+ * ignoreSigpipeOnce() for pipes).  The blocking writeFrame() is for
+ * blocking fds only (a worker's side, a submit client); a process
+ * that must not stall -- the sharded executor, the serve daemon --
+ * sends every frame through a FrameOutbox.
  */
 
 #ifndef MCSCOPE_UTIL_TRANSPORT_HH
@@ -36,6 +39,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 namespace mcscope {
 
@@ -53,11 +57,16 @@ constexpr size_t kMaxFrameBytes = 64u << 20;
  */
 void ignoreSigpipeOnce();
 
+/** Set O_NONBLOCK on `fd` (best effort). */
+void setNonBlocking(int fd);
+
 /**
- * Write one frame (4-byte big-endian length + payload) to `fd`,
- * retrying EINTR and partial writes.  Uses send(MSG_NOSIGNAL) on
- * sockets and plain write(2) on other fds (after ignoreSigpipeOnce(),
- * so a broken pipe is an error return, not a signal).
+ * Write one frame (4-byte big-endian length + payload) to a blocking
+ * `fd`, retrying EINTR and partial writes.  Uses send(MSG_NOSIGNAL)
+ * on sockets and plain write(2) on other fds (after
+ * ignoreSigpipeOnce(), so a broken pipe is an error return, not a
+ * signal).  On a non-blocking fd a full buffer is an error (EAGAIN),
+ * never a wait: such fds belong to a FrameOutbox.
  *
  * @return true when the whole frame was written; false on any error
  *         (errno describes it) or when the payload exceeds
@@ -66,12 +75,63 @@ void ignoreSigpipeOnce();
 bool writeFrame(int fd, const std::string &payload);
 
 /**
- * Append one encoded frame (length prefix + payload) to `out`, for a
- * writer that sends on its own schedule (the serve daemon's client
- * outbox).  Returns false, leaving `out` as it was, when the payload
- * exceeds kMaxFrameBytes.
+ * Append one encoded frame (length prefix + payload) to `out`.
+ * Returns false, leaving `out` as it was, when the payload exceeds
+ * kMaxFrameBytes.
  */
 bool appendFrame(std::string &out, const std::string &payload);
+
+/**
+ * A non-blocking socket and the frames queued for it: the one writer
+ * of every frame the sharded executor and the serve daemon send.
+ * Frames leave as the socket takes them, so a peer that stops reading
+ * costs at most `backlog_limit` bytes and `stall_deadline` (counted
+ * from when the backlog last moved), never its owner's time: past
+ * either bound, or once the peer is gone, the outbox warns and closes
+ * the socket.  Owns the fd; moving transfers it.
+ */
+class FrameOutbox
+{
+  public:
+    using Clock = std::chrono::steady_clock;
+
+    FrameOutbox() = default;
+
+    /** Adopt `fd` (made non-blocking); `label` names it in warnings. */
+    FrameOutbox(int fd, std::string label, size_t backlog_limit,
+                Clock::duration stall_deadline);
+    ~FrameOutbox() { close(); }
+    FrameOutbox(FrameOutbox &&other) noexcept { *this = std::move(other); }
+    FrameOutbox &operator=(FrameOutbox &&other) noexcept;
+
+    int fd() const { return fd_; } ///< -1 once closed
+    bool isOpen() const { return fd_ >= 0; }
+    size_t unsent() const { return buf_.size() - sent_; }
+    Clock::time_point stallDeadline() const
+    {
+        return lastProgress_ + stallDeadline_;
+    }
+
+    /** Queue a frame (an oversized one closes); returns isOpen(). */
+    bool queue(const std::string &payload, Clock::time_point now);
+
+    /** Send what the socket takes now, enforce the bounds; isOpen(). */
+    bool flush(Clock::time_point now);
+
+    void close();
+
+    /** Give up the socket (backlog dropped); -1 if closed. */
+    int release();
+
+  private:
+    int fd_ = -1;
+    std::string label_;
+    size_t backlogLimit_ = 0;
+    Clock::duration stallDeadline_{};
+    std::string buf_; ///< encoded frames; bytes before `sent_` left
+    size_t sent_ = 0;
+    Clock::time_point lastProgress_;
+};
 
 /**
  * Read exactly one frame from a blocking fd.  Returns nullopt on a

@@ -191,6 +191,23 @@ TEST(Cli, ScalingPrintsSeries)
     EXPECT_NE(out.find("efficiency"), std::string::npos);
 }
 
+TEST(Cli, ScalingHonorsImplAndSublayerLikeSweep)
+{
+    // sweep and scaling share one prologue, so the MPI flags reach
+    // both plans: no flag is silently ignored.
+    std::string by_default, lam;
+    ASSERT_EQ(cli({"scaling", "nas-cg-b", "--machine", "dmz", "--ranks",
+                   "1,2"},
+                  &by_default),
+              0);
+    ASSERT_EQ(cli({"scaling", "nas-cg-b", "--machine", "dmz", "--ranks",
+                   "1,2", "--impl", "lam", "--sublayer", "sysv"},
+                  &lam),
+              0);
+    EXPECT_NE(by_default, lam);
+    EXPECT_NE(lam.find("107.768"), std::string::npos) << lam;
+}
+
 TEST(Cli, ScalingReportsInfeasibleRankCount)
 {
     std::string out;

@@ -66,25 +66,13 @@ TEST(Experiment, SweepShapeMatchesTableLayout)
     EXPECT_FALSE(std::isnan(sweep.seconds[1][3]));
 }
 
-TEST(Metrics, SpeedupsAndEfficiencies)
+TEST(Metrics, Speedups)
 {
     std::vector<double> times = {100.0, 50.0, 30.0};
     auto s = speedups(times);
     EXPECT_DOUBLE_EQ(s[0], 1.0);
     EXPECT_DOUBLE_EQ(s[1], 2.0);
     EXPECT_NEAR(s[2], 100.0 / 30.0, 1e-12);
-
-    auto e = efficiencies(times, {1, 2, 4});
-    EXPECT_DOUBLE_EQ(e[0], 1.0);
-    EXPECT_DOUBLE_EQ(e[1], 1.0);
-    EXPECT_NEAR(e[2], (100.0 / 30.0) / 4.0, 1e-12);
-}
-
-TEST(Metrics, EfficienciesRejectNonPositiveRanks)
-{
-    std::vector<double> times = {100.0, 50.0};
-    EXPECT_DEATH(efficiencies(times, {1, 0}), "positive");
-    EXPECT_DEATH(efficiencies(times, {-2, 4}), "positive");
 }
 
 TEST(Metrics, SingleStarRatioAndPlacementGain)
@@ -182,16 +170,6 @@ TEST(Report, OptionSweepTablePrintsDashesForInvalid)
     EXPECT_NE(s.find("One MPI + Local Alloc"), std::string::npos);
     EXPECT_NE(s.find("STREAM"), std::string::npos);
     EXPECT_NE(s.find(" - "), std::string::npos);
-}
-
-TEST(Report, SpeedupTableShape)
-{
-    TextTable t = speedupTable({2, 4}, {"CG", "FT"},
-                               {{1.9, 1.8}, {3.5, 3.2}});
-    std::string s = t.str();
-    EXPECT_NE(s.find("Number of cores"), std::string::npos);
-    EXPECT_NE(s.find("1.90"), std::string::npos);
-    EXPECT_NE(s.find("3.20"), std::string::npos);
 }
 
 TEST(Registry, AllWorkloadsInstantiate)

@@ -516,7 +516,7 @@ TEST(ShardWorker, AuditedManifestReportsDisagreeingCachedRecord)
     manifest.set("points", std::move(points));
 
     int sv[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
     ASSERT_TRUE(writeFrame(sv[1], manifest.dump()));
     ::shutdown(sv[1], SHUT_WR);
     EXPECT_EQ(runFramedShardWorker(sv[0], sv[0]), 0);

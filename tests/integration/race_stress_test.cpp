@@ -220,11 +220,11 @@ TEST(RaceStress, ConcurrentSpawnsToDeadChildrenSurviveEpipe)
     // SIGPIPE process-wide, exactly once.
     //
     // Each child is /bin/true: it exits before draining stdin, and
-    // the payload exceeds any pipe buffer, so every spawn drives
+    // the payload exceeds any socket buffer, so every spawn drives
     // writeAll() into EPIPE territory.  Under TSan this also checks
     // the once-flag itself; under any build, surviving to the end
     // proves no thread reverted the disposition mid-write.
-    const std::string payload(4u << 20, 'x'); // >> 64 KiB pipe buffer
+    const std::string payload(4u << 20, 'x'); // >> ~200 KiB socket buffer
     constexpr int kThreads = 8;
     constexpr int kSpawnsPerThread = 16;
     std::atomic<int> reaped{0};

@@ -15,7 +15,11 @@
  *  - a submitter that never reads its records, and a spec naming more
  *    than kMaxPlanPoints points, cost the daemon nothing: the next
  *    submitter is served byte-identically;
- *  - resubmissions served from the journal wait on no timer.
+ *  - resubmissions served from the journal wait on no timer;
+ *  - a remote worker that never reads its manifest is dropped at the
+ *    stall deadline, and its points still complete byte-identically;
+ *  - a remote worker whose done frame trails its last record stays
+ *    in the pool, and its cache-hit count reaches the client.
  */
 
 #include <chrono>
@@ -125,7 +129,7 @@ class BackgroundTool
             argv, /*stdin_data=*/"", extra_env);
     }
 
-    /** Pump stdout; true while the process keeps the pipe open. */
+    /** Pump stdout; true while the process keeps it open. */
     bool pump()
     {
         if (!open_)
@@ -153,6 +157,21 @@ class BackgroundTool
         return true;
     }
 
+    /** wait(), but SIGKILL the process once `timeout_ms` pass. */
+    ToolRun waitWithin(int timeout_ms)
+    {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(timeout_ms);
+        while (pump() && std::chrono::steady_clock::now() < deadline) {
+            struct pollfd pfd = {proc_->outFd(), POLLIN, 0};
+            if (pfd.fd >= 0)
+                ::poll(&pfd, 1, 50);
+        }
+        if (open_)
+            kill();
+        return wait();
+    }
+
     /** Drain until exit and reap. */
     ToolRun wait()
     {
@@ -170,7 +189,6 @@ class BackgroundTool
     }
 
     void kill() { proc_->kill(); }
-    pid_t pid() const { return proc_->pid(); }
     const std::string &out() const { return out_; }
 
   private:
@@ -719,6 +737,162 @@ TEST(Serve, JournaledResubmitsDoNotWaitOnTimers)
         << std::chrono::duration<double, std::milli>(elapsed).count()
         << " ms for " << kResubmits << " journaled resubmissions";
     EXPECT_EQ(serve.wait().exit, 0);
+}
+
+/** Write `doc` to `name` in `dir`; returns its path. */
+std::string
+writeDoc(const TempDir &dir, const std::string &name, const JsonValue &doc)
+{
+    const std::string path = dir.file(name);
+    std::ofstream(path) << doc.dump() << "\n";
+    return path;
+}
+
+/** A worker hello on a fresh connection to the daemon (or -1). */
+int
+connectWorker(int fd)
+{
+    JsonValue hello = JsonValue::object();
+    hello.set("format", JsonValue::str(kServeFormat));
+    hello.set("role", JsonValue::str("worker"));
+    if (fd < 0 || !writeFrame(fd, hello.dump())) {
+        if (fd >= 0)
+            ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+TEST(Serve, SilentRemoteWorkerIsDroppedNotTheDaemon)
+{
+    TempDir dir("serve_silent_worker");
+    // 10,000 points, each carrying its own inline machine (~700
+    // bytes): the silent worker's half of them is a ~3.5 MB manifest,
+    // more than loopback TCP buffers hold for a reader that never
+    // reads.  Every point is cheap to simulate.
+    JsonValue entries = JsonValue::array();
+    for (int d = 2; d < 1252; ++d)
+        entries.append(JsonValue::number(d));
+    JsonValue doc = *parseJson("{\"machine\": \"dmz\", \"workloads\":"
+                               " [\"nas-ep-b\"], \"ranks\": [1, 2, 4, 8],"
+                               " \"options\": [0, 3]}");
+    doc.set("directory_entries", entries);
+    const std::string spec = writeDoc(dir, "plan.json", doc);
+    ToolRun golden = runTool({"batch", spec, "--csv"});
+    ASSERT_EQ(golden.exit, 0) << golden.out;
+
+    BackgroundTool serve({"serve", "--port", "0", "--shards", "1",
+                          "--max-batches", "1"});
+    ASSERT_TRUE(serve.waitForOutput("listening on", 30000))
+        << serve.out();
+    const int port = listeningPort(serve.out());
+    ASSERT_GT(port, 0) << serve.out();
+
+    // The silent worker joins the pool first, so the batch's first
+    // dispatch hands it half the points; it never reads a byte.
+    const int silent = connectWorker(connectSmallWindow(port));
+    ASSERT_GE(silent, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    BackgroundTool submit({"submit", spec, "--connect",
+                           "127.0.0.1:" + std::to_string(port), "--csv"});
+    ToolRun submitted = submit.waitWithin(30000 * kTimingScale);
+    ToolRun served = serve.waitWithin(10000 * kTimingScale);
+    ::close(silent);
+    ASSERT_EQ(submitted.exit, 0)
+        << "the batch stalled behind the silent worker: " << served.out;
+    EXPECT_EQ(submitted.out, golden.out);
+    EXPECT_EQ(served.exit, 0) << served.out;
+    // Dropping the worker sent its points back through the death
+    // protocol, which the batch summary counts.
+    EXPECT_NE(served.out.find("1 crashes"), std::string::npos)
+        << served.out;
+}
+
+TEST(Serve, LateDoneFrameKeepsRemoteWorkerInThePool)
+{
+    TempDir dir("serve_late_done");
+    const std::string first_spec = writeSpec(dir);
+    JsonValue second = *parseJson("{\"machine\": \"dmz\", \"workloads\":"
+                                  " [\"nas-ep-b\"], \"ranks\": [1],"
+                                  " \"options\": [0]}");
+    const std::string second_spec = writeDoc(dir, "second.json", second);
+    std::vector<std::vector<uint64_t>> digests;
+    for (const std::string &path : {first_spec, second_spec}) {
+        std::ifstream in(path);
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        std::string error;
+        std::optional<SweepPlan> plan =
+            SweepPlan::fromJson(*parseJson(text), &error);
+        ASSERT_TRUE(plan.has_value()) << error;
+        digests.push_back(plan->digests());
+    }
+
+    // --shards 0: the hand-written worker is the only one.
+    BackgroundTool serve({"serve", "--port", "0", "--shards", "0",
+                          "--max-batches", "2"});
+    ASSERT_TRUE(serve.waitForOutput("listening on", 30000))
+        << serve.out();
+    const int port = listeningPort(serve.out());
+    ASSERT_GT(port, 0) << serve.out();
+    const std::string addr = "127.0.0.1:" + std::to_string(port);
+
+    // It answers every point, then sends its done frame -- reporting
+    // 7 cache hits -- only after a pause, and serves manifests until
+    // the daemon closes the connection.
+    std::string error;
+    const int fd = connectWorker(tcpConnect("127.0.0.1", port, &error));
+    ASSERT_GE(fd, 0) << error;
+    int manifests = 0;
+    std::thread worker([&] {
+        while (std::optional<std::string> frame = readFrame(fd)) {
+            const std::optional<JsonValue> manifest = parseJson(*frame);
+            const std::vector<uint64_t> &ds =
+                digests[std::min<size_t>(manifests, 1)];
+            ++manifests;
+            RunResult r;
+            r.valid = true;
+            r.seconds = 1.0;
+            for (const JsonValue &pt : manifest->find("points")->items()) {
+                const size_t i =
+                    *jsonInteger<size_t>(*pt.find("index"));
+                JsonValue rec = JsonValue::object();
+                rec.set("index", JsonValue::number(static_cast<double>(i)));
+                rec.set("wall_seconds", JsonValue::number(0.001));
+                rec.set("result", runResultToJson(ds[i], r));
+                if (!writeFrame(fd, rec.dump()))
+                    return;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+            if (!writeFrame(fd, "{\"done\":true,\"cache_hits\":7}"))
+                return;
+        }
+    });
+
+    // The first batch ends only once the done frame is in, so the
+    // client's stats carry the worker's count ...
+    BackgroundTool first({"submit", first_spec, "--connect", addr,
+                          "--csv", "--cache-stats"});
+    ToolRun first_run = first.waitWithin(20000 * kTimingScale);
+    // ... and the worker is parked, not closed: the second batch, with
+    // no other worker anywhere, runs on it.
+    BackgroundTool again({"submit", second_spec, "--connect", addr,
+                          "--csv", "--cache-stats"});
+    ToolRun again_run = again.waitWithin(20000 * kTimingScale);
+    ToolRun served = serve.waitWithin(10000 * kTimingScale);
+    worker.join();
+    ::close(fd);
+
+    EXPECT_EQ(first_run.exit, 0) << first_run.out;
+    EXPECT_NE(first_run.out.find("7 worker cache hits"), std::string::npos)
+        << first_run.out;
+    EXPECT_EQ(again_run.exit, 0)
+        << "the second batch found no worker: " << served.out;
+    EXPECT_NE(again_run.out.find("7 worker cache hits"), std::string::npos)
+        << again_run.out;
+    EXPECT_EQ(manifests, 2);
+    EXPECT_EQ(served.exit, 0) << served.out;
 }
 
 } // namespace

@@ -429,14 +429,15 @@ TEST(Lint, Fd1FlagsSocketsWithoutCloexec)
     t.write("src/util/net.cc", R"lint(
 #include <sys/socket.h>
 int listener() { return socket(AF_INET, SOCK_STREAM, 0); }
+int pair(int sv[2]) { return socketpair(AF_UNIX, SOCK_STREAM, 0, sv); }
 int peer(int fd) { return accept4(fd, nullptr, nullptr, 0); }
 int legacy(int fd) { return accept(fd, nullptr, nullptr); }
 )lint");
     LintRun run = runLint({t.root()});
     EXPECT_EQ(run.exit, 1) << run.out;
-    // socket() and accept4() lack SOCK_CLOEXEC; accept() can never
-    // set it atomically, so it is flagged unconditionally.
-    EXPECT_EQ(countOccurrences(run.out, "FD-1"), 3u) << run.out;
+    // socket(), socketpair() and accept4() lack SOCK_CLOEXEC; accept()
+    // can never set it atomically, so it is flagged unconditionally.
+    EXPECT_EQ(countOccurrences(run.out, "FD-1"), 4u) << run.out;
     EXPECT_NE(run.out.find("SOCK_CLOEXEC"), std::string::npos)
         << run.out;
     EXPECT_NE(run.out.find("accept4"), std::string::npos) << run.out;
@@ -454,6 +455,10 @@ int listener()
 int peer(int fd)
 {
     return accept4(fd, nullptr, nullptr, SOCK_CLOEXEC);
+}
+int pair(int sv[2])
+{
+    return socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv);
 }
 )lint");
     LintRun run = runLint({t.root()});

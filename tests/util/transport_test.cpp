@@ -1,7 +1,8 @@
 /**
  * Framed transport (util/transport.hh): round trips over pipes and
- * loopback TCP, incremental decoding, and rejection of truncated,
- * oversized, and garbage streams.
+ * loopback TCP, incremental decoding, rejection of truncated,
+ * oversized, and garbage streams, and the outbox's drops of a peer
+ * that stops reading.
  */
 
 #include "util/transport.hh"
@@ -16,6 +17,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -157,6 +159,138 @@ TEST(TransportTest, PollTimeoutEndsByTheDeadline)
     EXPECT_EQ(pollTimeoutBefore(200, now, now - milliseconds(5)), 1);
     EXPECT_EQ(pollTimeoutBefore(0, now, now - milliseconds(5)), 0);
     EXPECT_EQ(pollTimeoutBefore(0, now, now + milliseconds(5)), 0);
+}
+
+/** A connected AF_UNIX stream pair, both ends closed at scope exit. */
+struct SocketPair
+{
+    int fds[2] = {-1, -1};
+
+    SocketPair()
+    {
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds),
+                  0);
+    }
+    ~SocketPair()
+    {
+        for (int fd : fds) {
+            if (fd >= 0)
+                ::close(fd);
+        }
+    }
+};
+
+/**
+ * Queue 1 KiB frames into `box`, flushing each at `now`, until the
+ * socket stops taking them (the peer never reads).  Returns the bytes
+ * queued; stops early if the outbox closes.
+ */
+size_t
+fillUntilBacklog(FrameOutbox &box, FrameOutbox::Clock::time_point now)
+{
+    const std::string frame(1024, 'r');
+    size_t queued = 0;
+    for (int k = 0; k < 100000 && box.isOpen() && box.unsent() == 0; ++k) {
+        box.queue(frame, now);
+        box.flush(now);
+        queued += 4 + frame.size();
+    }
+    return queued;
+}
+
+TEST(TransportTest, OutboxDeliversFramesInOrder)
+{
+    SocketPair sp;
+    FrameOutbox box(sp.fds[0], "test peer", 1 << 20, std::chrono::hours(1));
+    sp.fds[0] = -1; // the outbox owns it now
+    const auto now = FrameOutbox::Clock::now();
+    EXPECT_TRUE(box.queue("alpha", now));
+    EXPECT_TRUE(box.queue("", now));
+    EXPECT_TRUE(box.flush(now));
+    EXPECT_EQ(box.unsent(), 0u);
+    box.close();
+    EXPECT_EQ(readFrame(sp.fds[1]), std::optional<std::string>("alpha"));
+    EXPECT_EQ(readFrame(sp.fds[1]), std::optional<std::string>(""));
+    bool eof = false;
+    EXPECT_FALSE(readFrame(sp.fds[1], &eof).has_value());
+    EXPECT_TRUE(eof);
+}
+
+TEST(TransportTest, OutboxDropsAReaderThatOwesMoreThanTheBacklogLimit)
+{
+    // The reader never reads: once the socket buffers are full the
+    // backlog grows in the outbox, and one frame past the 4 KiB limit
+    // the outbox closes instead of growing or blocking.
+    SocketPair sp;
+    FrameOutbox box(sp.fds[0], "test peer", 4096, std::chrono::hours(1));
+    sp.fds[0] = -1;
+    const auto now = FrameOutbox::Clock::now();
+    ::testing::internal::CaptureStderr();
+    fillUntilBacklog(box, now);
+    for (int k = 0; k < 8 && box.isOpen(); ++k) {
+        box.queue(std::string(1024, 'r'), now);
+        box.flush(now);
+    }
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(box.isOpen());
+    EXPECT_EQ(box.unsent(), 0u);
+    EXPECT_NE(warnings.find("test peer stopped reading"), std::string::npos)
+        << warnings;
+    // The peer sees the close once it drains what was sent.
+    setNonBlocking(sp.fds[1]);
+    EXPECT_FALSE(drainFd(sp.fds[1], nullptr));
+}
+
+TEST(TransportTest, OutboxDropsAReaderStalledPastTheDeadline)
+{
+    SocketPair sp;
+    const auto stall = std::chrono::seconds(1);
+    FrameOutbox box(sp.fds[0], "test peer", size_t{1} << 30, stall);
+    sp.fds[0] = -1;
+    const auto now = FrameOutbox::Clock::now();
+    fillUntilBacklog(box, now);
+    ASSERT_TRUE(box.isOpen());
+    ASSERT_GT(box.unsent(), 0u);
+    EXPECT_EQ(box.stallDeadline(), now + stall);
+    // Time is the caller's: at the deadline the backlog stays, one
+    // tick past it the outbox closes.
+    EXPECT_TRUE(box.flush(now + stall));
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(box.flush(now + stall + std::chrono::milliseconds(1)));
+    ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(box.isOpen());
+}
+
+TEST(TransportTest, OutboxClosesOnAGonePeer)
+{
+    SocketPair sp;
+    FrameOutbox box(sp.fds[0], "test peer", 1 << 20, std::chrono::hours(1));
+    sp.fds[0] = -1;
+    ::close(sp.fds[1]);
+    sp.fds[1] = -1;
+    const auto now = FrameOutbox::Clock::now();
+    ::testing::internal::CaptureStderr();
+    box.queue("hello", now);
+    EXPECT_FALSE(box.flush(now));
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(warnings.find("test peer went away"), std::string::npos)
+        << warnings;
+    EXPECT_FALSE(box.queue("more", now)) << "a closed outbox takes nothing";
+}
+
+TEST(TransportTest, WriteFrameFailsInsteadOfWaitingOnAFullSocket)
+{
+    // writeFrame is for blocking fds; on a full non-blocking socket it
+    // reports EAGAIN rather than waiting for a reader that may never
+    // come.
+    SocketPair sp;
+    setNonBlocking(sp.fds[0]);
+    const std::string frame(1 << 16, 'w');
+    bool ok = true;
+    for (int k = 0; k < 10000 && ok; ++k)
+        ok = writeFrame(sp.fds[0], frame);
+    EXPECT_FALSE(ok);
+    EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
 }
 
 TEST(TransportTest, FrameBufferIncrementalDecode)

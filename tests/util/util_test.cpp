@@ -47,9 +47,6 @@ TEST(Str, Formatters)
     EXPECT_EQ(formatBytes(16384), "16KB");
     EXPECT_EQ(formatBytes(1536), "1.5KB");
     EXPECT_EQ(formatBytes(3.0 * 1024 * 1024), "3MB");
-    EXPECT_EQ(formatGiBps(2.5e9), "2.50 GB/s");
-    EXPECT_TRUE(startsWith("nas-cg", "nas"));
-    EXPECT_FALSE(startsWith("na", "nas"));
 }
 
 TEST(Table, RendersAlignedColumns)

@@ -31,8 +31,9 @@
  *           every HOT-1 check on the engine's actual hot loop.
  *   FD-1    every open/openat/creat/mkstemp call site carries
  *           O_CLOEXEC (mkstemp cannot, so it is always flagged toward
- *           mkostemp); socket/accept4 call sites carry SOCK_CLOEXEC
- *           and bare accept is always flagged toward accept4; and
+ *           mkostemp); socket/socketpair/accept4 call sites carry
+ *           SOCK_CLOEXEC and bare accept is always flagged toward
+ *           accept4; and
  *           fork/exec* appear only in src/util/subprocess.cc -- child
  *           processes must not inherit journal, lock, cache, or
  *           listening-socket descriptors.
@@ -100,9 +101,10 @@ constexpr RuleDoc kRuleCatalog[] = {
               "markers"},
     {"HOT-2", "designated steady-state units must contain hot "
               "markers (src/sim/engine.cc)"},
-    {"FD-1", "open/openat/creat need O_CLOEXEC and socket/accept4 "
-             "need SOCK_CLOEXEC; mkstemp and bare accept are "
-             "forbidden; fork/exec only in src/util/subprocess.cc"},
+    {"FD-1", "open/openat/creat need O_CLOEXEC and "
+             "socket/socketpair/accept4 need SOCK_CLOEXEC; mkstemp and "
+             "bare accept are forbidden; fork/exec only in "
+             "src/util/subprocess.cc"},
     {"PARSE-1", "strto* call sites must check errno or the end "
                 "pointer"},
 };
@@ -179,10 +181,12 @@ const std::set<std::string> kFdOpenCalls = {"open", "openat", "creat",
 
 /**
  * Calls FD-1 requires SOCK_CLOEXEC on (the serve daemon's listener
- * and per-peer sockets must not leak into forked workers any more
- * than the journal descriptor may).
+ * and per-peer sockets, and the socketpair a local worker runs on,
+ * must not leak into forked workers any more than the journal
+ * descriptor may).
  */
-const std::set<std::string> kFdSocketCalls = {"socket", "accept4"};
+const std::set<std::string> kFdSocketCalls = {"socket", "socketpair",
+                                              "accept4"};
 
 /** Process-spawning calls FD-1 confines to src/util/subprocess.cc. */
 const std::set<std::string> kFdSpawnCalls = {
