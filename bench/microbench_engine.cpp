@@ -169,22 +169,15 @@ BM_FairShareComponentSolve(benchmark::State &state)
     const int nf = static_cast<int>(state.range(0));
     std::vector<double> caps(16, 1.0e9);
     std::vector<FairShareFlow> all = syntheticFlows(nf);
-    std::vector<PathVec> paths;
-    std::vector<double> rateCaps;
-    for (const FairShareFlow &f : all) {
-        paths.push_back(f.path);
-        rateCaps.push_back(f.rateCap);
-    }
     // A closed 4-flow component: flows sharing resources 0 and 7 only.
-    const int slots[4] = {0, 1, 2, 3};
-    for (int k = 0; k < 4; ++k)
-        paths[slots[k]] = {static_cast<ResourceId>(0),
-                           static_cast<ResourceId>(7)};
+    const uint32_t ids[4] = {0, 1, 2, 3};
+    for (uint32_t id : ids)
+        all[id].path = {static_cast<ResourceId>(0),
+                        static_cast<ResourceId>(7)};
     const ResourceId res[2] = {0, 7};
     FairShareScratch scratch;
     for (auto _ : state) {
-        fairShareSolveComponent(caps, paths, rateCaps, slots, 4, res, 2,
-                                scratch);
+        fairShareSolveComponent(caps, all, ids, 4, res, 2, scratch);
         benchmark::DoNotOptimize(scratch.rates.data());
     }
 }

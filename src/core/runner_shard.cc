@@ -270,14 +270,21 @@ struct ShardExecutor::Impl
     {
         if (pending.empty())
             return;
-        // Local slots without a live process respawn on demand --
-        // only when eligible work exists, so per-point backoff is
-        // honored no matter which channel picks the suspect up.
+        // Local slots without a live process respawn on demand -- only
+        // while eligible points outnumber idle channels, so per-point
+        // backoff is honored no matter which channel picks the suspect
+        // up, and no worker starts without a point to run.
+        size_t spare = eligibleCount(now);
+        for (const auto &ch : channels) {
+            if (spare > 0 && ch->live() && !ch->busy)
+                --spare;
+        }
         std::vector<Channel *> idle;
         for (auto &ch : channels) {
-            if (!ch->isRemote && !ch->proc && !pending.empty() &&
-                haveEligible(now))
+            if (spare > 0 && !ch->isRemote && !ch->proc) {
                 spawnLocal(*ch);
+                --spare;
+            }
             if (ch->live() && !ch->busy)
                 idle.push_back(ch.get());
         }
@@ -293,13 +300,12 @@ struct ShardExecutor::Impl
         }
     }
 
-    bool haveEligible(Clock::time_point now) const
+    size_t eligibleCount(Clock::time_point now) const
     {
-        for (size_t i : pending) {
-            if (notBefore[i] <= now)
-                return true;
-        }
-        return false;
+        size_t count = 0;
+        for (size_t i : pending)
+            count += notBefore[i] <= now;
+        return count;
     }
 
     void handleRecordFrame(Channel &ch, const JsonValue &doc)

@@ -292,12 +292,9 @@ Engine::startFlow(uint32_t flow, double amount, OwnerVec owners,
         flowFinish_.push_back(kInf);
         flowThresh_.push_back(-1.0);
         flowAmount_.push_back(0.0);
-        flowRateCap_.push_back(0.0);
-        flowPath_.emplace_back();
         flowOwners_.emplace_back();
         flowTag_.push_back(0);
-        flowKey_.push_back(0);
-        flowAlive_.push_back(0);
+        flowKey_.push_back(deadFlow_);
         flowPosInRes_.emplace_back();
         flowInClosure_.push_back(0);
     }
@@ -307,12 +304,9 @@ Engine::startFlow(uint32_t flow, double amount, OwnerVec owners,
     flowFinish_[slot] = kInf;
     flowThresh_[slot] = 1e-9 * std::max(1.0, amount) + 1e-300;
     flowAmount_[slot] = amount;
-    flowRateCap_[slot] = f.rateCap;
-    flowPath_[slot] = f.path;
     flowOwners_[slot] = std::move(owners);
     flowTag_[slot] = tag;
     flowKey_[slot] = flow;
-    flowAlive_[slot] = 1;
 
     // Wire up per-resource incidence and dirty the path.  The running
     // incidence counts also track peak concurrency exactly: the count
@@ -371,7 +365,7 @@ Engine::internFlow(const PathVec &path, double rateCap)
 void
 Engine::removeFlow(FlowSlot slot)
 {
-    const PathVec &path = flowPath_[slot];
+    const PathVec &path = internFlows_[flowKey_[slot]].path;
     for (size_t h = 0; h < path.size(); ++h) {
         const ResourceId r = path[h];
         auto &list = resFlows_[r];
@@ -385,7 +379,7 @@ Engine::removeFlow(FlowSlot slot)
             // With duplicate resources on a path the flow holds one
             // handle per hop; match on the handle that pointed at the
             // vacated back index.
-            const PathVec &mp = flowPath_[moved];
+            const PathVec &mp = internFlows_[flowKey_[moved]].path;
             for (size_t mh = 0; mh < mp.size(); ++mh) {
                 if (mp[mh] == r &&
                     flowPosInRes_[moved][mh] == backIdx) {
@@ -402,13 +396,13 @@ Engine::removeFlow(FlowSlot slot)
         ++counters_.calqueueOps;
     // Neutralize the slot for the flat hot-loop scans: zero rate moves
     // nothing, infinite remaining never crosses a negative threshold,
-    // and an infinite finish is never the next one.
-    flowAlive_[slot] = 0;
+    // an infinite finish is never the next one, and the dead flow's
+    // path is empty.
+    flowKey_[slot] = deadFlow_;
     flowRemaining_[slot] = kInf;
     flowRate_[slot] = 0.0;
     flowFinish_[slot] = kInf;
     flowThresh_[slot] = -1.0;
-    flowPath_[slot].clear();
     flowOwners_[slot].clear();
     flowPosInRes_[slot].clear();
     // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
@@ -428,10 +422,9 @@ Engine::applyRates(const FlowSlot *slots, size_t count,
         if (rate == flowRate_[s])
             continue;
         // Re-anchor the absolute finish estimate only when the rate
-        // actually changed: both allocator paths then derive identical
-        // finish-time bit patterns from identical rate bit patterns,
-        // which is what keeps their event sequences -- and hence the
-        // determinism digests -- bit-identical.  A first finish time
+        // actually changed, so finish-time bits -- and hence event
+        // sequences and determinism digests -- do not depend on how
+        // much of the flow set a rerun solved.  A first finish time
         // counts one operation, a re-key two (Stats::calqueueOps).
         counters_.calqueueOps += flowRate_[s] == 0.0 ? 1 : 2;
         flowRate_[s] = rate;
@@ -439,17 +432,87 @@ Engine::applyRates(const FlowSlot *slots, size_t count,
     }
 }
 
-void
-Engine::solveOptimized()
+size_t
+Engine::closureMemoSet(const uint32_t *key, size_t count)
 {
+    uint64_t h = count;
+    for (size_t k = 0; k < count; ++k)
+        h = mixHash(h, key[k]);
+    return static_cast<size_t>(h) & (kMemoSets - 1);
+}
+
+void
+Engine::solveComponent(size_t flowBegin, size_t resBegin)
+{
+    const size_t n = closureFlows_.size() - flowBegin;
+    const FlowSlot *slots = closureFlows_.data() + flowBegin;
+    closureIds_.clear();
+    for (size_t k = 0; k < n; ++k) {
+        // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
+        closureIds_.push_back(flowKey_[slots[k]]);
+    }
+    const uint32_t *ids = closureIds_.data();
+
+    // The entry this solve fills; larger components bypass the memo.
+    MemoEntry *fill = nullptr;
+    if (n <= kMemoMaxFlows) {
+        // The component's rates are a function of its flows' (path,
+        // cap) multiset alone (capacities are fixed), and the key is
+        // that multiset in ascending order, so an equal key -- all of
+        // it, not a hash -- means bit-identical rates, each flow's
+        // rate at the position of its id.
+        const size_t base = closureMemoSet(ids, n) * kMemoWays;
+        MemoTag *tags = &memoTags_[base];
+        MemoEntry *entries = &memo_[base];
+        ++memoClock_;
+        for (size_t w = 0; w < kMemoWays; ++w) {
+            if (tags[w].count == n &&
+                std::memcmp(entries[w].key, ids, n * sizeof ids[0]) == 0) {
+                tags[w].stamp = memoClock_;
+                ++counters_.memoHits;
+                applyRates(slots, n, entries[w].rates);
+                return;
+            }
+        }
+        // Replace the least recently used way; empty ways carry
+        // stamp 0.
+        size_t victim = 0;
+        for (size_t w = 1; w < kMemoWays; ++w) {
+            if (tags[w].stamp < tags[victim].stamp)
+                victim = w;
+        }
+        tags[victim].count = static_cast<uint32_t>(n);
+        tags[victim].stamp = memoClock_;
+        fill = &entries[victim];
+        std::memcpy(fill->key, ids, n * sizeof ids[0]);
+    }
+
+    ++counters_.componentSolves;
+    fairShareSolveComponent(capacities_, internFlows_, ids, n,
+                            closureRes_.data() + resBegin,
+                            closureRes_.size() - resBegin, fsScratch_);
+    if (fill != nullptr) {
+        std::memcpy(fill->rates, fsScratch_.rates.data(),
+                    n * sizeof(double));
+    }
+    applyRates(slots, n, fsScratch_.rates.data());
+}
+
+void
+Engine::recomputeRates()
+{
+    ++counters_.allocatorReruns;
     ++counters_.incrementalSolves;
-    // One breadth-first walk per dirty resource not yet reached:
-    // resource -> incident flows -> their other path resources.  Each
-    // walk covers exactly one connected component, and flows outside
-    // every walked component share no resource (transitively) with
-    // any changed flow, so their max-min rates are provably unchanged
-    // and are left untouched.  A component's rates depend on its flows
-    // alone, so each is solved (or served from the memo) on its own.
+    // All scratch containers below persist across calls; clear() and
+    // push_back() reuse their capacity, so the steady-state hot path
+    // is allocation-free.  One breadth-first walk per dirty resource
+    // not yet reached: resource -> incident flows -> their other path
+    // resources.  Each walk covers exactly one connected component,
+    // and flows outside every walked component share no resource
+    // (transitively) with any changed flow, so their max-min rates are
+    // provably unchanged and are left untouched.  A component's rates
+    // depend on its flows alone, so each is solved (or served from the
+    // memo) on its own.
     closureRes_.clear();
     closureFlows_.clear();
     for (ResourceId seed : dirtyRes_) {
@@ -470,7 +533,7 @@ Engine::solveOptimized()
                 flowInClosure_[s] = 1;
                 // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
                 closureFlows_.push_back(s);
-                for (ResourceId rr : flowPath_[s]) {
+                for (ResourceId rr : internFlows_[flowKey_[s]].path) {
                     if (!resInClosure_[rr]) {
                         resInClosure_[rr] = 1;
                         // MCSCOPE_LINT_ALLOW(HOT-1): amortized reuse.
@@ -499,86 +562,12 @@ Engine::solveOptimized()
     // Empty-path capped arrivals touch no resource, so no component
     // reaches them; their max-min rate is simply their cap.
     for (FlowSlot s : newFlows_) {
-        if (!flowAlive_[s] || !flowPath_[s].empty() ||
-            flowRate_[s] != 0.0) {
-            continue;
+        const FairShareFlow &f = internFlows_[flowKey_[s]];
+        if (flowKey_[s] != deadFlow_ && f.path.empty() &&
+            flowRate_[s] == 0.0) {
+            applyRates(&s, 1, &f.rateCap);
         }
-        const double cap = flowRateCap_[s];
-        applyRates(&s, 1, &cap);
     }
-}
-
-size_t
-Engine::closureMemoSet(const uint32_t *key, size_t count)
-{
-    uint64_t h = count;
-    for (size_t k = 0; k < count; ++k)
-        h = mixHash(h, key[k]);
-    return static_cast<size_t>(h) & (kMemoSets - 1);
-}
-
-void
-Engine::solveComponent(size_t flowBegin, size_t resBegin)
-{
-    const size_t n = closureFlows_.size() - flowBegin;
-    const FlowSlot *slots = closureFlows_.data() + flowBegin;
-
-    // The entry this solve fills; larger components bypass the memo.
-    MemoEntry *fill = nullptr;
-    if (n <= kMemoMaxFlows) {
-        // The component's rates are a function of its flows' (path,
-        // cap) multiset alone (capacities are fixed), and the key is
-        // that multiset in ascending order, so an equal key -- all of
-        // it, not a hash -- means bit-identical rates, each flow's
-        // rate at the position of its id.
-        uint32_t key[kMemoMaxFlows] = {};
-        for (size_t k = 0; k < n; ++k)
-            key[k] = flowKey_[slots[k]];
-        const size_t base = closureMemoSet(key, n) * kMemoWays;
-        MemoTag *tags = &memoTags_[base];
-        MemoEntry *entries = &memo_[base];
-        ++memoClock_;
-        for (size_t w = 0; w < kMemoWays; ++w) {
-            if (tags[w].count == n &&
-                std::memcmp(entries[w].key, key, n * sizeof key[0]) == 0) {
-                tags[w].stamp = memoClock_;
-                ++counters_.memoHits;
-                applyRates(slots, n, entries[w].rates);
-                return;
-            }
-        }
-        // Replace the least recently used way; empty ways carry
-        // stamp 0.
-        size_t victim = 0;
-        for (size_t w = 1; w < kMemoWays; ++w) {
-            if (tags[w].stamp < tags[victim].stamp)
-                victim = w;
-        }
-        tags[victim].count = static_cast<uint32_t>(n);
-        tags[victim].stamp = memoClock_;
-        fill = &entries[victim];
-        std::memcpy(fill->key, key, n * sizeof key[0]);
-    }
-
-    ++counters_.componentSolves;
-    fairShareSolveComponent(capacities_, flowPath_, flowRateCap_, slots, n,
-                            closureRes_.data() + resBegin,
-                            closureRes_.size() - resBegin, fsScratch_);
-    if (fill != nullptr) {
-        std::memcpy(fill->rates, fsScratch_.rates.data(),
-                    n * sizeof(double));
-    }
-    applyRates(slots, n, fsScratch_.rates.data());
-}
-
-void
-Engine::recomputeRates()
-{
-    ++counters_.allocatorReruns;
-    // All scratch containers below persist across calls; clear() and
-    // push_back() reuse their capacity, so the steady-state hot path
-    // is allocation-free.
-    solveOptimized();
 
     for (ResourceId r : dirtyRes_)
         resDirty_[r] = 0;
@@ -591,11 +580,12 @@ Engine::recomputeRates()
         alloc_guard::Pause pause;
         auditScratch_.clear();
         for (size_t s = 0; s < slotCount(); ++s) {
-            if (!flowAlive_[s])
+            if (flowKey_[s] == deadFlow_)
                 continue;
+            const FairShareFlow &f = internFlows_[flowKey_[s]];
             AuditedFlow af;
-            af.path = flowPath_[s];
-            af.rateCap = flowRateCap_[s];
+            af.path = f.path;
+            af.rateCap = f.rateCap;
             af.rate = flowRate_[s];
             af.remaining = flowRemaining_[s];
             af.owner = flowOwners_[s][0];
@@ -675,7 +665,8 @@ Engine::accrueTimeline(SimTime t0, SimTime t1)
     // Split [t0, t1] over the buckets it overlaps; each flow moved
     // rate * overlap units through every resource on its path, which
     // is overlap-weighted busy time after dividing by capacity.  Dead
-    // slots are inert: rate 0 and an empty path contribute nothing.
+    // slots are inert: rate 0 and the dead flow's empty path
+    // contribute nothing.
     const double span = t1 - t0;
     size_t b0 = static_cast<size_t>(t0 / timelineWidth_);
     size_t b1 = need - 1;
@@ -693,7 +684,7 @@ Engine::accrueTimeline(SimTime t0, SimTime t1)
             if (moved > flowRemaining_[s])
                 moved = flowRemaining_[s];
             double busy = moved * frac;
-            for (ResourceId r : flowPath_[s])
+            for (ResourceId r : internFlows_[flowKey_[s]].path)
                 bucket[r] += busy / capacities_[r];
         }
     }
@@ -745,11 +736,11 @@ Engine::allocGuardCapacitySum(const std::vector<int> &to_advance) const
            fsScratch_.saturated.capacity() + memo +
            auditScratch_.capacity() + timelineBusy_.capacity() +
            readyQueue_.capacity() + to_advance.capacity() +
-           flowRemaining_.capacity() + flowPath_.capacity() +
-           flowOwners_.capacity() + flowPosInRes_.capacity() +
-           freeSlots_.capacity() + newFlows_.capacity() +
-           dirtyRes_.capacity() + closureRes_.capacity() +
-           closureFlows_.capacity() + completedScratch_.capacity() +
+           flowRemaining_.capacity() + flowOwners_.capacity() +
+           flowPosInRes_.capacity() + freeSlots_.capacity() +
+           newFlows_.capacity() + dirtyRes_.capacity() +
+           closureRes_.capacity() + closureFlows_.capacity() +
+           closureIds_.capacity() + completedScratch_.capacity() +
            delayHeap_.capacity() + incidence;
 }
 
@@ -773,6 +764,8 @@ Engine::run()
         memo_ = std::make_unique_for_overwrite<MemoEntry[]>(
             kMemoSets * kMemoWays);
         memoTags_ = std::make_unique<MemoTag[]>(kMemoSets * kMemoWays);
+        deadFlow_ = static_cast<uint32_t>(internFlows_.size());
+        internFlows_.emplace_back();
     }
     rendezvous_.reset(tasks_.size());
     barriers_.reset(tasks_.size());
@@ -841,7 +834,7 @@ Engine::run()
                 ++counters_.fallbackScans;
                 dt_flow = kInf;
                 for (size_t s = 0; s < slotCount(); ++s) {
-                    if (!flowAlive_[s])
+                    if (flowKey_[s] == deadFlow_)
                         continue;
                     double d = flowRemaining_[s] / flowRate_[s];
                     if (d < dt_flow)
@@ -880,8 +873,8 @@ Engine::run()
         // One pass over the slots, in slot order: credit each path
         // resource with the units moved, drain, and collect the flows
         // that crossed their completion tolerance.  Dead slots are
-        // inert (rate 0, remaining +inf, threshold -1, empty path), so
-        // the pass needs no alive test.
+        // inert (rate 0, remaining +inf, threshold -1, the dead flow's
+        // empty path), so the pass needs no alive test.
         to_advance.clear();
         completedScratch_.clear();
         {
@@ -889,10 +882,11 @@ Engine::run()
             double *rem = flowRemaining_.data();
             const double *rate = flowRate_.data();
             const double *thresh = flowThresh_.data();
+            const uint32_t *key = flowKey_.data();
             for (size_t s = 0; s < n; ++s) {
                 const double step = rate[s] * dt;
                 const double moved = step > rem[s] ? rem[s] : step;
-                for (ResourceId r : flowPath_[s])
+                for (ResourceId r : internFlows_[key[s]].path)
                     stats_[r].unitsMoved += moved;
                 rem[s] -= step;
                 if (rem[s] <= thresh[s]) {
@@ -906,7 +900,8 @@ Engine::run()
             if (tracing()) {
                 emitTrace({TraceEvent::Kind::FlowEnd, now_,
                            flowOwners_[slot][0], flowTag_[slot],
-                           flowAmount_[slot], flowPath_[slot]});
+                           flowAmount_[slot],
+                           internFlows_[flowKey_[slot]].path});
             }
             for (int owner : flowOwners_[slot]) {
                 accrueBlockedTime(owner);

@@ -22,8 +22,8 @@
  * and one fused pass moves units, drains and detects completions.  A
  * flow arrival/departure re-solves only the connected components of
  * flows reachable from the resources it touched (the dirty set), and
- * a component whose ordered input was solved before takes its rates
- * from a per-engine memo instead of being solved again.
+ * a component whose multiset of flows was solved before takes its
+ * rates from a per-engine memo instead of being solved again.
  */
 
 #ifndef MCSCOPE_SIM_ENGINE_HH
@@ -462,16 +462,16 @@ class Engine
     /** Queue `r` for the next dirty-set closure (idempotent). */
     void markResourceDirty(ResourceId r);
 
-    /** Recompute max-min fair rates for the dirty flow set. */
+    /**
+     * Recompute max-min fair rates for the dirty flow set: solve every
+     * connected component the dirty resources reach.
+     */
     void recomputeRates();
-
-    /** Solve every connected component the dirty resources reach. */
-    void solveOptimized();
 
     /**
      * Rates for the component in closureFlows_[flowBegin..] (at least
      * one flow, sorted by (id, slot)) over closureRes_[resBegin..]:
-     * from the memo when its key was solved before, else from a
+     * from the memo when its ids were solved before, else from a
      * component solve whose result is then memoized.
      */
     void solveComponent(size_t flowBegin, size_t resBegin);
@@ -527,7 +527,7 @@ class Engine
         const std::vector<int> &to_advance) const;
 
     /** Number of flow slots ever created (alive + free-listed). */
-    size_t slotCount() const { return flowAlive_.size(); }
+    size_t slotCount() const { return flowKey_.size(); }
 
     std::vector<std::string> resourceNames_;
     std::vector<double> capacities_;
@@ -537,31 +537,29 @@ class Engine
 
     // --- Structure-of-arrays flow state ------------------------------
     // One entry per slot; a slot is recycled through freeSlots_ after
-    // its flow completes.  Dead slots are inert for the hot loop's flat
-    // scans: rate 0, remaining +inf, finish +inf, threshold -1, empty
-    // path.  A live flow has rate 0 and finish +inf until its first
-    // solve.
+    // its flow completes.  A slot's (path, cap) is internFlows_ at its
+    // key.  Dead slots are inert for the hot loop's flat scans: rate 0,
+    // remaining +inf, finish +inf, threshold -1, and the key deadFlow_,
+    // whose path is empty.  A live flow has rate 0 and finish +inf
+    // until its first solve.
     std::vector<double> flowRemaining_; ///< units left to move
     std::vector<double> flowRate_;      ///< current fair-share rate
     std::vector<double> flowFinish_;    ///< absolute finish estimate
     std::vector<double> flowThresh_;    ///< completion tolerance
     std::vector<double> flowAmount_;    ///< original Work amount
-    std::vector<double> flowRateCap_;   ///< per-flow rate ceiling
-    std::vector<PathVec> flowPath_;     ///< resource path
     std::vector<OwnerVec> flowOwners_;  ///< owning task(s)
     std::vector<int> flowTag_;          ///< phase tag
     std::vector<uint32_t> flowKey_;     ///< interned (path, cap) id
-    std::vector<char> flowAlive_;       ///< slot holds a live flow
     std::vector<FlowSlot> freeSlots_;   ///< recycled slot ids (LIFO)
     int activeFlows_ = 0;               ///< live-flow count
 
     /**
      * Per-resource incidence: the slots of the flows crossing each
      * resource, in arbitrary order with O(1) removal --
-     * flowPosInRes_[s][h] is slot s's index inside
-     * resFlows_[flowPath_[s][h]], maintained by swap-remove fixups.
-     * This is the bottleneck-membership structure the dirty-set
-     * closure walks.
+     * flowPosInRes_[s][h] is slot s's index inside the incidence list
+     * of the h-th resource on its path, maintained by swap-remove
+     * fixups.  This is the bottleneck-membership structure the
+     * dirty-set closure walks.
      */
     std::vector<std::vector<FlowSlot>> resFlows_;
     std::vector<PathVec> flowPosInRes_;
@@ -578,12 +576,16 @@ class Engine
     std::vector<char> flowInClosure_;
     std::vector<ResourceId> closureRes_;
     std::vector<FlowSlot> closureFlows_;
+    std::vector<uint32_t> closureIds_; ///< memo key and solver input
 
     // Flow interning: internFlows_[id] is the (path, cap) of id, and
     // internTable_ is an open-addressing index over it holding id + 1
-    // (0 = empty).  Filled by addTask(); run() only reads it.
+    // (0 = empty).  Filled by addTask(); run() appends deadFlow_ (an
+    // empty path, no cap: no real flow's) outside the index, then only
+    // reads it.
     std::vector<FairShareFlow> internFlows_;
     std::vector<uint32_t> internTable_;
+    uint32_t deadFlow_ = 0;
 
     /** One memoized component: its key and the rates solved for it. */
     struct MemoEntry

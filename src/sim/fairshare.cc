@@ -9,9 +9,8 @@ namespace mcscope {
 
 void
 fairShareSolveComponent(const std::vector<double> &capacities,
-                        const std::vector<PathVec> &paths,
-                        const std::vector<double> &rateCaps,
-                        const FlowSlot *flowSlots, size_t flowCount,
+                        const std::vector<FairShareFlow> &flows,
+                        const uint32_t *ids, size_t flowCount,
                         const ResourceId *resources, size_t resourceCount,
                         FairShareScratch &scratch)
 {
@@ -45,7 +44,7 @@ fairShareSolveComponent(const std::vector<double> &capacities,
         saturated[r] = 0;
     }
     for (size_t k = 0; k < flowCount; ++k) {
-        for (ResourceId r : paths[flowSlots[k]])
+        for (ResourceId r : flows[ids[k]].path)
             ++users[r];
     }
 
@@ -69,9 +68,9 @@ fairShareSolveComponent(const std::vector<double> &capacities,
             }
         }
         for (size_t k = 0; k < flowCount; ++k) {
-            const FlowSlot s = flowSlots[k];
-            if (!frozen[k] && rateCaps[s] > 0.0 && rateCaps[s] < next)
-                next = rateCaps[s];
+            const double cap = flows[ids[k]].rateCap;
+            if (!frozen[k] && cap > 0.0 && cap < next)
+                next = cap;
         }
         MCSCOPE_ASSERT(std::isfinite(next),
                        "progressive filling found no binding constraint");
@@ -93,10 +92,10 @@ fairShareSolveComponent(const std::vector<double> &capacities,
         for (size_t k = 0; k < flowCount; ++k) {
             if (frozen[k])
                 continue;
-            const FlowSlot s = flowSlots[k];
-            bool freeze = rateCaps[s] > 0.0 && rateCaps[s] <= next + tol;
+            const FairShareFlow &f = flows[ids[k]];
+            bool freeze = f.rateCap > 0.0 && f.rateCap <= next + tol;
             if (!freeze) {
-                for (ResourceId r : paths[s]) {
+                for (ResourceId r : f.path) {
                     if (saturated[r]) {
                         freeze = true;
                         break;
@@ -109,7 +108,7 @@ fairShareSolveComponent(const std::vector<double> &capacities,
                 rates[k] = next;
                 frozen[k] = 1;
                 ++frozen_this_round;
-                for (ResourceId r : paths[s]) {
+                for (ResourceId r : f.path) {
                     residual[r] -= next;
                     if (residual[r] < 0.0)
                         residual[r] = 0.0;

@@ -18,6 +18,7 @@
 #ifndef MCSCOPE_SIM_FAIRSHARE_HH
 #define MCSCOPE_SIM_FAIRSHARE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/prim.hh"
@@ -67,8 +68,8 @@ struct FairShareScratch
  * each independently -- a component's rates are a function of that
  * component alone, which is what lets the dirty-set incremental
  * engine carry rates of untouched components across solves and still
- * agree with a fresh whole-set solve bitwise.  Its data layout is
- * deliberately independent of the engine's.
+ * agree with a fresh whole-set solve bitwise.  Its adjacency is its
+ * own, independent of the engine's incidence lists and closure walk.
  */
 std::vector<double>
 fairShareRatesReference(const std::vector<double> &capacities,
@@ -79,18 +80,18 @@ fairShareRatesReference(const std::vector<double> &capacities,
  * flow/resource graph -- the engine's one solver, run on each
  * component its dirty resources reach.
  *
- * Flows live in slot-indexed parallel arrays (the engine's
- * structure-of-arrays state): `paths[s]` and `rateCaps[s]` describe
- * the flow in slot s.  `flowSlots[0..flowCount)` selects the
- * component's flows and `resources[0..resourceCount)` its resources,
- * both in any order.  Rates land in scratch.rates[k] for the k-th
- * selected flow.
+ * `flows` is the same flow table the reference takes (the engine's
+ * interned (path, cap) table); `ids[0..flowCount)` selects the
+ * component's flows from it, an id as often as the component holds
+ * that flow, and `resources[0..resourceCount)` its resources, both in
+ * any order.  Rates land in scratch.rates[k] for the k-th selected
+ * flow.
  *
  * Caller contract -- this is what makes a component solve
  * bit-identical to the whole-set reference (see DESIGN §13): the
  * selection is exactly one connected component.  Every resource on a
  * selected flow's path appears in `resources`, every flow crossing a
- * selected resource appears in `flowSlots`, and every selected path is
+ * selected resource is selected, and every selected path is
  * non-empty.
  *
  * The arithmetic is the reference's, and neither solver depends on
@@ -117,9 +118,8 @@ fairShareRatesReference(const std::vector<double> &capacities,
  * resources) work occurs.
  */
 void fairShareSolveComponent(const std::vector<double> &capacities,
-                             const std::vector<PathVec> &paths,
-                             const std::vector<double> &rateCaps,
-                             const FlowSlot *flowSlots, size_t flowCount,
+                             const std::vector<FairShareFlow> &flows,
+                             const uint32_t *ids, size_t flowCount,
                              const ResourceId *resources,
                              size_t resourceCount,
                              FairShareScratch &scratch);

@@ -211,6 +211,39 @@ TEST(ShardResume, ShardedMatchesSerialWithoutFaults)
     EXPECT_EQ(sharded.out, golden.out);
 }
 
+TEST(ShardResume, SpawnsNoWorkerWithoutAPoint)
+{
+    // More shards than points: only as many local workers start as
+    // there are points for them, counted by a wrapper worker that logs
+    // each start before it execs the tool.
+    TempDir dir("shard_resume_spawns");
+    const std::string spec = writeSpec(dir);
+    const std::string log = dir.file("spawns.log");
+    const std::string wrapper = dir.file("worker.sh");
+    std::ofstream(wrapper) << "#!/bin/sh\necho started >> '" << log
+                           << "'\nexec '" << MCSCOPE_TOOL_PATH
+                           << "' \"$@\"\n";
+    std::filesystem::permissions(wrapper,
+                                 std::filesystem::perms::owner_all);
+
+    ToolRun golden = runTool({"batch", spec, "--csv"});
+    ASSERT_EQ(golden.exit, 0) << golden.out;
+    const size_t points = countPoints(golden.out);
+    ASSERT_LT(points, 6u);
+
+    ToolRun sharded =
+        runTool({"batch", spec, "--csv", "--shards", "6"},
+                {"MCSCOPE_WORKER_EXE=" + wrapper});
+    ASSERT_EQ(sharded.exit, 0) << sharded.out;
+    EXPECT_EQ(sharded.out, golden.out);
+
+    std::ifstream in(log);
+    size_t started = 0;
+    for (std::string line; std::getline(in, line);)
+        ++started;
+    EXPECT_EQ(started, points);
+}
+
 TEST(ShardResume, WarmCacheDirServesEveryPointFromWorkers)
 {
     TempDir dir("shard_resume_warm_cache");

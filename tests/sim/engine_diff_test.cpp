@@ -475,8 +475,6 @@ TEST(SubsetSolver, ComponentSolveMatchesFullReferenceBitForBit)
         for (int r = 0; r < nr; ++r)
             caps.push_back(rng.uniform(0.5, 2000.0));
         std::vector<FairShareFlow> flows;
-        std::vector<PathVec> paths;
-        std::vector<double> rateCaps;
         for (int f = 0; f < nf; ++f) {
             FairShareFlow fl;
             const int plen = 1 + static_cast<int>(rng.below(3));
@@ -490,8 +488,6 @@ TEST(SubsetSolver, ComponentSolveMatchesFullReferenceBitForBit)
             }
             if (rng.below(3) == 0)
                 fl.rateCap = rng.uniform(0.1, 500.0);
-            paths.push_back(fl.path);
-            rateCaps.push_back(fl.rateCap);
             flows.push_back(std::move(fl));
         }
         const std::vector<double> full =
@@ -502,7 +498,7 @@ TEST(SubsetSolver, ComponentSolveMatchesFullReferenceBitForBit)
         for (int f = 0; f < nf; ++f) {
             if (comp[f] != f)
                 continue; // not a representative
-            std::vector<int> members;
+            std::vector<uint32_t> members;
             std::vector<char> resIn(nr, 0);
             std::vector<ResourceId> resList;
             for (int g = 0; g < nf; ++g) {
@@ -516,7 +512,7 @@ TEST(SubsetSolver, ComponentSolveMatchesFullReferenceBitForBit)
                     }
                 }
             }
-            fairShareSolveComponent(caps, paths, rateCaps,
+            fairShareSolveComponent(caps, flows,
                                     members.data(), members.size(),
                                     resList.data(), resList.size(),
                                     scratch);

@@ -108,15 +108,11 @@ solveByComponents(const std::vector<double> &caps,
                   FairShareScratch &scratch, std::vector<double> &rates,
                   Rng *order = nullptr)
 {
-    std::vector<PathVec> paths;
-    std::vector<double> rateCaps;
-    std::vector<std::vector<FlowSlot>> resFlows(caps.size());
+    std::vector<std::vector<uint32_t>> resFlows(caps.size());
     rates.assign(flows.size(), 0.0);
     for (size_t f = 0; f < flows.size(); ++f) {
-        paths.push_back(flows[f].path);
-        rateCaps.push_back(flows[f].rateCap);
         for (ResourceId r : flows[f].path)
-            resFlows[r].push_back(static_cast<FlowSlot>(f));
+            resFlows[r].push_back(static_cast<uint32_t>(f));
         if (flows[f].path.empty()) {
             rates[f] = flows[f].rateCap > 0.0
                            ? flows[f].rateCap
@@ -130,15 +126,15 @@ solveByComponents(const std::vector<double> &caps,
         if (resSeen[seed] || resFlows[seed].empty())
             continue;
         std::vector<ResourceId> res = {static_cast<ResourceId>(seed)};
-        std::vector<FlowSlot> members;
+        std::vector<uint32_t> members;
         resSeen[seed] = 1;
         for (size_t i = 0; i < res.size(); ++i) {
-            for (FlowSlot f : resFlows[res[i]]) {
+            for (uint32_t f : resFlows[res[i]]) {
                 if (flowSeen[f])
                     continue;
                 flowSeen[f] = 1;
                 members.push_back(f);
-                for (ResourceId r : paths[f]) {
+                for (ResourceId r : flows[f].path) {
                     if (!resSeen[r]) {
                         resSeen[r] = 1;
                         res.push_back(r);
@@ -152,7 +148,7 @@ solveByComponents(const std::vector<double> &caps,
         } else {
             std::sort(members.begin(), members.end());
         }
-        fairShareSolveComponent(caps, paths, rateCaps, members.data(),
+        fairShareSolveComponent(caps, flows, members.data(),
                                 members.size(), res.data(), res.size(),
                                 scratch);
         EXPECT_EQ(scratch.rates.size(), members.size());
