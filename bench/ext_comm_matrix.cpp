@@ -20,7 +20,8 @@ using namespace mcscope::bench;
 
 namespace {
 
-void
+/** Print one code's matrix; returns its byte share per hop distance. */
+std::vector<double>
 analyze(const char *name)
 {
     MachineConfig cfg = longsConfig();
@@ -40,14 +41,15 @@ analyze(const char *name)
                 static_cast<unsigned long long>(
                     matrix.totalMessages()),
                 formatBytes(matrix.totalBytes()).c_str());
-    std::vector<double> hist = matrix.bytesByHops(rt);
-    double total = matrix.totalBytes();
+    std::vector<double> share = matrix.bytesByHops(rt);
+    const double total = matrix.totalBytes();
+    for (double &s : share)
+        s = total > 0.0 ? s / total : 0.0;
     std::printf("  bytes by HT hop distance:");
-    for (size_t h = 0; h < hist.size(); ++h) {
-        std::printf("  %zu:%4.1f%%", h,
-                    total > 0.0 ? hist[h] / total * 100.0 : 0.0);
-    }
+    for (size_t h = 0; h < share.size(); ++h)
+        std::printf("  %zu:%4.1f%%", h, share[h] * 100.0);
     std::printf("\n\n");
+    return share;
 }
 
 } // namespace
@@ -58,15 +60,31 @@ main()
     banner("Extension (communication matrices)",
            "Per-pair traffic of CG / FT / POP projected onto the HT "
            "ladder's hop distances",
-           "CG concentrates on one far partner; FT spreads all-to-all "
-           "across every distance; POP stays nearest-neighbor");
+           "the paper prints no traffic matrix; it reads ladder "
+           "pressure off PTRANS (Figure 12) and Ring vs PingPong "
+           "(Figure 13)");
 
-    analyze("nas-cg-b");
-    analyze("nas-ft-b");
-    analyze("pop-x1");
+    const std::vector<double> cg = analyze("nas-cg-b");
+    const std::vector<double> ft = analyze("nas-ft-b");
+    const std::vector<double> pop = analyze("pop-x1");
 
-    std::printf("Multi-hop traffic shares explain the ladder "
-                "sensitivity ordering the paper\nobserves: all-to-all "
-                "(FT, PTRANS) > partner exchange (CG) > halo (POP).\n");
+    auto meanHops = [](const std::vector<double> &share) {
+        double mean = 0.0;
+        for (size_t h = 0; h < share.size(); ++h)
+            mean += h * share[h];
+        return formatFixed(mean, 2);
+    };
+    auto beyondOneHop = [](const std::vector<double> &share) {
+        double sum = 0.0;
+        for (size_t h = 2; h < share.size(); ++h)
+            sum += share[h];
+        return formatFixed(sum * 100.0, 1) + "%";
+    };
+    observe("mean HT hops per byte", "CG " + meanHops(cg) + "  FT " +
+                                         meanHops(ft) + "  POP " +
+                                         meanHops(pop));
+    observe("bytes beyond one hop", "CG " + beyondOneHop(cg) + "  FT " +
+                                        beyondOneHop(ft) + "  POP " +
+                                        beyondOneHop(pop));
     return 0;
 }

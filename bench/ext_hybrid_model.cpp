@@ -68,11 +68,5 @@ main()
     compare("nas-ft-b",
             std::make_shared<NasFtWorkload>(nasFtClassB()));
     compare("pop-x1", std::make_shared<PopWorkload>(popX1Config()));
-
-    std::printf("\nRatios below 1.0 confirm the paper's three-tier "
-                "communication-hierarchy argument\nfor latency-bound "
-                "codes; bandwidth-bound phases are indifferent "
-                "because both\nmodels saturate the same per-socket "
-                "memory links.\n");
     return 0;
 }

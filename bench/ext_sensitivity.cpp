@@ -50,8 +50,7 @@ main()
         std::printf("  %-8.3f %-16.2f %-18.2f %-14.2f\n", alpha, bw,
                     bw / 4.1, t1 / t16 / 16.0);
     }
-    std::printf("  -> the 'below half' observation needs alpha >= "
-                "~0.15; CG's collapse persists at every alpha\n\n");
+    std::printf("\n");
 
     std::printf("streamConcurrencyBytes sweep (Longs, CG 8 tasks):\n");
     std::printf("  %-8s %-20s %-20s\n", "bytes",
@@ -65,7 +64,5 @@ main()
         std::printf("  %-8.0f %-20.2f %-20.2f\n", conc, t(2) / t(1),
                     t(5) / t(0));
     }
-    std::printf("  -> smaller miss concurrency = deeper NUMA penalty; "
-                "the localalloc-first ordering never flips\n");
     return 0;
 }

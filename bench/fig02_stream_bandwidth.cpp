@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <map>
 
 #include "bench_util.hh"
 #include "kernels/stream.hh"
@@ -16,19 +17,24 @@ using namespace mcscope::bench;
 
 namespace {
 
-void
+/** Print one series; returns its single-core GB/s. */
+double
 series(const MachineConfig &cfg, const NumactlOption &opt,
        const char *label)
 {
     StreamWorkload stream(4u << 20, 10);
     std::printf("%-7s %-18s:", cfg.name.c_str(), label);
+    double single = 0.0;
     for (int ranks = 1; ranks <= cfg.totalCores(); ranks *= 2) {
         RunResult r = run(cfg, opt, ranks, stream);
         double bw =
             stream.bytesPerIteration() * 10.0 * ranks / r.seconds;
+        if (ranks == 1)
+            single = bw / 1e9;
         std::printf("  %2d:%6.2f", ranks, bw / 1e9);
     }
     std::printf("   (GB/s aggregate)\n");
+    return single;
 }
 
 } // namespace
@@ -42,24 +48,18 @@ main()
            "join; 8-socket system starts below half the expected "
            "per-socket bandwidth");
 
+    std::map<std::string, double> single;
     for (auto cfg_fn : {tigerConfig, dmzConfig, longsConfig}) {
         MachineConfig cfg = cfg_fn();
-        series(cfg, pinnedSpread(), "socket-first");
+        single[cfg.name] = series(cfg, pinnedSpread(), "socket-first");
         if (cfg.coresPerSocket > 1)
             series(cfg, pinnedPacked(), "core-first");
     }
 
-    StreamWorkload stream(4u << 20, 10);
-    RunResult longs1 = run(longsConfig(), pinnedSpread(), 1, stream);
-    RunResult dmz1 = run(dmzConfig(), pinnedSpread(), 1, stream);
-    double bw_longs =
-        stream.bytesPerIteration() * 10.0 / longs1.seconds / 1e9;
-    double bw_dmz =
-        stream.bytesPerIteration() * 10.0 / dmz1.seconds / 1e9;
     std::printf("\n");
     observe("Longs single-core GB/s (paper: < 2.05, i.e. < half of "
             "4.1)",
-            formatFixed(bw_longs, 2));
-    observe("DMZ single-core GB/s", formatFixed(bw_dmz, 2));
+            formatFixed(single["Longs"], 2));
+    observe("DMZ single-core GB/s", formatFixed(single["DMZ"], 2));
     return 0;
 }

@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <map>
 
 #include "bench_util.hh"
 #include "kernels/blas1.hh"
@@ -28,13 +29,15 @@ main()
         std::printf("  total(%d)  per-core(%d)", ranks, ranks);
     std::printf("   [GFlop/s]\n");
 
-    for (size_t n : {size_t(16) << 10, size_t(128) << 10,
-                     size_t(1) << 20, size_t(8) << 20}) {
+    const size_t small = size_t(16) << 10, large = size_t(8) << 20;
+    std::map<std::pair<size_t, int>, double> seconds;
+    for (size_t n : {small, size_t(128) << 10, size_t(1) << 20, large}) {
         int iters = n <= (size_t(128) << 10) ? 400 : 20;
         DaxpyWorkload daxpy(n, iters, BlasVariant::Acml);
         std::printf("%-10zu", n);
         for (int ranks : {1, 2, 4}) {
             RunResult r = run(dmz, pinnedPacked(), ranks, daxpy);
+            seconds[{n, ranks}] = r.seconds;
             double gf = daxpy.flopsPerIteration() * iters * ranks /
                         r.seconds / 1e9;
             std::printf("  %8.2f  %11.2f", gf, gf / ranks);
@@ -42,19 +45,13 @@ main()
         std::printf("\n");
     }
 
-    DaxpyWorkload small(16u << 10, 400, BlasVariant::Acml);
-    DaxpyWorkload large(8u << 20, 20, BlasVariant::Acml);
-    double s1 = run(dmz, pinnedPacked(), 1, small).seconds;
-    double s4 = run(dmz, pinnedPacked(), 4, small).seconds;
-    double l1 = run(dmz, pinnedPacked(), 1, large).seconds;
-    double l4 = run(dmz, pinnedPacked(), 4, large).seconds;
     std::printf("\n");
     // Per-rank-sized work: perfect scaling keeps time flat as cores
     // are added, bandwidth saturation inflates it.
     observe("in-cache time inflation, 4 cores vs 1 (ideal 1.0)",
-            formatFixed(s4 / s1, 2));
+            formatFixed(seconds[{small, 4}] / seconds[{small, 1}], 2));
     observe("out-of-cache time inflation, 4 cores vs 1 "
             "(bandwidth-bound: ~2)",
-            formatFixed(l4 / l1, 2));
+            formatFixed(seconds[{large, 4}] / seconds[{large, 1}], 2));
     return 0;
 }

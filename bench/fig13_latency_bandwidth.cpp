@@ -19,29 +19,6 @@ using namespace mcscope::bench;
 
 namespace {
 
-/** Average one-way PingPong latency between the two farthest ranks. */
-double
-pingPongLatencyUs(const MachineConfig &cfg, SubLayer sl, int iters)
-{
-    Machine machine(cfg);
-    auto placement = Placement::create(
-        cfg, machine.topology(),
-        {"spread", TaskScheme::Spread, MemPolicy::LocalAlloc}, 2);
-    MpiRuntime rt(machine, *placement, MpiImpl::Lam, sl);
-
-    std::vector<Prim> p0, p1;
-    rt.appendSend(p0, 0, 1, 8.0, 0x1000ULL);
-    rt.appendRecv(p0, 0, 1, 8.0, 0x2000ULL);
-    rt.appendRecv(p1, 1, 0, 8.0, 0x1000ULL);
-    rt.appendSend(p1, 1, 0, 8.0, 0x2000ULL);
-    machine.engine().addTask(TaskProgram(
-        "pp0", std::vector<Prim>{}, p0, iters));
-    machine.engine().addTask(TaskProgram(
-        "pp1", std::vector<Prim>{}, p1, iters));
-    machine.engine().run();
-    return machine.engine().makespan() / iters / 2.0 * 1e6;
-}
-
 /** Average per-hop ring latency over the full 16-rank job. */
 double
 ringLatencyUs(const MachineConfig &cfg, SubLayer sl, int iters)
@@ -75,10 +52,16 @@ main()
            "topology differences");
 
     const int iters = 200;
-    double pp_usysv =
-        pingPongLatencyUs(longsConfig(), SubLayer::USysV, iters);
-    double pp_sysv =
-        pingPongLatencyUs(longsConfig(), SubLayer::SysV, iters);
+    // One-way PingPong latency between the two farthest ranks.
+    auto pingPongUs = [&](SubLayer sl) {
+        return pingPongSeconds(longsConfig(),
+                               {"spread", TaskScheme::Spread,
+                                MemPolicy::LocalAlloc},
+                               MpiImpl::Lam, sl, 1.0, 8.0, iters) *
+               1e6;
+    };
+    double pp_usysv = pingPongUs(SubLayer::USysV);
+    double pp_sysv = pingPongUs(SubLayer::SysV);
     double ring_usysv =
         ringLatencyUs(longsConfig(), SubLayer::USysV, iters);
     double ring_sysv =

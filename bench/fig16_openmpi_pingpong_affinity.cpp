@@ -8,11 +8,8 @@
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_util.hh"
-#include "sim/task.hh"
-#include "simmpi/comm.hh"
 #include "util/str.hh"
 
 using namespace mcscope;
@@ -23,40 +20,16 @@ namespace {
 struct Config
 {
     const char *label;
-    TaskScheme scheme;
-    bool pinned_same_die;
+    NumactlOption option;
     double noise;
 };
 
-std::pair<double, double>
-pingPong(const Config &c, double bytes, int iters)
+/** One-way time of this configuration's OpenMPI PingPong on DMZ. */
+double
+pingPong(const Config &c, double bytes)
 {
-    MachineConfig cfg = dmzConfig();
-    Machine machine(cfg);
-    NumactlOption opt;
-    if (c.pinned_same_die) {
-        opt = {"bound", TaskScheme::Packed, MemPolicy::LocalAlloc};
-    } else {
-        opt = {"unbound", TaskScheme::OsDefault, MemPolicy::Default};
-    }
-    auto placement =
-        Placement::create(cfg, machine.topology(), opt, 2);
-    MpiRuntime rt(machine, *placement, MpiImpl::OpenMpi,
-                  SubLayer::USysV);
-    rt.setLatencyNoiseFactor(c.noise);
-
-    std::vector<Prim> p0, p1;
-    rt.appendSend(p0, 0, 1, bytes, 0x1000ULL);
-    rt.appendRecv(p0, 0, 1, bytes, 0x2000ULL);
-    rt.appendRecv(p1, 1, 0, bytes, 0x1000ULL);
-    rt.appendSend(p1, 1, 0, bytes, 0x2000ULL);
-    machine.engine().addTask(TaskProgram(
-        "pp0", std::vector<Prim>{}, p0, iters));
-    machine.engine().addTask(TaskProgram(
-        "pp1", std::vector<Prim>{}, p1, iters));
-    machine.engine().run();
-    double one_way = machine.engine().makespan() / iters / 2.0;
-    return {one_way, bytes / one_way};
+    return pingPongSeconds(dmzConfig(), c.option, MpiImpl::OpenMpi,
+                           SubLayer::USysV, c.noise, bytes, 50);
 }
 
 } // namespace
@@ -70,34 +43,39 @@ main()
            "bound-to-one-socket wins ~10-13% bandwidth and small-"
            "message latency; parked processes add jitter");
 
+    const NumactlOption bound = {"bound", TaskScheme::Packed,
+                                 MemPolicy::LocalAlloc};
+    const NumactlOption unbound = {"unbound", TaskScheme::OsDefault,
+                                   MemPolicy::Default};
     const Config configs[] = {
-        {"2 procs, bound 0", TaskScheme::Packed, true, 1.0},
-        {"2 procs, bound 1", TaskScheme::Packed, true, 1.0},
-        {"2 procs, unbound", TaskScheme::OsDefault, false, 1.15},
-        {"2 procs, unbound, 2 parked", TaskScheme::OsDefault, false,
-         1.30},
+        {"2 procs, bound 0", bound, 1.0},
+        {"2 procs, bound 1", bound, 1.0},
+        {"2 procs, unbound", unbound, 1.15},
+        {"2 procs, unbound, 2 parked", unbound, 1.30},
     };
 
     std::printf("%-28s", "size");
     for (const Config &c : configs)
         std::printf("  %-14s", c.label);
     std::printf("\n");
+    std::vector<double> lat64; // the table's first row, per config
     for (double bytes = 64.0; bytes <= 4.0 * 1024 * 1024;
          bytes *= 16.0) {
         std::printf("%-28s", formatBytes(bytes).c_str());
         for (const Config &c : configs) {
-            auto [lat, bw] = pingPong(c, bytes, 50);
-            std::printf("  %-14.1f", bw / 1e6);
+            double lat = pingPong(c, bytes);
+            if (bytes == 64.0)
+                lat64.push_back(lat);
+            std::printf("  %-14.1f", bytes / lat / 1e6);
         }
         std::printf("   [MB/s]\n");
     }
 
-    auto [lat_b, bw_b] = pingPong(configs[0], 1 << 20, 50);
-    auto [lat_u, bw_u] = pingPong(configs[2], 1 << 20, 50);
-    auto [slat_b, sbw_b] = pingPong(configs[0], 64.0, 50);
-    auto [slat_u, sbw_u] = pingPong(configs[2], 64.0, 50);
-    (void)sbw_b;
-    (void)sbw_u;
+    const double mb = 1 << 20;
+    double bw_b = mb / pingPong(configs[0], mb);
+    double bw_u = mb / pingPong(configs[2], mb);
+    double slat_b = lat64[0];
+    double slat_u = lat64[2];
     std::printf("\n");
     observe("bound vs unbound bandwidth gain at 1MB (paper: "
             "10-13%)",

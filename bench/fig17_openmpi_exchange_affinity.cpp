@@ -6,42 +6,12 @@
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_util.hh"
-#include "sim/task.hh"
-#include "simmpi/collectives.hh"
-#include "simmpi/comm.hh"
 #include "util/str.hh"
 
 using namespace mcscope;
 using namespace mcscope::bench;
-
-namespace {
-
-double
-exchangeTime(const NumactlOption &opt, int ranks, double noise,
-             double bytes, int iters)
-{
-    MachineConfig cfg = dmzConfig();
-    Machine machine(cfg);
-    auto placement =
-        Placement::create(cfg, machine.topology(), opt, ranks);
-    MpiRuntime rt(machine, *placement, MpiImpl::OpenMpi,
-                  SubLayer::USysV);
-    rt.setLatencyNoiseFactor(noise);
-    for (int r = 0; r < ranks; ++r) {
-        std::vector<Prim> body;
-        appendExchange(rt, body, r, bytes, 0x5000ULL);
-        machine.engine().addTask(TaskProgram(
-            "xc" + std::to_string(r), std::vector<Prim>{}, body,
-            iters));
-    }
-    machine.engine().run();
-    return machine.engine().makespan() / iters;
-}
-
-} // namespace
 
 int
 main()
@@ -57,6 +27,11 @@ main()
     NumactlOption unbound = {"unbound", TaskScheme::OsDefault,
                              MemPolicy::Default};
 
+    auto exchangeTime = [](const NumactlOption &opt, int ranks,
+                           double noise, double bytes, int iters) {
+        return exchangeSeconds(dmzConfig(), opt, ranks, MpiImpl::OpenMpi,
+                               SubLayer::USysV, noise, bytes, iters);
+    };
     std::printf("%-10s  %-12s %-12s %-12s %-12s   [us/iter]\n",
                 "size", "bound 0", "unbound", "unb+parked",
                 "4 procs");

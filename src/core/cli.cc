@@ -226,26 +226,20 @@ parseFlags(const std::vector<std::string> &args, size_t start)
             f.option = next();
         } else if (a == "--impl") {
             std::string v = toLower(next());
-            if (v == "mpich2")
-                f.impl = MpiImpl::Mpich2;
-            else if (v == "lam")
-                f.impl = MpiImpl::Lam;
-            else if (v == "openmpi")
-                f.impl = MpiImpl::OpenMpi;
-            else {
+            std::optional<MpiImpl> impl = parseMpiImplToken(v);
+            if (!impl) {
                 f.error = "unknown --impl '" + v + "'";
                 return f;
             }
+            f.impl = *impl;
         } else if (a == "--sublayer") {
             std::string v = toLower(next());
-            if (v == "sysv")
-                f.sublayer = SubLayer::SysV;
-            else if (v == "usysv")
-                f.sublayer = SubLayer::USysV;
-            else {
+            std::optional<SubLayer> layer = parseSubLayerToken(v);
+            if (!layer) {
                 f.error = "unknown --sublayer '" + v + "'";
                 return f;
             }
+            f.sublayer = *layer;
         } else if (a == "--coherence") {
             std::string v = toLower(next());
             CoherenceMode mode;
@@ -316,14 +310,6 @@ parseFlags(const std::vector<std::string> &args, size_t start)
         }
     }
     return f;
-}
-
-/** Resolve --option into a Table 5 entry; nullopt on failure. */
-std::optional<NumactlOption>
-resolveOption(const std::string &spec)
-{
-    // Shared with batch spec files: core/scenario.hh.
-    return resolveOptionSpec(spec);
 }
 
 /** True when the flags ask for sweep telemetry. */
@@ -554,7 +540,7 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out)
         out << "run: " << f.error << "\n";
         return 2;
     }
-    auto option = resolveOption(f.option);
+    auto option = resolveOptionSpec(f.option);
     if (!option) {
         out << "run: unknown --option '" << f.option << "'\n";
         return 2;

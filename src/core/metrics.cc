@@ -24,14 +24,6 @@ speedups(const std::vector<double> &times, int base_index)
 }
 
 double
-singleToStarRatio(double single_seconds, double star_seconds)
-{
-    MCSCOPE_ASSERT(single_seconds > 0.0 && star_seconds > 0.0,
-                   "ratio needs positive times");
-    return star_seconds / single_seconds;
-}
-
-double
 placementGain(const std::vector<double> &option_times)
 {
     MCSCOPE_ASSERT(!option_times.empty(), "no options");

@@ -1,7 +1,7 @@
 /**
  * @file
- * Derived performance metrics: speedups and the Single/Star ratios
- * the paper builds its arguments on.
+ * Derived performance metrics: speedups and the best-over-default
+ * placement gain.
  */
 
 #ifndef MCSCOPE_CORE_METRICS_HH
@@ -18,14 +18,6 @@ namespace mcscope {
  */
 std::vector<double> speedups(const std::vector<double> &times,
                              int base_index = 0);
-
-/**
- * HPCC Single:Star ratio.  Star-mode per-rank time divided by
- * single-mode time: > 1 means concurrent copies slow each other, and
- * a ratio above the per-socket core count means engaging extra cores
- * is a net per-socket loss (the paper's STREAM observation).
- */
-double singleToStarRatio(double single_seconds, double star_seconds);
 
 /**
  * Best-over-options improvement versus the default option, as a

@@ -389,20 +389,16 @@ SweepPlan::fromJson(const JsonValue &doc, std::string *error)
                 return std::nullopt;
             }
             for (const JsonValue &entry : v.items()) {
-                std::string token =
-                    entry.isString() ? toLower(entry.asString()) : "";
-                if (token == "mpich2")
-                    axes.impls.push_back(MpiImpl::Mpich2);
-                else if (token == "lam")
-                    axes.impls.push_back(MpiImpl::Lam);
-                else if (token == "openmpi")
-                    axes.impls.push_back(MpiImpl::OpenMpi);
-                else {
+                std::optional<MpiImpl> impl =
+                    entry.isString() ? parseMpiImplToken(entry.asString())
+                                     : std::nullopt;
+                if (!impl) {
                     setError(error,
                              "unknown impl '" + entry.dump() +
                                  "' (have: mpich2, lam, openmpi)");
                     return std::nullopt;
                 }
+                axes.impls.push_back(*impl);
             }
         } else if (key == "sublayers") {
             if (!v.isArray() || v.items().empty()) {
@@ -410,17 +406,15 @@ SweepPlan::fromJson(const JsonValue &doc, std::string *error)
                 return std::nullopt;
             }
             for (const JsonValue &entry : v.items()) {
-                std::string token =
-                    entry.isString() ? toLower(entry.asString()) : "";
-                if (token == "sysv")
-                    axes.sublayers.push_back(SubLayer::SysV);
-                else if (token == "usysv")
-                    axes.sublayers.push_back(SubLayer::USysV);
-                else {
+                std::optional<SubLayer> layer =
+                    entry.isString() ? parseSubLayerToken(entry.asString())
+                                     : std::nullopt;
+                if (!layer) {
                     setError(error, "unknown sublayer '" + entry.dump() +
                                         "' (have: sysv, usysv)");
                     return std::nullopt;
                 }
+                axes.sublayers.push_back(*layer);
             }
         } else if (key == "directory_entries") {
             if (!v.isArray() || v.items().empty()) {

@@ -3,21 +3,11 @@
 #include <cmath>
 #include <ostream>
 
+#include "core/scenario.hh"
 #include "util/csv.hh"
 #include "util/str.hh"
 
 namespace mcscope {
-
-std::string
-implToken(MpiImpl impl)
-{
-    switch (impl) {
-      case MpiImpl::Mpich2: return "mpich2";
-      case MpiImpl::Lam: return "lam";
-      case MpiImpl::OpenMpi: return "openmpi";
-    }
-    return "?";
-}
 
 void
 renderBatchResults(const SweepPlan &plan, const PlanResults &results,
@@ -45,13 +35,9 @@ renderBatchResults(const SweepPlan &plan, const PlanResults &results,
         if (tag_phase)
             label += " [" + axes.phase + "]";
         if (tag_impl)
-            label += " [" + implToken(axes.impls[i]) + "]";
+            label += " [" + mpiImplToken(axes.impls[i]) + "]";
         if (tag_sublayer)
-            label += " [" +
-                     std::string(axes.sublayers[s] == SubLayer::SysV
-                                     ? "sysv"
-                                     : "usysv") +
-                     "]";
+            label += " [" + subLayerToken(axes.sublayers[s]) + "]";
         if (tag_variant)
             label += " [" + variantTag(m) + "]";
         if (tag_machine)
@@ -86,10 +72,8 @@ renderBatchResults(const SweepPlan &plan, const PlanResults &results,
                          ++r) {
                         std::vector<std::string> row = {
                             machine_name, axes.workloads[w],
-                            implToken(axes.impls[i]),
-                            axes.sublayers[s] == SubLayer::SysV
-                                ? "sysv"
-                                : "usysv",
+                            mpiImplToken(axes.impls[i]),
+                            subLayerToken(axes.sublayers[s]),
                             std::to_string(slice.rankCounts[r])};
                         if (tag_phase)
                             row.insert(row.begin() + 2, axes.phase);

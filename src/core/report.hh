@@ -29,9 +29,6 @@ void appendOptionSweepRows(TextTable &table, const OptionSweepResult &sweep,
 /** Header row matching the Table 5 option order. */
 std::vector<std::string> optionSweepHeader(const std::string &row_label);
 
-/** Short row-label token for an MPI implementation axis value. */
-std::string implToken(MpiImpl impl);
-
 /**
  * Render an executed batch plan the way `mcscope batch` prints it:
  * the machine banner + per-(workload, impl, sublayer) option-sweep

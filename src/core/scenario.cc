@@ -41,47 +41,6 @@ fnv1aDouble(uint64_t h, double v)
 
 constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
 
-std::string
-mpiImplToken(MpiImpl impl)
-{
-    switch (impl) {
-      case MpiImpl::Mpich2: return "mpich2";
-      case MpiImpl::Lam: return "lam";
-      case MpiImpl::OpenMpi: return "openmpi";
-    }
-    MCSCOPE_PANIC("bad MpiImpl");
-}
-
-std::optional<MpiImpl>
-parseMpiImplToken(const std::string &s)
-{
-    std::string v = toLower(s);
-    if (v == "mpich2")
-        return MpiImpl::Mpich2;
-    if (v == "lam")
-        return MpiImpl::Lam;
-    if (v == "openmpi")
-        return MpiImpl::OpenMpi;
-    return std::nullopt;
-}
-
-std::string
-subLayerToken(SubLayer layer)
-{
-    return layer == SubLayer::SysV ? "sysv" : "usysv";
-}
-
-std::optional<SubLayer>
-parseSubLayerToken(const std::string &s)
-{
-    std::string v = toLower(s);
-    if (v == "sysv")
-        return SubLayer::SysV;
-    if (v == "usysv")
-        return SubLayer::USysV;
-    return std::nullopt;
-}
-
 std::optional<TaskScheme>
 parseTaskSchemeToken(const std::string &s)
 {
@@ -203,6 +162,47 @@ setError(std::string *err, const std::string &msg)
 }
 
 } // namespace
+
+std::string
+mpiImplToken(MpiImpl impl)
+{
+    switch (impl) {
+      case MpiImpl::Mpich2: return "mpich2";
+      case MpiImpl::Lam: return "lam";
+      case MpiImpl::OpenMpi: return "openmpi";
+    }
+    MCSCOPE_PANIC("bad MpiImpl");
+}
+
+std::optional<MpiImpl>
+parseMpiImplToken(const std::string &s)
+{
+    std::string v = toLower(s);
+    if (v == "mpich2")
+        return MpiImpl::Mpich2;
+    if (v == "lam")
+        return MpiImpl::Lam;
+    if (v == "openmpi")
+        return MpiImpl::OpenMpi;
+    return std::nullopt;
+}
+
+std::string
+subLayerToken(SubLayer layer)
+{
+    return layer == SubLayer::SysV ? "sysv" : "usysv";
+}
+
+std::optional<SubLayer>
+parseSubLayerToken(const std::string &s)
+{
+    std::string v = toLower(s);
+    if (v == "sysv")
+        return SubLayer::SysV;
+    if (v == "usysv")
+        return SubLayer::USysV;
+    return std::nullopt;
+}
 
 JsonValue
 numactlOptionToJson(const NumactlOption &option)

@@ -173,6 +173,16 @@ bool operator!=(const ScenarioSpec &a, const ScenarioSpec &b);
 std::optional<ScenarioSpec> parseScenarioSpec(const JsonValue &doc,
                                               std::string *error);
 
+/**
+ * The one spelling of each MPI implementation and sub-layer, shared
+ * by spec files, batch plans, the CLI flags and report labels.
+ * Parsing is case-insensitive; nullopt for an unknown name.
+ */
+std::string mpiImplToken(MpiImpl impl);
+std::optional<MpiImpl> parseMpiImplToken(const std::string &s);
+std::string subLayerToken(SubLayer layer);
+std::optional<SubLayer> parseSubLayerToken(const std::string &s);
+
 /** Serialize / parse a NumactlOption object form. */
 JsonValue numactlOptionToJson(const NumactlOption &option);
 std::optional<NumactlOption> parseNumactlOption(const JsonValue &doc,

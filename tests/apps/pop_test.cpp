@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "apps/pop/grid.hh"
 #include "apps/pop/pop.hh"
 #include "apps/pop/solver.hh"
 #include "core/experiment.hh"
+#include "core/metrics.hh"
 #include "machine/config.hh"
 #include "util/rng.hh"
 
@@ -113,23 +115,60 @@ TEST(PopModel, PhasesAreTaggedAndBarotropicIsMinor)
     EXPECT_LT(baro / btrop, 30.0);
 }
 
-TEST(PopModel, ScalesNearlyLinearlyOnLongs)
+/** POP's makespan under one Table 5 option; NaN where it cannot run. */
+double
+popSeconds(const MachineConfig &machine, const NumactlOption &option,
+           int ranks)
 {
     PopWorkload pop(popX1Config());
-    std::vector<double> t;
-    for (int ranks : {1, 16}) {
-        ExperimentConfig cfg;
-        cfg.machine = longsConfig();
-        cfg.option = table5Options()[0];
-        cfg.ranks = ranks;
-        RunResult r = runExperiment(cfg, pop);
-        ASSERT_TRUE(r.valid) << ranks;
-        t.push_back(r.seconds);
-    }
-    double speedup = t[0] / t[1];
+    ExperimentConfig cfg;
+    cfg.machine = machine;
+    cfg.option = option;
+    cfg.ranks = ranks;
+    RunResult r = runExperiment(cfg, pop);
+    return r.valid ? r.seconds : std::nan("");
+}
+
+/** Parallel efficiency of POP on every core of @p m under Default. */
+double
+popEfficiencyOnAllCores(const MachineConfig &m)
+{
+    const NumactlOption def = table5Options()[0];
+    return popSeconds(m, def, 1) / popSeconds(m, def, m.totalCores()) /
+           m.totalCores();
+}
+
+TEST(PopModel, ScalesNearlyLinearlyOnLongs)
+{
     // Table 12: 16.11 at 16 cores.
-    EXPECT_GT(speedup, 12.0);
-    EXPECT_LT(speedup, 20.0);
+    double eff = popEfficiencyOnAllCores(longsConfig());
+    EXPECT_GT(eff, 0.85);
+    EXPECT_LT(eff, 1.25);
+}
+
+TEST(PopModel, ScalesNearlyLinearlyOnDmz)
+{
+    // Table 12: POP is near-linear on the 4-core DMZ too.
+    double eff = popEfficiencyOnAllCores(dmzConfig());
+    EXPECT_GT(eff, 0.85);
+    EXPECT_LT(eff, 1.25);
+}
+
+TEST(PopModel, PlacementSpreadsFourRanksOnLongs)
+{
+    // Section 4: placement is worth 10-20% at the application level.
+    std::vector<double> row;
+    for (const NumactlOption &option : table5Options())
+        row.push_back(popSeconds(longsConfig(), option, 4));
+    EXPECT_GT(placementGain(row), 0.03);
+    double lo = 1e300, hi = 0.0;
+    for (double v : row) {
+        if (std::isnan(v))
+            continue;
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+    }
+    EXPECT_GT(hi / lo, 1.10);
 }
 
 } // namespace

@@ -77,7 +77,6 @@ TEST(Metrics, Speedups)
 
 TEST(Metrics, SingleStarRatioAndPlacementGain)
 {
-    EXPECT_DOUBLE_EQ(singleToStarRatio(1.0, 2.5), 2.5);
     EXPECT_NEAR(placementGain({100.0, 80.0, 120.0}), 0.2, 1e-12);
     EXPECT_DOUBLE_EQ(placementGain({100.0}), 0.0);
     // NaN cells (invalid options) are ignored.

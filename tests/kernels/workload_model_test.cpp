@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/experiment.hh"
 #include "core/registry.hh"
 #include "kernels/blas1.hh"
@@ -174,6 +177,29 @@ TEST(NasModels, ClassAIsSmallerThanClassB)
     RunResult ra = runExperiment(config(dmzConfig(), 2), a);
     RunResult rb = runExperiment(config(dmzConfig(), 2), b);
     EXPECT_LT(ra.seconds, rb.seconds / 5.0);
+}
+
+TEST(NasModels, CgStopsScalingOnLongs)
+{
+    // Table 4: CG on Longs is slower at 16 tasks than at 8.  No Table 5
+    // placement rescues it: the best 16-task time over the options that
+    // can host 16 ranks is no better than the best 8-task time either.
+    auto cg = makeWorkload("nas-cg-b");
+    auto seconds = [&](int ranks, int option) {
+        RunResult r = runExperiment(config(longsConfig(), ranks, option), *cg);
+        return r.valid ? r.seconds : std::nan("");
+    };
+    auto best = [&](int ranks) {
+        double lo = std::nan("");
+        for (int i = 0; i < static_cast<int>(table5Options().size()); ++i)
+            lo = std::fmin(lo, seconds(ranks, i));
+        return lo;
+    };
+    double t8 = seconds(8, 0), t16 = seconds(16, 0);
+    ASSERT_FALSE(std::isnan(t8) || std::isnan(t16));
+    // 16 tasks no better than ~15% over 8 tasks (paper: worse).
+    EXPECT_GT(t16 / t8, 0.85);
+    EXPECT_GT(best(16) / best(8), 0.85);
 }
 
 TEST(FftModel, PlacementSensitivityIsIntermediate)

@@ -122,6 +122,22 @@ TEST(Comm, SysVDominatesSmallMessageOverhead)
     EXPECT_GT(slow, 3.0 * fast);
 }
 
+TEST(Comm, SysVMatchesUSysVForLargeMessages)
+{
+    // Figures 11-13: at 4 MiB the payload dominates the one-way time,
+    // so the SysV semaphore cost all but vanishes.
+    Rig usysv(longsConfig(), table5Options()[0], 2, MpiImpl::Lam,
+              SubLayer::USysV);
+    Rig sysv(longsConfig(), table5Options()[0], 2, MpiImpl::Lam,
+             SubLayer::SysV);
+    const double large = 4.0 * 1024.0 * 1024.0;
+    auto total = [&](const Rig &rig) {
+        return rig.rt->messageOverhead(0, 1, large) +
+               large / rig.rt->transferBandwidth(0, 1, large);
+    };
+    EXPECT_LT(total(sysv) / total(usysv), 1.05);
+}
+
 TEST(Comm, HopsAddLatencyOnTheLadder)
 {
     Rig rig(longsConfig(), onePerSocketLocal(), 8);
